@@ -54,7 +54,6 @@ class LocationScatterEstimate:
     sigma_hat_inv: np.ndarray
     method: str
     iterations: int = 0
-    converged: bool = True
 
 
 def as_sample(sample) -> np.ndarray:
@@ -219,15 +218,21 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
         if eta == n:
             # every observation sits at the iterate; it is the minimizer
             return m, it
-        w = 1.0 / dist[~coll]
-        unit_sum = np.einsum("n,ni->i", w, diff[~coll])
+        rows = x
+        if eta > 0:
+            # rarely taken: in practice no row sits at the iterate, so the
+            # mask copies are made only when one does
+            keep = ~coll
+            dist, diff, rows = dist[keep], diff[keep], x[keep]
+        w = 1.0 / dist
+        unit_sum = np.einsum("n,ni->i", w, diff)
         g = float(np.linalg.norm(unit_sum))
         if eta > 0 and g <= eta:
             # subgradient optimality at a repeated data point
             return m, it
         if eta == 0 and g <= grad_tol:
             return m, it
-        target = np.einsum("n,ni->i", w, x[~coll]) / w.sum()
+        target = np.einsum("n,ni->i", w, rows) / w.sum()
         if eta > 0:
             step_frac = min(1.0, eta / g)
             m = (1.0 - step_frac) * target + step_frac * m
@@ -257,6 +262,17 @@ def spatial_median(sample, tol: float = 1e-10, max_iter: int = 500) -> np.ndarra
 
 
 def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
+    """Tyler's fixed-point iteration on precomputed row moments.
+
+    The products ``diff_i * diff_j`` (``i <= j``) of the centered rows do
+    not change across iterations, so they are built once as a
+    ``(d(d+1)/2, n)`` array: n·d(d+1)/2 floats, 2.4 MB at n = 10^5, d = 2.
+    Each step is then two einsums over that array: the squared distances
+    ``q`` against the upper triangle of the inverse iterate (off-diagonal
+    terms doubled), and the upper triangle of the next iterate from the
+    weights ``1/q``.  Reductions stay in einsum, so the result does not
+    depend on the BLAS build or thread count.
+    """
     n, d = x.shape
     diff = x - mu_hat
     zero_rows = np.all(diff == 0.0, axis=1)
@@ -272,17 +288,25 @@ def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
         raise DegenerateSample(
             f"Tyler shape needs more than d={d} usable rows, have {n_eff}"
         )
+    iu, ju = np.triu_indices(d)
+    moments = np.empty((iu.shape[0], n_eff))
+    for k in range(iu.shape[0]):
+        np.multiply(diff[:, iu[k]], diff[:, ju[k]], out=moments[k])
+    del diff
+    pair_weight = np.where(iu == ju, 1.0, 2.0)
     v = np.eye(d)
     for it in range(1, max_iter + 1):
         try:
             v_inv = linalg.spd_inverse(v)
         except NotPositiveDefinite as exc:
             raise SingularIterate(f"shape iterate lost positive definiteness: {exc}") from exc
-        q = np.einsum("ni,ij,nj->n", diff, v_inv, diff)
+        q = np.einsum("kn,k->n", moments, v_inv[iu, ju] * pair_weight)
         if not np.all(q > 0.0):
             raise SingularIterate("a row has nonpositive squared distance under the iterate")
-        nxt = np.einsum("ni,nj->ij", diff / q[:, None], diff) * (d / n_eff)
-        nxt = 0.5 * (nxt + nxt.T)
+        upper = np.einsum("kn,n->k", moments, 1.0 / q) * (d / n_eff)
+        nxt = np.empty((d, d))
+        nxt[iu, ju] = upper
+        nxt[ju, iu] = upper
         trace = float(np.trace(nxt))
         if not np.isfinite(trace) or trace <= 0.0:
             raise SingularIterate("shape iterate has nonpositive trace")
@@ -303,9 +327,11 @@ def tyler_shape(sample, mu_hat, tol: float = 1e-9, max_iter: int = 500) -> np.nd
 
     Each step averages the outer products of the centered rows weighted by
     the inverse of their squared distance under the current iterate, then
-    rescales to trace ``d``.  Rows exactly equal to ``mu_hat`` carry no
-    directional information and are dropped with a warning.  The result is
-    symmetric positive definite with trace ``d``.
+    rescales to trace ``d``.  The outer products are held once as
+    n·d(d+1)/2 row moments, so a step costs two passes over them.  Rows
+    exactly equal to ``mu_hat`` carry no directional information and are
+    dropped with a warning.  The result is symmetric positive definite with
+    trace ``d``.
     """
     x = as_sample(sample)
     mv = np.asarray(mu_hat, dtype=float)
@@ -350,7 +376,6 @@ def estimate_location_scatter(
         sigma_hat_inv=sigma_hat_inv,
         method=method,
         iterations=iterations,
-        converged=True,
     )
 
 

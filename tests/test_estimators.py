@@ -197,6 +197,12 @@ class TestSpatialMedian:
         pts = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]]
         np.testing.assert_allclose(spatial_median(pts), [0.0, 0.0], atol=1e-8)
 
+    def test_moves_off_repeated_point_it_lands_on(self):
+        # the start, the mean (0, 0), is a data point, and the pull of the
+        # other rows there exceeds its multiplicity, so the iterate must move
+        pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-3.0, 0.0]]
+        np.testing.assert_allclose(spatial_median(pts), [1.0, 0.0], atol=1e-9)
+
     def test_gradient_small_at_solution(self):
         rng = np.random.default_rng(3)
         x = rng.standard_t(df=2.0, size=(200, 3))
@@ -225,10 +231,10 @@ class TestSpatialMedian:
 
 
 class TestTylerShape:
-    def _heavy_sample(self, sigma, n, seed):
+    def _heavy_sample(self, sigma, n, seed, mu=None):
         d = sigma.shape[0]
         model = EllipticalModel(
-            mu=np.zeros(d),
+            mu=np.zeros(d) if mu is None else mu,
             sigma=sigma,
             variate=GeneratingVariateSpec.t_radial(1.0, d),
         )
@@ -241,16 +247,35 @@ class TestTylerShape:
         assert np.trace(v) == pytest.approx(3.0, abs=1e-12)
         np.testing.assert_allclose(v, v.T)
 
-    def test_fixed_point_residual(self):
-        sample = self._heavy_sample(np.array([[2.0, 0.7], [0.7, 1.0]]), 500, seed=5)
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            np.array([[2.0, 0.7], [0.7, 1.0]]),
+            np.array([[2.0, 0.7, -0.3], [0.7, 1.0, 0.2], [-0.3, 0.2, 0.5]]),
+            np.array(
+                [
+                    [2.0, 0.7, -0.3, 0.1],
+                    [0.7, 1.0, 0.2, 0.0],
+                    [-0.3, 0.2, 0.5, -0.1],
+                    [0.1, 0.0, -0.1, 3.0],
+                ]
+            ),
+        ],
+        ids=["d2", "d3", "d4"],
+    )
+    def test_fixed_point_residual(self, sigma):
+        # the direct quadratic-form map, independent of the moment form
+        d = sigma.shape[0]
+        mu = np.linspace(-1.0, 2.0, d)
+        sample = self._heavy_sample(sigma, 500, seed=5, mu=mu)
         tol = 1e-9
-        v = tyler_shape(sample, np.zeros(2), tol=tol)
-        diff = sample
+        v = tyler_shape(sample, mu, tol=tol)
+        diff = sample - mu
         q = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(v), diff)
-        mapped = (2.0 / diff.shape[0]) * np.einsum(
+        mapped = (d / diff.shape[0]) * np.einsum(
             "ni,nj->ij", diff / q[:, None], diff
         )
-        mapped *= 2.0 / np.trace(mapped)
+        mapped *= d / np.trace(mapped)
         assert np.max(np.abs(mapped - v)) < 10 * tol
 
     def test_recovers_shape_matrix(self):
@@ -287,7 +312,6 @@ class TestEstimateLocationScatter:
             est.sigma_hat_inv @ est.sigma_hat, np.eye(2), atol=1e-10
         )
         assert est.method == SAMPLE_MEAN_COV
-        assert est.converged
 
     def test_median_tyler_method(self):
         rng = np.random.default_rng(7)
