@@ -32,7 +32,6 @@ from .estimators import (
     LocationScatterEstimate,
     estimate_location_scatter,
     hill_plot,
-    mahalanobis,
     mahalanobis_distances,
     order_desc,
     sample_covariance,
@@ -75,7 +74,6 @@ __all__ = [
     "LocationScatterEstimate",
     "estimate_location_scatter",
     "hill_plot",
-    "mahalanobis",
     "mahalanobis_distances",
     "order_desc",
     "sample_covariance",

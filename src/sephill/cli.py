@@ -244,21 +244,25 @@ def load_csv_matrix(path: str) -> np.ndarray:
 
 
 def load_scatter(arg: str, dim: int) -> np.ndarray:
-    """Scatter from --sigma: 'identity' or a file of d comma-separated rows.
-
-    Symmetry is validated to 1e-9 (relative to the largest entry) and the
-    matrix is then symmetrized by averaging with its transpose.
-    """
+    """Scatter from --sigma: 'identity' or a file of d comma-separated rows,
+    validated by :func:`_check_scatter`."""
     if arg == "identity":
         return np.eye(dim)
-    mat = load_csv_matrix(arg)
+    return _check_scatter(load_csv_matrix(arg), dim, "--sigma file")
+
+
+def _check_scatter(mat: np.ndarray, dim: int, source: str) -> np.ndarray:
+    """A user-supplied ``dim x dim`` scatter, symmetrized.
+
+    Symmetry is validated to 1e-9 relative to ``max(largest |entry|, 1)``,
+    and the matrix is then averaged with its transpose.  ``source`` names
+    the input in error messages.
+    """
     if mat.shape != (dim, dim):
-        raise ConfigError(
-            f"--sigma file has shape {mat.shape}, expected {(dim, dim)}"
-        )
+        raise ConfigError(f"{source} has shape {mat.shape}, expected {(dim, dim)}")
     scale = max(float(np.max(np.abs(mat))), 1.0)
     if float(np.max(np.abs(mat - mat.T))) > 1e-9 * scale:
-        raise ConfigError("--sigma file is not symmetric within 1e-9")
+        raise ConfigError(f"{source} is not symmetric within 1e-9")
     return 0.5 * (mat + mat.T)
 
 
@@ -290,11 +294,16 @@ def build_model(args, dim: int) -> EllipticalModel:
             raise ConfigError(
                 f"--mu has {mu.shape[0]} entries, expected --dim = {dim}"
             )
-    sigma = load_scatter(args.sigma, dim)
+    return _make_model(mu, load_scatter(args.sigma, dim), variate, "--sigma")
+
+
+def _make_model(mu, sigma, variate, source: str) -> EllipticalModel:
+    """EllipticalModel from user input; a scatter that is not positive
+    definite is a configuration error, named by ``source``."""
     try:
         return EllipticalModel(mu=mu, sigma=sigma, variate=variate)
     except NotPositiveDefinite as exc:
-        raise ConfigError(f"--sigma is not positive definite: {exc}") from exc
+        raise ConfigError(f"{source} is not positive definite: {exc}") from exc
 
 
 # -- subcommands -----------------------------------------------------------
@@ -557,6 +566,10 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"could not parse --config {path!r}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            f"--config {path!r} must hold a JSON object, got {type(raw).__name__}"
+        )
     try:
         model_raw = raw["model"]
         family = model_raw["family"]
@@ -564,16 +577,17 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
         variate = build_variate(
             family, model_raw.get("alpha"), model_raw.get("nu"), dim
         )
-        model = EllipticalModel(
-            mu=np.asarray(model_raw["mu"], dtype=float),
-            sigma=np.asarray(model_raw["sigma"], dtype=float),
-            variate=variate,
+        sigma = _check_scatter(
+            np.asarray(model_raw["sigma"], dtype=float), dim, "sigma"
+        )
+        model = _make_model(
+            np.asarray(model_raw["mu"], dtype=float), sigma, variate, "sigma"
         )
         return montecarlo.ExperimentConfig(
             model=model,
             n_values=tuple(raw["n_values"]),
             replications=raw["replications"],
-            base_seed=raw.get("base_seed", resolve_seed(None)),
+            base_seed=raw["base_seed"] if "base_seed" in raw else resolve_seed(None),
             estimator_method=raw.get("estimator_method", SAMPLE_MEAN_COV),
             k_beta=raw.get("k_beta", 0.5 if "k_values" not in raw else None),
             k_values=tuple(raw["k_values"]) if "k_values" in raw else None,

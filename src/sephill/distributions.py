@@ -233,8 +233,10 @@ class EllipticalModel:
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
-        if mu.ndim != 1:
-            raise DimensionMismatch(f"mu must be a vector, got shape {mu.shape}")
+        if mu.ndim != 1 or mu.shape[0] == 0:
+            raise DimensionMismatch(
+                f"mu must be a nonempty vector, got shape {mu.shape}"
+            )
         if not np.all(np.isfinite(mu)):
             raise NonFinite("mu entries must be finite")
         chol = linalg.cholesky(self.sigma)

@@ -112,24 +112,6 @@ def univariate_hill(ordered, k: int, source: str = "direct") -> HillEstimate:
     return HillEstimate(gamma_hat=gamma, k=int(k), n=v.shape[0], location_scatter_source=source)
 
 
-def mahalanobis(x, mu, sigma_inv) -> float:
-    """Distance of one point from ``mu`` in the metric of ``sigma_inv``."""
-    xv = np.asarray(x, dtype=float)
-    mv = np.asarray(mu, dtype=float)
-    si = np.asarray(sigma_inv, dtype=float)
-    if xv.shape != mv.shape or xv.ndim != 1:
-        raise DimensionMismatch(
-            f"point and location must be vectors of equal length, got {xv.shape} and {mv.shape}"
-        )
-    if si.shape != (xv.shape[0], xv.shape[0]):
-        raise DimensionMismatch(
-            f"scatter inverse has shape {si.shape}, expected {(xv.shape[0], xv.shape[0])}"
-        )
-    diff = xv - mv
-    q = float(np.einsum("i,ij,j->", diff, si, diff))
-    return float(np.sqrt(max(q, 0.0)))
-
-
 def mahalanobis_distances(sample, mu, sigma_inv) -> np.ndarray:
     """Row-wise distances of a sample from ``mu``; shape ``(n,)``.
 

@@ -1,9 +1,11 @@
 """Dense symmetric-matrix helpers: Cholesky, SPD inverse, spectral norm.
 
-Dimensions in this package are desk scale (a handful, rarely beyond a few
-tens), so the factorizations below use plain O(d^3) loops.  That keeps the
-arithmetic order fixed and the results bit-for-bit reproducible across BLAS
-builds and thread counts, which the experiment harness relies on.
+The factor and the eigenvalues come from LAPACK through numpy; this module
+adds the validation around them (finite, symmetric, a pivot floor relative
+to the diagonal) and maps failures to this package's exceptions.  Results
+are deterministic for a given machine and numpy/LAPACK build, which is what
+the experiment harness relies on for byte-identical output at any worker
+count; the last bits may differ between builds.
 """
 
 from __future__ import annotations
@@ -58,28 +60,27 @@ def cholesky(m) -> np.ndarray:
     Raises
     ------
     NotPositiveDefinite
-        If any pivot falls to ``PIVOT_RTOL`` times the largest diagonal
-        entry of ``m`` or below.  The check is relative, so rescaling the
-        input by a positive constant cannot change the verdict.
+        If LAPACK cannot factor ``m``, or if any pivot ``L[j, j]**2`` falls
+        to ``PIVOT_RTOL`` times the largest diagonal entry of ``m`` or
+        below.  The check is relative, so rescaling the input by a positive
+        constant cannot change the verdict.
     """
     a = check_symmetric(m)
-    d = a.shape[0]
-    diag_scale = float(np.max(np.abs(np.diag(a)))) if d else 0.0
-    if d and diag_scale == 0.0:
+    diag_scale = float(np.max(np.abs(np.diag(a))))
+    if diag_scale == 0.0:
         raise NotPositiveDefinite("matrix has a zero diagonal")
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"factorization failed: {exc}") from None
     floor = PIVOT_RTOL * diag_scale
-    lower = np.zeros_like(a)
-    for j in range(d):
-        pivot = a[j, j] - np.dot(lower[j, :j], lower[j, :j])
-        if pivot <= floor:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} is not positive "
-                f"(floor {floor:.3e})"
-            )
-        ljj = np.sqrt(pivot)
-        lower[j, j] = ljj
-        for i in range(j + 1, d):
-            lower[i, j] = (a[i, j] - np.dot(lower[i, :j], lower[j, :j])) / ljj
+    pivots = np.diag(lower) ** 2
+    j = int(np.argmin(pivots))
+    if pivots[j] <= floor:
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.3e} at column {j} is not positive "
+            f"(floor {floor:.3e})"
+        )
     return lower
 
 
@@ -97,50 +98,6 @@ def spd_inverse(m) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def _jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by the cyclic Jacobi method.
-
-    Sweeps over all super-diagonal positions, rotating each pair to zero,
-    until the off-diagonal mass falls below 1e-14 of the Frobenius norm.
-    Convergence is quadratic, so a handful of sweeps suffices at the
-    dimensions we use.
-    """
-    a = a.copy()
-    d = a.shape[0]
-    if d == 1:
-        return np.diag(a).copy()
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(d)
-    for _ in range(max_sweeps):
-        off = np.sqrt(
-            max(float(np.sum(a * a)) - float(np.sum(np.diag(a) ** 2)), 0.0)
-        )
-        if off <= 1e-14 * norm:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) if tau != 0.0 else 1.0
-                t /= abs(tau) + np.hypot(tau, 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.diag(a).copy()
-
-
 def spectral_norm(m) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
@@ -149,6 +106,4 @@ def spectral_norm(m) -> float:
     :class:`NonSymmetric` rather than being silently symmetrized.
     """
     a = check_symmetric(m)
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(_jacobi_eigenvalues(a))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))

@@ -138,7 +138,6 @@ class ReplicationRecord:
     normalized_error: float
     estimator_gap: float
     bound_report: bounds_mod.PerturbationBound | None
-    seed_used: int
     failed: bool = False
     failure: str | None = None
 
@@ -242,7 +241,6 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
         normalized_error=math.sqrt(k) * (gamma_est - gamma),
         estimator_gap=gamma_est - gamma_true,
         bound_report=report,
-        seed_used=config.base_seed,
     )
 
 
@@ -259,8 +257,7 @@ def _run_replication_tagged(config: ExperimentConfig, n: int, rep_id: int) -> Re
             normalized_error=math.nan,
             estimator_gap=math.nan,
             bound_report=None,
-            seed_used=config.base_seed,
-            failed=True,
+                failed=True,
             failure=f"{type(exc).__name__}: {exc}",
         )
 

@@ -561,6 +561,63 @@ class TestExperiment:
         code = cli.main(["experiment", "--config", str(cfg_path)])
         assert code == 2
 
+    def _config(self, tmp_path, **model):
+        raw = {
+            "model": {"family": "pareto", "alpha": 5.0, "mu": [0.0, 0.0],
+                      "sigma": [[1.0, 0.0], [0.0, 1.0]], **model},
+            "n_values": [100],
+            "replications": 2,
+            "base_seed": 3,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[1.0, 0.5], [0.0, 1.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        ],
+        ids=["indefinite", "asymmetric", "not-square"],
+    )
+    def test_bad_config_sigma_exits_config_like_inline(self, tmp_path, sigma):
+        out = str(tmp_path / "exp.json")
+        cfg = self._config(tmp_path, sigma=sigma)
+        assert cli.main(["experiment", "--config", cfg, "--out", out]) == 2
+        sigma_csv = tmp_path / "sigma.csv"
+        sigma_csv.write_text("\n".join(",".join(map(str, r)) for r in sigma) + "\n")
+        assert cli.main(
+            ["experiment", "--family", "pareto", "--alpha", "5", "--dim", "2",
+             "--sigma", str(sigma_csv), "--n-values", "100",
+             "--replications", "2", "--method", "mean-cov", "--out", out]
+        ) == 2
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_config_base_seed_does_not_read_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEPHILL_SEED", "abc")
+        out = tmp_path / "exp.json"
+        assert cli.main(
+            ["experiment", "--config", self._config(tmp_path), "--out", str(out)]
+        ) == 0
+        assert json.loads(out.read_text())["manifest"]["base_seed"] == 3
+
+    def test_dimension_zero_exits_config(self, tmp_path):
+        out = str(tmp_path / "exp.json")
+        assert cli.main(
+            ["experiment", "--family", "pareto", "--alpha", "5", "--dim", "0",
+             "--n-values", "100", "--replications", "2", "--method",
+             "mean-cov", "--out", out]
+        ) == 2
+        cfg = self._config(tmp_path, mu=[], sigma=[])
+        assert cli.main(["experiment", "--config", cfg, "--out", out]) == 2
+
     def test_k_list_respected(self, tmp_path):
         out = tmp_path / "exp.json"
         assert cli.main(

@@ -241,6 +241,14 @@ class TestEllipticalModel:
                 variate=GeneratingVariateSpec.pareto(3.0),
             )
 
+    def test_rejects_empty_location(self):
+        with pytest.raises(DimensionMismatch):
+            EllipticalModel(
+                mu=np.zeros(0),
+                sigma=np.eye(0),
+                variate=GeneratingVariateSpec.pareto(3.0),
+            )
+
     def test_t_radial_dim_must_match(self):
         with pytest.raises(DimensionMismatch):
             EllipticalModel(

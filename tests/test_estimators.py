@@ -25,7 +25,6 @@ from sephill.estimators import (
     TRUE_PARAMS,
     estimate_location_scatter,
     hill_plot,
-    mahalanobis,
     mahalanobis_distances,
     order_desc,
     sample_covariance,
@@ -110,26 +109,15 @@ class TestOrderDesc:
 
 class TestMahalanobis:
     def test_diagonal_oracle(self):
-        d = mahalanobis([2.0, 3.0], [0.0, 0.0], np.diag([0.25, 1.0 / 9.0]))
-        assert d == pytest.approx(np.sqrt(2.0), rel=1e-14)
+        d = mahalanobis_distances([[2.0, 3.0]], [0.0, 0.0], np.diag([0.25, 1.0 / 9.0]))
+        assert d.shape == (1,)
+        assert d[0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
     def test_identity_is_euclidean(self):
-        x = np.array([3.0, 4.0])
-        assert mahalanobis(x, np.zeros(2), np.eye(2)) == pytest.approx(5.0)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(5)
-        sample = rng.normal(size=(20, 3))
-        mu = rng.normal(size=3)
-        a = rng.normal(size=(3, 3))
-        sigma_inv = a @ a.T + np.eye(3)
-        batch = mahalanobis_distances(sample, mu, sigma_inv)
-        singles = [mahalanobis(row, mu, sigma_inv) for row in sample]
-        np.testing.assert_allclose(batch, singles, rtol=1e-12)
+        x = np.array([[3.0, 4.0]])
+        assert mahalanobis_distances(x, np.zeros(2), np.eye(2))[0] == pytest.approx(5.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mahalanobis([1.0, 2.0, 3.0], [0.0, 0.0], np.eye(2))
         with pytest.raises(DimensionMismatch):
             mahalanobis_distances(np.ones((4, 2)), np.zeros(3), np.eye(3))
 

@@ -216,7 +216,6 @@ class TestAggregateRecords:
             normalized_error=ne,
             estimator_gap=gap,
             bound_report=None,
-            seed_used=0,
             failed=failed,
             failure=failure,
         )
