@@ -380,10 +380,14 @@ def _location_scatter_from_args(args, data: np.ndarray):
         if mu.shape[0] != d:
             raise ConfigError(f"--mu has {mu.shape[0]} entries, data has {d} columns")
         sigma = load_scatter(args.sigma, d)
+        try:
+            sigma_inv = linalg.spd_inverse(sigma)
+        except NotPositiveDefinite as exc:
+            raise ConfigError(f"--sigma is not positive definite: {exc}") from exc
         loc = LocationScatterEstimate(
             mu_hat=mu,
             sigma_hat=sigma,
-            sigma_hat_inv=linalg.spd_inverse(sigma),
+            sigma_hat_inv=sigma_inv,
             method="given-params",
         )
         return loc, "given-params", []
@@ -572,28 +576,59 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
         )
     try:
         model_raw = raw["model"]
+        if not isinstance(model_raw, dict):
+            raise ConfigError(
+                f"--config {path!r}: 'model' must be a JSON object, "
+                f"got {type(model_raw).__name__}"
+            )
         family = model_raw["family"]
-        dim = len(model_raw["mu"])
+        mu = _config_array(model_raw["mu"], "mu", 1, path)
+        dim = mu.shape[0]
         variate = build_variate(
             family, model_raw.get("alpha"), model_raw.get("nu"), dim
         )
         sigma = _check_scatter(
-            np.asarray(model_raw["sigma"], dtype=float), dim, "sigma"
+            _config_array(model_raw["sigma"], "sigma", 2, path), dim, "sigma"
         )
-        model = _make_model(
-            np.asarray(model_raw["mu"], dtype=float), sigma, variate, "sigma"
-        )
+        model = _make_model(mu, sigma, variate, "sigma")
         return montecarlo.ExperimentConfig(
             model=model,
-            n_values=tuple(raw["n_values"]),
+            n_values=_config_list(raw["n_values"], "n_values", path),
             replications=raw["replications"],
             base_seed=raw["base_seed"] if "base_seed" in raw else resolve_seed(None),
             estimator_method=raw.get("estimator_method", SAMPLE_MEAN_COV),
             k_beta=raw.get("k_beta", 0.5 if "k_values" not in raw else None),
-            k_values=tuple(raw["k_values"]) if "k_values" in raw else None,
+            k_values=(
+                _config_list(raw["k_values"], "k_values", path)
+                if "k_values" in raw
+                else None
+            ),
         )
     except KeyError as exc:
         raise ConfigError(f"--config {path!r} is missing field {exc}") from None
+
+
+def _config_array(value, field: str, ndim: int, path: str) -> np.ndarray:
+    """A numeric field of a --config file as a float array with ``ndim``
+    axes; a ragged, non-numeric or wrongly nested value is a configuration
+    error."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        expected = "a list of numbers" if ndim == 1 else "a list of equal-length rows"
+        raise ConfigError(f"--config {path!r}: {field!r} must be {expected}")
+    return arr
+
+
+def _config_list(value, field: str, path: str) -> tuple:
+    """A list field of a --config file as a tuple."""
+    if not isinstance(value, list):
+        raise ConfigError(
+            f"--config {path!r}: {field!r} must be a list, got {type(value).__name__}"
+        )
+    return tuple(value)
 
 
 def _experiment_config_inline(args) -> montecarlo.ExperimentConfig:

@@ -66,18 +66,28 @@ def as_sample(sample) -> np.ndarray:
     return x
 
 
-def order_desc(values) -> np.ndarray:
-    """Sort values into descending order.
+def order_desc(values, top: int | None = None) -> np.ndarray:
+    """Sort values into descending order, or only the ``top`` largest.
 
-    Ties keep their original relative order (stable sort), so downstream
-    results never depend on how the sorting algorithm breaks them.
+    With ``top`` given, returns the ``top`` largest values in descending
+    order, the same bytes as ``order_desc(values)[:top]``: a partition
+    finds them and only they are sorted.  Equal values are
+    interchangeable (a zero's sign aside), so the order among ties cannot
+    change the result.  Every value is checked for finiteness either way.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-d array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise NonFinite("distances must be finite")
-    return v[np.argsort(-v, kind="stable")]
+    if top is None or top >= v.shape[0]:
+        return v[np.argsort(-v, kind="stable")]
+    if top < 1:
+        raise DomainError(f"top must be at least 1, got {top}")
+    cut = v.shape[0] - top
+    largest = np.partition(v, cut)[cut:]
+    largest.sort()
+    return largest[::-1]
 
 
 def _hill_from_ordered(ordered: np.ndarray, k: int) -> float:
@@ -186,35 +196,43 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
     Stops when the sum of unit vectors from the iterate toward the
     observations (the negative gradient of the objective) has norm at most
     ``d * tol * n``, a scale-free criterion.
+
+    The loop runs on a ``(d, n)`` layout: the sample is copied once into
+    contiguous columns, and each step writes the differences from the
+    iterate into one preallocated buffer of the same shape, so every numpy
+    call runs along the n rows rather than over rows of length d.  That is
+    one n·d copy plus one n·d buffer, 3.2 MB at n = 10^5, d = 2.
     """
     n, d = x.shape
     m = x.mean(axis=0)
     scale = float(np.max(np.abs(x - m))) if n else 0.0
     collision_eps = 1e-12 * max(scale, 1e-300)
     grad_tol = d * tol * n
+    cols = np.ascontiguousarray(x.T)
+    buf = np.empty_like(cols)
     for it in range(1, max_iter + 1):
-        diff = x - m
-        dist = np.linalg.norm(diff, axis=1)
+        np.subtract(cols, m[:, None], out=buf)
+        dist = np.sqrt(np.einsum("in,in->n", buf, buf))
         coll = dist <= collision_eps
         eta = int(np.count_nonzero(coll))
         if eta == n:
             # every observation sits at the iterate; it is the minimizer
             return m, it
-        rows = x
+        diff, rows = buf, cols
         if eta > 0:
             # rarely taken: in practice no row sits at the iterate, so the
             # mask copies are made only when one does
             keep = ~coll
-            dist, diff, rows = dist[keep], diff[keep], x[keep]
+            dist, diff, rows = dist[keep], buf[:, keep], cols[:, keep]
         w = 1.0 / dist
-        unit_sum = np.einsum("n,ni->i", w, diff)
+        unit_sum = np.einsum("in,n->i", diff, w)
         g = float(np.linalg.norm(unit_sum))
         if eta > 0 and g <= eta:
             # subgradient optimality at a repeated data point
             return m, it
         if eta == 0 and g <= grad_tol:
             return m, it
-        target = np.einsum("n,ni->i", w, rows) / w.sum()
+        target = np.einsum("in,n->i", rows, w) / w.sum()
         if eta > 0:
             step_frac = min(1.0, eta / g)
             m = (1.0 - step_frac) * target + step_frac * m

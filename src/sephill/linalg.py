@@ -1,17 +1,18 @@
 """Dense symmetric-matrix helpers: Cholesky, SPD inverse, spectral norm.
 
-The factor and the eigenvalues come from LAPACK through numpy; this module
-adds the validation around them (finite, symmetric, a pivot floor relative
-to the diagonal) and maps failures to this package's exceptions.  Results
-are deterministic for a given machine and numpy/LAPACK build, which is what
-the experiment harness relies on for byte-identical output at any worker
-count; the last bits may differ between builds.
+The factor, the inverse and the eigenvalues come from LAPACK through numpy
+alone; nothing here calls scipy, whose separately bundled BLAS keeps a
+helper thread spinning after every call.  This module adds the validation
+around them (finite, symmetric, a pivot floor relative to the diagonal) and
+maps failures to this package's exceptions.  Results are deterministic for
+a given machine and numpy/LAPACK build, which is what the experiment
+harness relies on for byte-identical output at any worker count; the last
+bits may differ between builds.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NonFinite, NonSymmetric, NotPositiveDefinite
 
@@ -87,14 +88,12 @@ def cholesky(m) -> np.ndarray:
 def spd_inverse(m) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix.
 
-    Factors ``m = L L^T`` and solves the two triangular systems against the
-    identity, then symmetrizes the result so round-off cannot leave a
+    Factors ``m = L L^T``, inverts the factor and forms
+    ``L^-T L^-1``, then symmetrizes the result so round-off cannot leave a
     lopsided inverse.
     """
-    lower = cholesky(m)
-    eye = np.eye(lower.shape[0])
-    y = solve_triangular(lower, eye, lower=True)
-    inv = solve_triangular(lower.T, y, lower=False)
+    li = np.linalg.inv(cholesky(m))
+    inv = np.einsum("ki,kj->ij", li, li)
     return 0.5 * (inv + inv.T)
 
 

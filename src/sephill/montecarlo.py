@@ -178,7 +178,8 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     Samples ``n`` rows on the stream ``(base_seed, rep_id)``, estimates the
     index under the true parameters and under the configured method, and
     fills the perturbation report using the (k+1)-th largest true distance
-    as pivot.  Estimator errors propagate to the caller.
+    as pivot.  Only the k+1 largest distances are ordered, since Hill and
+    the pivot read no others.  Estimator errors propagate to the caller.
     """
     model = config.model
     n = int(n)
@@ -188,7 +189,9 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     sample, _ = sample_elliptical(model, n, stream)
 
     sigma_inv = linalg.spd_inverse(model.sigma)
-    ordered_true = order_desc(mahalanobis_distances(sample, model.mu, sigma_inv))
+    ordered_true = order_desc(
+        mahalanobis_distances(sample, model.mu, sigma_inv), top=k + 1
+    )
     gamma_true = univariate_hill(ordered_true, k, source=TRUE_PARAMS).gamma_hat
 
     method = config.estimator_method
@@ -203,7 +206,8 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     else:
         loc = estimate_location_scatter(sample, method)
         ordered_est = order_desc(
-            mahalanobis_distances(sample, loc.mu_hat, loc.sigma_hat_inv)
+            mahalanobis_distances(sample, loc.mu_hat, loc.sigma_hat_inv),
+            top=k + 1,
         )
         gamma_est = univariate_hill(
             ordered_est, k, source=f"estimated:{method}"
@@ -257,7 +261,7 @@ def _run_replication_tagged(config: ExperimentConfig, n: int, rep_id: int) -> Re
             normalized_error=math.nan,
             estimator_gap=math.nan,
             bound_report=None,
-                failed=True,
+            failed=True,
             failure=f"{type(exc).__name__}: {exc}",
         )
 

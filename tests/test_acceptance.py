@@ -232,6 +232,26 @@ def test_criterion_7_worker_count_invariant_output(tmp_path):
     assert run("serial.json", "1") == run("threaded.json", "8")
 
 
+def test_criterion_7_worker_count_invariant_output_median_tyler(tmp_path):
+    def run(workers):
+        out = tmp_path / f"w{workers}.json"
+        records = tmp_path / f"w{workers}.csv"
+        code = cli.main(
+            ["experiment", "--family", "pareto", "--alpha", "2", "--dim", "2",
+             "--mu", "0.5,-1", "--n-values", "300,2000", "--replications", "6",
+             "--method", "median-tyler", "--seed", "778",
+             "--workers", workers, "--out", str(out),
+             "--records-out", str(records)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["estimator_method"] == "spatial_median_tyler"
+        assert payload["total_failures"] == 0
+        return out.read_bytes(), records.read_bytes()
+
+    assert run("1") == run("2")
+
+
 def test_criterion_8_sampler_matches_analytic_law():
     n = 10**5
     threshold = ks_threshold(n, 0.01)

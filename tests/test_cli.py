@@ -338,6 +338,16 @@ class TestEstimate:
         assert code == 2
         assert "symmetric" in capsys.readouterr().err
 
+    def test_indefinite_scatter_exits_config_like_experiment(self, tmp_path, capsys):
+        data = write_ladder_csv(tmp_path / "l.csv")
+        (tmp_path / "bad.csv").write_text("1.0,2.0\n2.0,1.0\n")
+        code = cli.main(
+            ["estimate", "--data", data, "--k", "1", "--mu", "0,0",
+             "--sigma", str(tmp_path / "bad.csv")]
+        )
+        assert code == 2
+        assert "positive definite" in capsys.readouterr().err
+
 
 class TestHillplot:
     def test_ladder_series(self, tmp_path):
@@ -579,8 +589,9 @@ class TestExperiment:
             [[1.0, 2.0], [2.0, 1.0]],
             [[1.0, 0.5], [0.0, 1.0]],
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            [[1.0, 0.0], [0.0]],
         ],
-        ids=["indefinite", "asymmetric", "not-square"],
+        ids=["indefinite", "asymmetric", "not-square", "ragged"],
     )
     def test_bad_config_sigma_exits_config_like_inline(self, tmp_path, sigma):
         out = str(tmp_path / "exp.json")
@@ -593,6 +604,27 @@ class TestExperiment:
              "--sigma", str(sigma_csv), "--n-values", "100",
              "--replications", "2", "--method", "mean-cov", "--out", out]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("model", [1]),
+            ("n_values", 100),
+            ("k_values", 100),
+            ("mu", 3.0),
+        ],
+        ids=["model-not-object", "n-values-scalar", "k-values-scalar", "mu-scalar"],
+    )
+    def test_malformed_config_field_exits_config(self, tmp_path, capsys, field, value):
+        raw = json.loads(open(self._config(tmp_path)).read())
+        if field == "mu":
+            raw["model"]["mu"] = value
+        else:
+            raw[field] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert repr(field) in capsys.readouterr().err
 
     def test_config_not_an_object(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -106,6 +106,25 @@ class TestOrderDesc:
         with pytest.raises(NonFinite):
             order_desc([1.0, np.nan])
 
+    @pytest.mark.parametrize("top", [1, 2, 7, 29, 30, 31, 100])
+    def test_top_is_prefix_of_full_order(self, top):
+        # few distinct values, so ties straddle every cut
+        rng = np.random.default_rng(17)
+        v = rng.integers(0, 6, size=30) * 0.25 + 1.0
+        full = order_desc(v)
+        part = order_desc(v, top=top)
+        assert part.shape == (min(top, v.shape[0]),)
+        assert part.tobytes() == full[:top].tobytes()
+
+    def test_top_checks_every_value(self):
+        # the non-finite entry is not among the top values, and is still seen
+        with pytest.raises(NonFinite):
+            order_desc([5.0, 4.0, -np.inf, 3.0], top=2)
+
+    def test_top_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            order_desc([1.0, 2.0], top=0)
+
 
 class TestMahalanobis:
     def test_diagonal_oracle(self):
@@ -198,6 +217,24 @@ class TestSpatialMedian:
         diff = x - m
         unit = diff / np.linalg.norm(diff, axis=1)[:, None]
         assert np.linalg.norm(unit.sum(axis=0)) < 1e-6
+
+    @pytest.mark.parametrize("d", [2, 3, 4], ids=["d2", "d3", "d4"])
+    def test_meets_gradient_criterion(self, d):
+        # the stopping rule recomputed row by row from the data: the sum of
+        # unit vectors toward the rows has norm at most d * tol * n
+        rng = np.random.default_rng(40 + d)
+        n, tol = 2000, 1e-10
+        x = rng.standard_t(df=1.5, size=(n, d)) + np.linspace(-2.0, 3.0, d)
+
+        def gradient_norm(m):
+            unit_sum = np.zeros(d)
+            for row in x:
+                unit_sum += (row - m) / np.sqrt(np.sum((row - m) ** 2))
+            return np.linalg.norm(unit_sum)
+
+        assert gradient_norm(spatial_median(x, tol=tol)) <= d * tol * n
+        # the starting point, the mean, is far from meeting it
+        assert gradient_norm(x.mean(axis=0)) > 1e6 * d * tol * n
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(4)

@@ -89,6 +89,29 @@ class TestSpdInverse:
         inv = spd_inverse(np.diag([4.0, 0.25]))
         np.testing.assert_allclose(inv, np.diag([0.25, 4.0]), rtol=1e-15)
 
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_matches_numpy_inverse(self, d):
+        rng = np.random.default_rng(100 + d)
+        m = random_spd(rng, d)
+        inv = spd_inverse(m)
+        np.testing.assert_array_equal(inv, inv.T)
+        ref = np.linalg.inv(m)
+        assert np.max(np.abs(inv - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.0, 0.0], [0.0, 1e-20]],
+        ],
+        ids=["indefinite", "singular", "zero", "below-pivot-floor"],
+    )
+    def test_rejects_what_cholesky_rejects(self, m):
+        with pytest.raises(NotPositiveDefinite):
+            spd_inverse(m)
+
 
 class TestSpectralNorm:
     def test_swap_matrix(self):
