@@ -223,8 +223,8 @@ def _invert_sf(spec: GeneratingVariateSpec, p: float) -> float:
 class EllipticalModel:
     """Location ``mu``, scatter ``sigma`` and a generating variate family.
 
-    The lower Cholesky factor of the scatter is computed once at
-    construction and cached as ``lambda_chol``.
+    The lower Cholesky factor of the scatter and its inverse are computed
+    once at construction and cached as ``lambda_chol`` and ``sigma_inv``.
     """
 
     mu: np.ndarray
@@ -252,6 +252,7 @@ class EllipticalModel:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "lambda_chol", chol)
+        object.__setattr__(self, "sigma_inv", linalg.spd_inverse(sigma))
 
     @property
     def dim(self) -> int:

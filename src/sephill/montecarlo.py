@@ -16,6 +16,7 @@ whose limiting law the experiments are designed to check.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,6 +68,17 @@ def k_schedule(n: int, beta: float) -> int:
     return min(k, n - 2)
 
 
+def _integer(value, field: str) -> int:
+    """``value`` as an int: an integer, or a float with no fractional part
+    (JSON may spell 100000 as 100000.0); anything else is a ConfigError."""
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        return int(value)
+    raise ConfigError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Full description of one experiment.
@@ -85,10 +97,12 @@ class ExperimentConfig:
     k_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(
+            self, "n_values", tuple(_integer(n, "n_values") for n in self.n_values)
+        )
         if self.k_values is not None:
             object.__setattr__(
-                self, "k_values", tuple(int(k) for k in self.k_values)
+                self, "k_values", tuple(_integer(k, "k_values") for k in self.k_values)
             )
         if not self.n_values:
             raise ConfigError("n_values must not be empty")
@@ -97,10 +111,12 @@ class ExperimentConfig:
                 f"unknown estimator_method {self.estimator_method!r}; "
                 f"expected one of {METHODS}"
             )
-        if int(self.replications) < 1:
+        object.__setattr__(
+            self, "replications", _integer(self.replications, "replications")
+        )
+        if self.replications < 1:
             raise ConfigError("replications must be at least 1")
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed"))
         if self.k_values is not None:
             if len(self.k_values) != len(self.n_values):
                 raise ConfigError(
@@ -113,6 +129,8 @@ class ExperimentConfig:
         else:
             if self.k_beta is None:
                 raise ConfigError("either k_beta or k_values must be given")
+            if isinstance(self.k_beta, bool) or not isinstance(self.k_beta, numbers.Real):
+                raise ConfigError(f"k_beta must be a number, got {self.k_beta!r}")
             for n in self.n_values:
                 k_schedule(n, self.k_beta)
 
@@ -188,7 +206,7 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     stream = RngStream(config.base_seed, rep_id)
     sample, _ = sample_elliptical(model, n, stream)
 
-    sigma_inv = linalg.spd_inverse(model.sigma)
+    sigma_inv = model.sigma_inv
     ordered_true = order_desc(
         mahalanobis_distances(sample, model.mu, sigma_inv), top=k + 1
     )

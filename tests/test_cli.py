@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from sephill.distributions import (
 )
 from sephill.errors import DegenerateSample
 from sephill.estimators import separating_hill
+from sephill.montecarlo import AggregateStats
 
 LOG2 = math.log(2.0)
 
@@ -25,12 +27,6 @@ def write_ladder_csv(path):
 
 
 class TestSerialization:
-    def test_float_formatting(self):
-        assert cli.format_float(math.nan) == "null"
-        assert cli.format_float(math.inf) == "null"
-        out = cli.format_float(0.1)
-        assert float(out) == 0.1
-
     def test_json_round_trips_doubles(self):
         x = 0.1 + 0.2
         blob = cli.dumps_json({"x": x, "arr": np.array([x, 1.0 / 3.0])})
@@ -39,8 +35,22 @@ class TestSerialization:
         assert back["arr"][0] == x and back["arr"][1] == 1.0 / 3.0
 
     def test_json_nan_becomes_null(self):
-        back = json.loads(cli.dumps_json({"a": math.nan, "b": None, "c": True}))
+        back = json.loads(
+            cli.dumps_json(
+                {"a": math.nan, "b": None, "c": True, "inf": [math.inf, -math.inf],
+                 "arr": np.array([1.5, math.nan])}
+            )
+        )
         assert back["a"] is None and back["b"] is None and back["c"] is True
+        assert back["inf"] == [None, None]
+        assert back["arr"] == [1.5, None]
+        blob = cli.dumps_json([np.float64(0.25), np.int64(7), np.bool_(False)])
+        assert blob == "[\n  0.25,\n  7,\n  false\n]"
+
+    def test_json_floats_use_shortest_repr(self):
+        # the same spelling as the CSV cells
+        assert cli.dumps_json([0.1, 5.0]) == "[\n  0.1,\n  5.0\n]"
+        assert cli.csv_cell(0.1) == "0.1"
 
     def test_json_deterministic(self):
         payload = {"b": [1, 2], "a": {"x": 0.5}}
@@ -188,6 +198,16 @@ class TestSimulate:
         )
         assert code == 2
         assert "--force-radii" in capsys.readouterr().err
+
+    def test_forced_radii_must_be_finite(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli.main(
+            ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
+             "--n", "2", "--out", str(out), "--force-radii", "1,inf"]
+        )
+        assert code == 2
+        assert "--force-radii" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -512,6 +532,13 @@ class TestExperiment:
         ) == 0
         assert inline_out.read_bytes() == file_out.read_bytes()
 
+    def test_aggregates_carry_aggregate_stats_fields(self, tmp_path):
+        out = tmp_path / "exp.json"
+        assert cli.main(self._inline_args(out)) == 0
+        names = [f.name for f in dataclasses.fields(AggregateStats)]
+        for agg in json.loads(out.read_text())["aggregates"]:
+            assert list(agg) == names
+
     def test_records_out(self, tmp_path):
         out = tmp_path / "exp.json"
         recs = tmp_path / "records.csv"
@@ -625,6 +652,41 @@ class TestExperiment:
         cfg_path.write_text(json.dumps(raw))
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replications", "abc"),
+            ("replications", None),
+            ("replications", 2.7),
+            ("base_seed", "x"),
+            ("k_beta", "x"),
+            ("n_values", [100.9]),
+        ],
+        ids=["replications-string", "replications-null", "replications-fraction",
+             "base-seed-string", "k-beta-string", "n-value-fraction"],
+    )
+    def test_bad_config_number_exits_config(
+        self, tmp_path, capsys, field, value
+    ):
+        raw = json.loads(open(self._config(tmp_path)).read())
+        raw[field] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_integral_float_config_numbers_accepted(self, tmp_path):
+        raw = json.loads(open(self._config(tmp_path)).read())
+        raw.update(n_values=[100.0], replications=2.0, base_seed=3.0)
+        cfg_path = tmp_path / "floats.json"
+        cfg_path.write_text(json.dumps(raw))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(a)]) == 0
+        assert cli.main(
+            ["experiment", "--config", self._config(tmp_path), "--out", str(b)]
+        ) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_config_not_an_object(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -225,6 +225,10 @@ class TestEllipticalModel:
         m = self._model()
         np.testing.assert_array_equal(m.lambda_chol, cholesky(m.sigma))
 
+    def test_inverse_is_cached(self):
+        m = self._model()
+        assert m.sigma_inv.tobytes() == spd_inverse(m.sigma).tobytes()
+
     def test_rejects_indefinite_scatter(self):
         with pytest.raises(NotPositiveDefinite):
             EllipticalModel(
