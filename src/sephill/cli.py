@@ -46,6 +46,7 @@ from .distributions import (
 from .errors import (
     ConfigError,
     DegenerateSample,
+    DomainError,
     FailureCapExceeded,
     NonPositiveDistance,
     NonPositivePivot,
@@ -233,19 +234,19 @@ def _check_scatter(mat: np.ndarray, dim: int, source: str) -> np.ndarray:
 def build_variate(family: str, alpha, nu, dim: int) -> GeneratingVariateSpec:
     if family not in FAMILIES:
         raise ConfigError(f"--family must be one of {FAMILIES}, got {family!r}")
-    if family in ("pareto", "frechet"):
-        if alpha is None:
-            raise ConfigError(f"--alpha is required for the {family} family")
-        if not alpha > 0:
-            raise ConfigError(f"--alpha must be positive, got {alpha}")
+    if dim < 1:
+        raise ConfigError(f"--dim must be at least 1, got {dim}")
+    flag, value = ("--nu", nu) if family == "t-radial" else ("--alpha", alpha)
+    if value is None:
+        raise ConfigError(f"{flag} is required for the {family} family")
+    try:
         if family == "pareto":
             return GeneratingVariateSpec.pareto(alpha)
-        return GeneratingVariateSpec.frechet(alpha)
-    if nu is None:
-        raise ConfigError("--nu is required for the t-radial family")
-    if not nu > 0:
-        raise ConfigError(f"--nu must be positive, got {nu}")
-    return GeneratingVariateSpec.t_radial(nu, dim)
+        if family == "frechet":
+            return GeneratingVariateSpec.frechet(alpha)
+        return GeneratingVariateSpec.t_radial(nu, dim)
+    except DomainError as exc:
+        raise ConfigError(f"invalid {flag}: {exc}") from None
 
 
 def build_model(args, dim: int) -> EllipticalModel:
@@ -276,8 +277,6 @@ def _make_model(mu, sigma, variate, source: str) -> EllipticalModel:
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
-    if args.dim < 1:
-        raise ConfigError(f"--dim must be at least 1, got {args.dim}")
     seed = resolve_seed(args.seed)
     model = build_model(args, args.dim)
     stream = RngStream(seed, 0)
@@ -430,8 +429,6 @@ def cmd_verify_bounds(args) -> int:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     if args.n < 4:
         raise ConfigError(f"--n must be at least 4, got {args.n}")
-    if args.dim < 1:
-        raise ConfigError(f"--dim must be at least 1, got {args.dim}")
     if args.perturbation_scale < 0:
         raise ConfigError("--perturbation-scale must be nonnegative")
     seed = resolve_seed(args.seed)

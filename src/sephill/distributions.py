@@ -11,7 +11,9 @@ extreme value index of the model.  Three families are supported:
     ``exp(-x ** -alpha)`` distribution function;
 ``t-radial``
     the radial part of a d-dimensional Student-t, i.e. ``r**2 / d`` follows
-    an F(d, nu) distribution.
+    an F(d, nu) distribution; its survival function and tail quantile go
+    through the F and inverse incomplete beta functions of
+    :mod:`scipy.special`.
 
 Randomness is addressed by value: an :class:`RngStream` is a (seed,
 stream_id) pair mapped onto a counter-based Philox generator, so the same
@@ -21,10 +23,12 @@ consumed in between.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import f as _f_dist
+from scipy.special import betaincinv, fdtrc
 
 from . import linalg
 from .errors import DimensionMismatch, DomainError, NonFinite
@@ -76,12 +80,27 @@ class SecondOrder:
     lambda_limit: float
 
 
+def _positive_real(value, name: str) -> float:
+    """``value`` as a float, if it is a finite positive real number (a bool
+    is not); otherwise :class:`DomainError`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x) and x > 0:
+            return x
+    raise DomainError(f"{name} must be a finite positive real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeneratingVariateSpec:
     """Parameters of the positive variate driving the radius of the model.
 
     Use the class methods :meth:`pareto`, :meth:`frechet` and
-    :meth:`t_radial` rather than the raw constructor.
+    :meth:`t_radial` rather than the raw constructor.  ``alpha``, ``x_m``
+    (Pareto) and ``nu`` must be finite positive reals and are stored as
+    floats; anything else raises :class:`DomainError`.
     """
 
     family: str
@@ -96,27 +115,25 @@ class GeneratingVariateSpec:
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
         if self.family in (PARETO, FRECHET):
-            if self.alpha is None or not self.alpha > 0:
-                raise DomainError("alpha must be a positive real")
-            if self.family == PARETO and not self.x_m > 0:
-                raise DomainError("x_m must be a positive real")
+            object.__setattr__(self, "alpha", _positive_real(self.alpha, "alpha"))
+            if self.family == PARETO:
+                object.__setattr__(self, "x_m", _positive_real(self.x_m, "x_m"))
         else:
-            if self.nu is None or not self.nu > 0:
-                raise DomainError("nu must be a positive real")
+            object.__setattr__(self, "nu", _positive_real(self.nu, "nu"))
             if self.dim is None or int(self.dim) < 1:
                 raise DomainError("t-radial family needs the ambient dimension")
 
     @classmethod
     def pareto(cls, alpha: float, x_m: float = 1.0) -> "GeneratingVariateSpec":
-        return cls(family=PARETO, alpha=float(alpha), x_m=float(x_m))
+        return cls(family=PARETO, alpha=alpha, x_m=x_m)
 
     @classmethod
     def frechet(cls, alpha: float) -> "GeneratingVariateSpec":
-        return cls(family=FRECHET, alpha=float(alpha))
+        return cls(family=FRECHET, alpha=alpha)
 
     @classmethod
     def t_radial(cls, nu: float, dim: int) -> "GeneratingVariateSpec":
-        return cls(family=T_RADIAL, nu=float(nu), dim=int(dim))
+        return cls(family=T_RADIAL, nu=nu, dim=int(dim))
 
     @property
     def gamma(self) -> float:
@@ -167,7 +184,7 @@ class GeneratingVariateSpec:
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = np.where(x > 0, -np.expm1(-(x ** -self.alpha)), 1.0)
         else:
-            s = np.where(x > 0, _f_dist.sf(x * x / self.dim, self.dim, self.nu), 1.0)
+            s = np.where(x > 0, fdtrc(self.dim, self.nu, x * x / self.dim), 1.0)
         if s.ndim == 0:
             return float(s)
         return s
@@ -177,9 +194,9 @@ def quantile_u(spec: GeneratingVariateSpec, y):
     """Tail quantile ``U(y)``: the value whose survival probability is 1/y.
 
     Defined for ``y >= 1``; smaller arguments raise :class:`DomainError`.
-    For the Pareto and Frechet families the inverse is closed form; for the
-    t-radial family it is found by bisection on the survival function to
-    1e-10 relative width.
+    The inverse is closed form for every family.  For the t-radial family
+    ``w = nu / (nu + r**2)`` follows a Beta(nu/2, d/2) law, so ``U(y)`` comes
+    from the inverse regularized incomplete beta function at ``1/y``.
     """
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 1.0) or not np.all(np.isfinite(arr)):
@@ -193,30 +210,11 @@ def quantile_u(spec: GeneratingVariateSpec, y):
             inner = np.where(arr > 1.0, np.log1p(1.0 / (arr - 1.0)), np.inf)
         out = inner ** (-1.0 / spec.alpha)
     else:
-        out = np.array([_invert_sf(spec, 1.0 / v) for v in np.atleast_1d(arr)])
-        out = out.reshape(arr.shape)
+        w = betaincinv(0.5 * spec.nu, 0.5 * spec.dim, 1.0 / arr)
+        out = np.sqrt(spec.nu * (1.0 - w) / w)
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _invert_sf(spec: GeneratingVariateSpec, p: float) -> float:
-    """Solve sf(x) == p for x by doubling then bisection."""
-    if p >= 1.0:
-        return 0.0
-    hi = 1.0
-    while spec.sf(hi) > p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise DomainError("survival level too small to bracket")
-    lo = 0.0
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if spec.sf(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,6 +34,13 @@ SAMPLE_MEAN_COV = "sample_mean_cov"
 SPATIAL_MEDIAN_TYLER = "spatial_median_tyler"
 ESTIMATOR_METHODS = (SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER)
 
+#: Solver settings of the robust pair: the Weiszfeld gradient tolerance
+#: (see :func:`spatial_median`), the Tyler step tolerance (see
+#: :func:`tyler_shape`) and the iteration budget of each.
+MEDIAN_TOL = 1e-10
+SHAPE_TOL = 1e-9
+MAX_ITER = 500
+
 
 @dataclass(frozen=True)
 class HillEstimate:
@@ -245,7 +252,7 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
     )
 
 
-def spatial_median(sample, tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
+def spatial_median(sample, tol: float = MEDIAN_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
     """Geometric median of the rows by Weiszfeld iteration.
 
     Starts from the coordinate-wise mean.  Iterates that land exactly on a
@@ -322,7 +329,7 @@ def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
     )
 
 
-def tyler_shape(sample, mu_hat, tol: float = 1e-9, max_iter: int = 500) -> np.ndarray:
+def tyler_shape(sample, mu_hat, tol: float = SHAPE_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
     """Tyler's fixed-point shape estimator around a given location.
 
     Each step averages the outer products of the centered rows weighted by
@@ -343,18 +350,13 @@ def tyler_shape(sample, mu_hat, tol: float = 1e-9, max_iter: int = 500) -> np.nd
     return v
 
 
-def estimate_location_scatter(
-    sample,
-    method: str,
-    median_tol: float = 1e-10,
-    shape_tol: float = 1e-9,
-    max_iter: int = 500,
-) -> LocationScatterEstimate:
+def estimate_location_scatter(sample, method: str) -> LocationScatterEstimate:
     """Estimate location and scatter by the requested method.
 
     ``sample_mean_cov`` pairs the coordinate-wise mean with the sample
     covariance; ``spatial_median_tyler`` pairs the spatial median with
-    Tyler's shape estimator (tolerances apply to that pair only).
+    Tyler's shape estimator, solved to :data:`MEDIAN_TOL` and
+    :data:`SHAPE_TOL` within :data:`MAX_ITER` iterations each.
     """
     x = as_sample(sample)
     if method == SAMPLE_MEAN_COV:
@@ -362,8 +364,8 @@ def estimate_location_scatter(
         sigma_hat = sample_covariance(x)
         iterations = 0
     elif method == SPATIAL_MEDIAN_TYLER:
-        mu_hat, it_med = _spatial_median_iter(x, median_tol, max_iter)
-        sigma_hat, it_shape = _tyler_iter(x, mu_hat, shape_tol, max_iter)
+        mu_hat, it_med = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER)
+        sigma_hat, it_shape = _tyler_iter(x, mu_hat, SHAPE_TOL, MAX_ITER)
         iterations = it_med + it_shape
     else:
         raise ConfigError(

@@ -15,6 +15,7 @@ whose limiting law the experiments are designed to check.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -332,10 +333,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     """Run all replications and aggregate with a fixed-order reduction.
 
     Replications may execute on up to ``workers`` threads; since every
-    task is a pure function of ``(base_seed, rep_id)`` and the reduction
-    iterates records in rep_id order, the result does not depend on the
-    scheduling.  Aborts with :class:`FailureCapExceeded` once more than
-    1% of the replications at any sample size fail.
+    task is a pure function of ``(base_seed, rep_id)`` and the results are
+    collected in task order (n-major, then rep_id), the result does not
+    depend on the scheduling.  Aborts with :class:`FailureCapExceeded` once
+    more than 1% of the replications at any sample size fail.
     """
     if not isinstance(config, ExperimentConfig):
         raise ConfigError("run_experiment needs an ExperimentConfig")
@@ -348,25 +349,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
             stacklevel=2,
         )
     m = config.replications
-    tasks = [(n, rep) for n in config.n_values for rep in range(m)]
-    results: dict[tuple[int, int], ReplicationRecord] = {}
+    ns = [n for n in config.n_values for _ in range(m)]
+    reps = list(range(m)) * len(config.n_values)
+    run = functools.partial(_run_replication_tagged, config)
     if int(workers) <= 1:
-        for n, rep in tasks:
-            results[(n, rep)] = _run_replication_tagged(config, n, rep)
+        records = tuple(map(run, ns, reps))
     else:
         with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            futures = {
-                pool.submit(_run_replication_tagged, config, n, rep): (n, rep)
-                for n, rep in tasks
-            }
-            for fut, key in futures.items():
-                results[key] = fut.result()
+            records = tuple(pool.map(run, ns, reps))
 
-    records = tuple(results[(n, rep)] for n, rep in tasks)
     target_mean = config.model.variate.limit_bias
     aggregates = []
-    for n in config.n_values:
-        recs = [results[(n, rep)] for rep in range(m)]
+    for i, n in enumerate(config.n_values):
+        recs = records[i * m : (i + 1) * m]
         failures = sum(1 for r in recs if r.failed)
         if failures > FAILURE_CAP_FRACTION * m:
             tags = [r.failure for r in recs if r.failed][:5]

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +180,29 @@ class TestSimulate:
         )
         assert code == 2
         assert "--nu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, flag, value",
+        [
+            ("pareto", "--alpha", "inf"),
+            ("frechet", "--alpha", "nan"),
+            ("t-radial", "--nu", "inf"),
+            ("t-radial", "--nu", "-inf"),
+        ],
+        ids=["pareto-alpha-inf", "frechet-alpha-nan", "t-radial-nu-inf",
+             "t-radial-nu-minus-inf"],
+    )
+    def test_nonfinite_variate_parameter_rejected(
+        self, tmp_path, capsys, family, flag, value
+    ):
+        out = tmp_path / "x.csv"
+        code = cli.main(
+            ["simulate", "--family", family, f"{flag}={value}", "--dim", "2",
+             "--n", "5", "--out", str(out)]
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_forced_radii_become_distances(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -676,6 +703,29 @@ class TestExperiment:
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, flag",
+        [
+            ({"alpha": "x"}, "--alpha"),
+            ({"alpha": [5.0]}, "--alpha"),
+            ({"alpha": True}, "--alpha"),
+            ({"alpha": math.inf}, "--alpha"),
+            ({"family": "t-radial", "nu": [3]}, "--nu"),
+            ({"family": "t-radial", "nu": "3"}, "--nu"),
+            ({"family": "t-radial", "nu": math.nan}, "--nu"),
+        ],
+        ids=["alpha-string", "alpha-list", "alpha-bool", "alpha-inf",
+             "nu-list", "nu-string", "nu-nan"],
+    )
+    def test_bad_config_variate_parameter_exits_config(
+        self, tmp_path, capsys, model, flag
+    ):
+        cfg = self._config(tmp_path, **model)
+        out = tmp_path / "exp.json"
+        assert cli.main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_config_numbers_accepted(self, tmp_path):
         raw = json.loads(open(self._config(tmp_path)).read())
         raw.update(n_values=[100.0], replications=2.0, base_seed=3.0)
@@ -726,9 +776,40 @@ class TestExperiment:
 
 
 class TestTopLevel:
+    def test_import_leaves_out_scipy_stats(self):
+        # importing scipy.stats takes longer than the rest of sephill
+        # together; only scipy.special is needed
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sephill.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy.stats')))"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0
         assert "sephill" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--family", "pareto", "--alpha", "3", "--n", "5"],
+            ["verify-bounds", "--family", "t-radial", "--nu", "3", "--n", "20",
+             "--trials", "1", "--perturbation-scale", "0.1"],
+        ],
+        ids=["simulate", "verify-bounds"],
+    )
+    def test_dimension_zero_exits_config(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--dim", "0", "--out", str(out)]) == 2
+        assert "--dim" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert cli.main([]) == 2

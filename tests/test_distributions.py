@@ -65,6 +65,35 @@ class TestVariateSpec:
         with pytest.raises(DomainError):
             GeneratingVariateSpec.frechet(alpha)
 
+    @pytest.mark.parametrize(
+        "value",
+        ["x", [3.0], True, None, np.nan, np.inf, -np.inf, 10**400],
+        ids=["string", "list", "bool", "none", "nan", "inf", "minus-inf",
+             "int-beyond-float"],
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            GeneratingVariateSpec.pareto,
+            GeneratingVariateSpec.frechet,
+            lambda v: GeneratingVariateSpec.t_radial(v, 2),
+            lambda v: GeneratingVariateSpec.pareto(2.0, x_m=v),
+        ],
+        ids=["pareto-alpha", "frechet-alpha", "t-radial-nu", "pareto-x_m"],
+    )
+    def test_parameters_must_be_finite_positive_reals(self, make, value):
+        with pytest.raises(DomainError):
+            make(value)
+
+    def test_parameters_stored_as_floats(self):
+        for spec in (
+            GeneratingVariateSpec.pareto(np.int64(3), x_m=2),
+            GeneratingVariateSpec(family="frechet", alpha=np.float32(0.5)),
+            GeneratingVariateSpec.t_radial(4, 2),
+        ):
+            for value in (spec.alpha, spec.x_m, spec.nu):
+                assert value is None or type(value) is float
+
     def test_bad_nu_and_missing_dim(self):
         with pytest.raises(DomainError):
             GeneratingVariateSpec.t_radial(0.0, 2)
@@ -135,6 +164,17 @@ class TestQuantileU:
         for y in (1.5, 4.0, 100.0, 1e4):
             x = quantile_u(spec, y)
             assert spec.sf(x) * y == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("nu", [0.7, 3.0, 12.5])
+    def test_t_radial_inverse_of_survival(self, dim, nu):
+        spec = GeneratingVariateSpec.t_radial(nu, dim)
+        y = np.array([1.5, 4.0, 1e2, 1e4, 1e8, 1e12])
+        x = quantile_u(spec, y)
+        np.testing.assert_allclose(spec.sf(x) * y, 1.0, rtol=1e-12, atol=0)
+        assert quantile_u(spec, 1.0) == 0.0
+        assert quantile_u(spec, y.reshape(2, 3)).shape == (2, 3)
+        assert isinstance(quantile_u(spec, 4.0), float)
 
     def test_array_argument(self):
         spec = GeneratingVariateSpec.pareto(1.0)
