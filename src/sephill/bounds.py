@@ -107,12 +107,11 @@ def perturbation_coefficients(
     norm_mu_hat = float(np.linalg.norm(mu_hat))
     mu_gap = float(np.linalg.norm(mu - mu_hat))
     a_coef = linalg.spectral_norm(si - shi)
+    norm_shi = linalg.spectral_norm(shi)
     b_coef = (norm_mu_hat + norm_mu) * a_coef + (
-        linalg.spectral_norm(shi) + linalg.spectral_norm(si)
+        norm_shi + linalg.spectral_norm(si)
     ) * mu_gap
-    c_coef = norm_mu**2 * a_coef + (norm_mu + norm_mu_hat) * linalg.spectral_norm(
-        shi
-    ) * mu_gap
+    c_coef = norm_mu**2 * a_coef + (norm_mu + norm_mu_hat) * norm_shi * mu_gap
     m_n = max(
         lambda_max * a_coef,
         math.sqrt(lambda_max) * (2.0 * norm_mu * a_coef + b_coef),

@@ -132,23 +132,39 @@ def univariate_hill(ordered, k: int, source: str = "direct") -> HillEstimate:
 def mahalanobis_distances(sample, mu, sigma_inv) -> np.ndarray:
     """Row-wise distances of a sample from ``mu``; shape ``(n,)``.
 
-    The quadratic forms are evaluated with einsum in a fixed summation
-    order, so the values do not depend on the BLAS build or thread count.
+    The rows are centred into one contiguous ``(d, n)`` copy, n·d floats
+    that live only for the call, so every numpy call runs along the n rows
+    rather than over rows of length d.  The quadratic forms
+    ``c_n . (sigma_inv c_n)`` are accumulated one coordinate at a time,
+    each row of ``sigma_inv c`` reduced with einsum into a single n-float
+    buffer, in a fixed summation order, so the values do not depend on the
+    BLAS build or thread count.
     """
     x = as_sample(sample)
+    n, d = x.shape
     mv = np.asarray(mu, dtype=float)
     si = np.asarray(sigma_inv, dtype=float)
-    if mv.ndim != 1 or mv.shape[0] != x.shape[1]:
+    if mv.ndim != 1 or mv.shape[0] != d:
         raise DimensionMismatch(
-            f"location has shape {mv.shape}, sample rows have length {x.shape[1]}"
+            f"location has shape {mv.shape}, sample rows have length {d}"
         )
-    if si.shape != (x.shape[1], x.shape[1]):
+    if si.shape != (d, d):
         raise DimensionMismatch(
-            f"scatter inverse has shape {si.shape}, expected square of side {x.shape[1]}"
+            f"scatter inverse has shape {si.shape}, expected square of side {d}"
         )
-    diff = x - mv
-    q = np.einsum("ni,ij,nj->n", diff, si, diff)
-    return np.sqrt(np.maximum(q, 0.0))
+    cols = np.subtract(x.T, mv[:, None], out=np.empty((d, n)))
+    # the rows of sigma_inv @ cols pass through one n-float buffer rather
+    # than a second (d, n) array: in a replication loop each call's
+    # temporaries land on fresh pages, and those page faults cost more
+    # than the arithmetic
+    q = np.zeros(n)
+    row = np.empty(n)
+    for i in range(d):
+        np.einsum("j,jn->n", si[i], cols, out=row)
+        row *= cols[i]
+        q += row
+    np.maximum(q, 0.0, out=q)
+    return np.sqrt(q, out=q)
 
 
 def separating_hill(sample, mu, sigma, k: int, source: str = TRUE_PARAMS) -> HillEstimate:
@@ -167,34 +183,50 @@ def separating_hill(sample, mu, sigma, k: int, source: str = TRUE_PARAMS) -> Hil
     )
 
 
-def sample_mean(sample) -> np.ndarray:
-    """Coordinate-wise mean of the rows."""
+def _centred_columns(sample) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a sample once; return its row mean and a centred copy.
+
+    The copy is a contiguous ``(d, n)`` array, so the mean is taken along
+    the contiguous axis and the centring runs in place along the n rows.
+    """
     x = as_sample(sample)
     if x.shape[0] < 1:
         raise DegenerateSample("mean needs at least one row")
-    return x.mean(axis=0)
+    cols = np.array(x.T, order="C")
+    mean = cols.mean(axis=1)
+    cols -= mean[:, None]
+    return mean, cols
 
 
-def sample_covariance(sample) -> np.ndarray:
-    """Sample covariance with the n-1 divisor.
-
-    Raises :class:`DegenerateSample` when there are fewer than ``d + 1``
-    rows or the result is not positive definite.
-    """
-    x = as_sample(sample)
-    n, d = x.shape
+def _covariance(cols: np.ndarray) -> np.ndarray:
+    d, n = cols.shape
     if n < d + 1:
         raise DegenerateSample(
             f"covariance of {n} rows in dimension {d} cannot be positive definite"
         )
-    centered = x - x.mean(axis=0)
-    cov = np.einsum("ni,nj->ij", centered, centered) / (n - 1)
+    cov = np.einsum("in,jn->ij", cols, cols) / (n - 1)
     cov = 0.5 * (cov + cov.T)
     try:
         linalg.cholesky(cov)
     except NotPositiveDefinite as exc:
         raise DegenerateSample(f"sample covariance is degenerate: {exc}") from exc
     return cov
+
+
+def sample_mean(sample) -> np.ndarray:
+    """Coordinate-wise mean of the rows."""
+    return _centred_columns(sample)[0]
+
+
+def sample_covariance(sample) -> np.ndarray:
+    """Sample covariance with the n-1 divisor.
+
+    The rows are centred at :func:`sample_mean` in a ``(d, n)`` copy and
+    the products are summed with einsum along the n rows, in a fixed
+    order.  Raises :class:`DegenerateSample` when there are fewer than
+    ``d + 1`` rows or the result is not positive definite.
+    """
+    return _covariance(_centred_columns(sample)[1])
 
 
 def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
@@ -358,12 +390,12 @@ def estimate_location_scatter(sample, method: str) -> LocationScatterEstimate:
     Tyler's shape estimator, solved to :data:`MEDIAN_TOL` and
     :data:`SHAPE_TOL` within :data:`MAX_ITER` iterations each.
     """
-    x = as_sample(sample)
     if method == SAMPLE_MEAN_COV:
-        mu_hat = sample_mean(x)
-        sigma_hat = sample_covariance(x)
+        mu_hat, cols = _centred_columns(sample)
+        sigma_hat = _covariance(cols)
         iterations = 0
     elif method == SPATIAL_MEDIAN_TYLER:
+        x = as_sample(sample)
         mu_hat, it_med = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER)
         sigma_hat, it_shape = _tyler_iter(x, mu_hat, SHAPE_TOL, MAX_ITER)
         iterations = it_med + it_shape

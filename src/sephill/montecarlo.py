@@ -81,6 +81,16 @@ def _integer(value, field: str) -> int:
 
 
 @dataclass(frozen=True, eq=False)
+class EnvelopeReference:
+    """The true scatter's inverse and largest eigenvalue, and the factor
+    that maps true distances into the same normalization."""
+
+    sigma_inv: np.ndarray
+    lambda_max: float
+    distance_scale: float
+
+
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Full description of one experiment.
 
@@ -107,6 +117,11 @@ class ExperimentConfig:
             )
         if not self.n_values:
             raise ConfigError("n_values must not be empty")
+        if len(set(self.n_values)) != len(self.n_values):
+            # k_for looks a sample size up by value, so a repeated n would
+            # lose its own k; and streams are keyed by (base_seed, rep_id)
+            # alone, so it would only repeat the first entry's records
+            raise ConfigError(f"n_values must be distinct, got {list(self.n_values)}")
         if self.estimator_method not in METHODS:
             raise ConfigError(
                 f"unknown estimator_method {self.estimator_method!r}; "
@@ -134,6 +149,28 @@ class ExperimentConfig:
                 raise ConfigError(f"k_beta must be a number, got {self.k_beta!r}")
             for n in self.n_values:
                 k_schedule(n, self.k_beta)
+
+    @functools.cached_property
+    def envelope_reference(self) -> EnvelopeReference:
+        """The true scatter in the form the configured estimate targets,
+        computed once per experiment rather than per replication."""
+        model = self.model
+        if self.estimator_method == SPATIAL_MEDIAN_TYLER:
+            # Tyler's estimator targets the scatter normalized to trace d
+            # (the estimator itself is scale-free), so the envelope must
+            # compare it against the same normalization of the truth;
+            # distances rescale accordingly.
+            scale = float(np.trace(model.sigma)) / model.dim
+            return EnvelopeReference(
+                sigma_inv=model.sigma_inv * scale,
+                lambda_max=linalg.spectral_norm(model.sigma / scale),
+                distance_scale=math.sqrt(scale),
+            )
+        return EnvelopeReference(
+            sigma_inv=model.sigma_inv,
+            lambda_max=linalg.spectral_norm(model.sigma),
+            distance_scale=1.0,
+        )
 
     def k_for(self, n: int) -> int:
         """Tail fraction for sample size ``n`` under this configuration."""
@@ -232,28 +269,17 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
             ordered_est, k, source=f"estimated:{method}"
         ).gamma_hat
 
-    if method == SPATIAL_MEDIAN_TYLER:
-        # Tyler's estimator targets the scatter normalized to trace d (the
-        # estimator itself is scale-free), so the envelope must compare it
-        # against the same normalization of the truth; distances rescale
-        # accordingly.
-        scale = float(np.trace(model.sigma)) / model.dim
-        ref_sigma = model.sigma / scale
-        ref_sigma_inv = sigma_inv * scale
-        ref_ordered = ordered_true * math.sqrt(scale)
-    else:
-        ref_sigma = model.sigma
-        ref_sigma_inv = sigma_inv
-        ref_ordered = ordered_true
-
+    ref = config.envelope_reference
     coeffs = bounds_mod.perturbation_coefficients(
         model.mu,
-        ref_sigma_inv,
+        ref.sigma_inv,
         loc.mu_hat,
         loc.sigma_hat_inv,
-        linalg.spectral_norm(ref_sigma),
+        ref.lambda_max,
     )
-    report = bounds_mod.complete_bound(coeffs, float(ref_ordered[k]))
+    report = bounds_mod.complete_bound(
+        coeffs, float(ordered_true[k]) * ref.distance_scale
+    )
 
     return ReplicationRecord(
         rep_id=int(rep_id),

@@ -762,6 +762,27 @@ class TestExperiment:
         cfg = self._config(tmp_path, mu=[], sigma=[])
         assert cli.main(["experiment", "--config", cfg, "--out", out]) == 2
 
+    def test_repeated_n_value_exits_config(self, tmp_path, capsys):
+        # k_for finds the first 500, so k = 40 would be silently dropped
+        out = tmp_path / "exp.json"
+        assert cli.main(
+            ["experiment", "--family", "pareto", "--alpha", "5", "--dim", "2",
+             "--n-values", "500,500", "--k-list", "10,40", "--replications", "2",
+             "--method", "mean-cov", "--seed", "1", "--out", str(out)]
+        ) == 2
+        assert "n_values must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_n_value_exits_config(self, tmp_path, capsys):
+        raw = json.loads(open(self._config(tmp_path)).read())
+        raw["n_values"] = [100, 200, 100]
+        cfg_path = tmp_path / "dup.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "exp.json"
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "n_values must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_list_respected(self, tmp_path):
         out = tmp_path / "exp.json"
         assert cli.main(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from sephill.estimators import (
 )
 
 LOG2 = np.log(2.0)
+EPS = np.finfo(float).eps
 
 
 class TestUnivariateHill:
@@ -140,6 +143,40 @@ class TestMahalanobis:
         with pytest.raises(DimensionMismatch):
             mahalanobis_distances(np.ones((4, 2)), np.zeros(3), np.eye(3))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_many_rows_match_row_loop_in_every_layout(self, d):
+        rng = np.random.default_rng(40 + d)
+        n = 257
+        a = rng.normal(size=(d, d))
+        sigma_inv = a @ a.T + d * np.eye(d)
+        mu = rng.normal(size=d)
+        base = rng.normal(loc=2.0, size=(2 * n, 2 * d))
+        x = np.ascontiguousarray(base[::2, ::2])
+        layouts = {
+            "c-order": x,
+            "fortran": np.asfortranarray(x),
+            "transposed-view": np.ascontiguousarray(x.T).T,
+            "strided-slice": base[::2, ::2],
+        }
+        expected = np.array([
+            math.sqrt(sum(
+                (row[i] - mu[i]) * sigma_inv[i, j] * (row[j] - mu[j])
+                for i in range(d) for j in range(d)
+            ))
+            for row in x.tolist()
+        ])
+        results = {
+            name: mahalanobis_distances(sample, mu, sigma_inv)
+            for name, sample in layouts.items()
+        }
+        for name, dist in results.items():
+            assert dist.shape == (n,), name
+            np.testing.assert_allclose(
+                dist, expected, rtol=4 * d * EPS, atol=0, err_msg=name
+            )
+            # the layout of the input cannot change a single bit
+            np.testing.assert_array_equal(dist, results["c-order"], err_msg=name)
+
 
 class TestSeparatingHill:
     def test_matches_ordered_distances(self):
@@ -189,6 +226,18 @@ class TestMoments:
         rows = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(DegenerateSample):
             sample_covariance(rows)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_match_numpy_on_noncontiguous_input(self, d):
+        rng = np.random.default_rng(70 + d)
+        base = rng.normal(loc=3.0, size=(3 * 401, 2 * d))
+        x = base[::3, ::2]
+        assert not x.flags.c_contiguous and not x.flags.f_contiguous
+        np.testing.assert_allclose(sample_mean(x), np.mean(x, axis=0), rtol=1e-14)
+        np.testing.assert_allclose(
+            sample_covariance(x), np.atleast_2d(np.cov(x, rowvar=False)),
+            rtol=1e-13, atol=1e-15,
+        )
 
 
 class TestSpatialMedian:
@@ -331,8 +380,8 @@ class TestEstimateLocationScatter:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(100, 2))
         est = estimate_location_scatter(x, SAMPLE_MEAN_COV)
-        np.testing.assert_allclose(est.mu_hat, sample_mean(x))
-        np.testing.assert_allclose(est.sigma_hat, sample_covariance(x))
+        np.testing.assert_array_equal(est.mu_hat, sample_mean(x))
+        np.testing.assert_array_equal(est.sigma_hat, sample_covariance(x))
         np.testing.assert_allclose(
             est.sigma_hat_inv @ est.sigma_hat, np.eye(2), atol=1e-10
         )
