@@ -40,6 +40,7 @@ from .distributions import (
     FAMILIES,
     GeneratingVariateSpec,
     RngStream,
+    elliptical_rows,
     sample_elliptical,
     sample_sphere,
 )
@@ -289,7 +290,7 @@ def cmd_simulate(args) -> int:
         if not np.all(np.isfinite(radii) & (radii > 0)):
             raise ConfigError("--force-radii values must be positive and finite")
         directions = sample_sphere(model.dim, stream, size=args.n)
-        sample = model.mu + radii[:, None] * (directions @ model.lambda_chol.T)
+        sample = elliptical_rows(model, radii, directions)
     else:
         sample, radii = sample_elliptical(model, args.n, stream)
 

@@ -3,7 +3,12 @@
 A sample is built as ``x = mu + r * (L @ u)`` where ``L`` is the lower
 Cholesky factor of the scatter matrix, ``u`` is uniform on the unit sphere
 and ``r`` is a positive generating variate whose distribution fixes the
-extreme value index of the model.  Three families are supported:
+extreme value index of the model.  :func:`elliptical_rows` forms ``L @ u``
+one output coordinate at a time as a sum over the lower triangle of ``L``,
+with elementwise numpy operations and no BLAS call, so sampling starts no
+BLAS thread: parallel replications run one per process without the BLAS
+library's threads competing for the same cores.  Three families are
+supported:
 
 ``pareto``
     exact power tail, survival ``(x / x_m) ** -alpha``;
@@ -304,6 +309,27 @@ def sample_variate(spec: GeneratingVariateSpec, rng, size: int | None = None):
     return r
 
 
+def elliptical_rows(model: EllipticalModel, radii, directions) -> np.ndarray:
+    """Rows ``mu + r * (L @ u)`` for radii ``r`` and unit directions ``u``.
+
+    ``directions`` has shape ``(n, d)`` and ``radii`` shape ``(n,)``.
+    Output coordinate ``j`` is ``sum_{k <= j} L[j, k] * u[:, k]``, summed
+    in increasing ``k``, times ``r``, plus ``mu[j]``: the lower triangle of
+    the factor only, and no matrix product, so no BLAS thread is started.
+    """
+    lower = model.lambda_chol
+    n, d = directions.shape
+    out = np.empty((n, d))
+    for j in range(d):
+        col = lower[j, 0] * directions[:, 0]
+        for k in range(1, j + 1):
+            col += lower[j, k] * directions[:, k]
+        col *= radii
+        col += model.mu[j]
+        out[:, j] = col
+    return out
+
+
 def sample_elliptical(model: EllipticalModel, n: int, rng):
     """Draw ``n`` rows from the elliptical model.
 
@@ -320,5 +346,4 @@ def sample_elliptical(model: EllipticalModel, n: int, rng):
     gen = _materialize(rng)
     radii = sample_variate(model.variate, gen, size=int(n))
     u = sample_sphere(model.dim, gen, size=int(n))
-    sample = model.mu + radii[:, None] * (u @ model.lambda_chol.T)
-    return sample, radii
+    return elliptical_rows(model, radii, u), radii

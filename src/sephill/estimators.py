@@ -198,7 +198,13 @@ def _centred_columns(sample) -> tuple[np.ndarray, np.ndarray]:
     return mean, cols
 
 
-def _covariance(cols: np.ndarray) -> np.ndarray:
+def _covariance(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance of centred ``(d, n)`` columns, and its inverse.
+
+    The inverse comes from :func:`linalg.spd_inverse`, whose Cholesky
+    factorization is also the positive-definiteness check, so the matrix
+    is factored once.
+    """
     d, n = cols.shape
     if n < d + 1:
         raise DegenerateSample(
@@ -207,10 +213,10 @@ def _covariance(cols: np.ndarray) -> np.ndarray:
     cov = np.einsum("in,jn->ij", cols, cols) / (n - 1)
     cov = 0.5 * (cov + cov.T)
     try:
-        linalg.cholesky(cov)
+        cov_inv = linalg.spd_inverse(cov)
     except NotPositiveDefinite as exc:
         raise DegenerateSample(f"sample covariance is degenerate: {exc}") from exc
-    return cov
+    return cov, cov_inv
 
 
 def sample_mean(sample) -> np.ndarray:
@@ -226,7 +232,7 @@ def sample_covariance(sample) -> np.ndarray:
     order.  Raises :class:`DegenerateSample` when there are fewer than
     ``d + 1`` rows or the result is not positive definite.
     """
-    return _covariance(_centred_columns(sample)[1])
+    return _covariance(_centred_columns(sample)[1])[0]
 
 
 def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
@@ -392,18 +398,18 @@ def estimate_location_scatter(sample, method: str) -> LocationScatterEstimate:
     """
     if method == SAMPLE_MEAN_COV:
         mu_hat, cols = _centred_columns(sample)
-        sigma_hat = _covariance(cols)
+        sigma_hat, sigma_hat_inv = _covariance(cols)
         iterations = 0
     elif method == SPATIAL_MEDIAN_TYLER:
         x = as_sample(sample)
         mu_hat, it_med = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER)
         sigma_hat, it_shape = _tyler_iter(x, mu_hat, SHAPE_TOL, MAX_ITER)
+        sigma_hat_inv = linalg.spd_inverse(sigma_hat)
         iterations = it_med + it_shape
     else:
         raise ConfigError(
             f"unknown method {method!r}; expected one of {ESTIMATOR_METHODS}"
         )
-    sigma_hat_inv = linalg.spd_inverse(sigma_hat)
     return LocationScatterEstimate(
         mu_hat=mu_hat,
         sigma_hat=sigma_hat,

@@ -6,6 +6,17 @@ replication is an independent task addressed by ``(base_seed, rep_id)``, so
 results are bit-identical no matter how many workers execute them, and any
 single record can be recomputed in isolation.
 
+With more than one worker the tasks run on a process pool.  A replication
+is numpy work that holds the interpreter lock, so threads would take turns
+rather than run side by side.  The pool is forked the first time an
+experiment needs it, kept at module level and reused by later calls; it is
+replaced only when a call asks for a different pool size, or after a worker
+died.  Forked workers are copies of this process as it was when the pool
+started: a function patched or a module changed after that first parallel
+call does not reach them.  The replication path makes no BLAS call (the
+sampler and every reduction are elementwise numpy or einsum), so no BLAS
+thread competes with the workers for the cores.
+
 Per replication the harness estimates the extreme value index twice — once
 with the true location/scatter and once with the configured estimator —
 and attaches the perturbation-envelope report comparing the two.  The
@@ -15,11 +26,13 @@ whose limiting law the experiments are designed to check.
 
 from __future__ import annotations
 
+import atexit
 import functools
+import itertools
 import math
 import numbers
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +65,14 @@ METHODS = (TRUE_PARAMS, SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER)
 #: Fraction of replications per sample size allowed to fail before the
 #: whole experiment aborts instead of reporting biased aggregates.
 FAILURE_CAP_FRACTION = 0.01
+
+#: ``(size, executor)`` of the process pool parallel experiments share;
+#: None until the first one runs, and again after a worker died.
+_pool = None
+
+#: Registry for warnings re-emitted from the tasks, so the "default" action
+#: shows each one once per location, as it would have in-process.
+_warning_registry: dict = {}
 
 
 def k_schedule(n: int, beta: float) -> int:
@@ -311,6 +332,71 @@ def _run_replication_tagged(config: ExperimentConfig, n: int, rep_id: int) -> Re
         )
 
 
+def _run_task(config: ExperimentConfig, n: int, rep_id: int):
+    """One replication and the warnings it raised, as
+    ``(message, category, filename, lineno)`` tuples."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        record = _run_replication_tagged(config, n, rep_id)
+    return record, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def pool_size(workers: int) -> int:
+    """Processes a pool for ``workers`` gets: no more than the CPUs this
+    process may run on, since a replication keeps one CPU busy."""
+    return min(int(workers), len(os.sched_getaffinity(0)))
+
+
+def _process_pool(size: int):
+    """The shared pool with ``size`` forked workers, started on first use
+    or when the size changes.  Imported here, not at module level, so the
+    commands that never run a pool do not pay for ``multiprocessing``."""
+    global _pool
+    if _pool is not None and _pool[0] == size:
+        return _pool[1]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _drop_pool()
+    executor = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+    _pool = (size, executor)
+    return executor
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
+# Shut the pool down while the interpreter is still whole; an executor left
+# for module teardown to collect fails in its own clean-up.
+atexit.register(_drop_pool)
+
+
+def _run_tasks(config: ExperimentConfig, ns, reps, workers: int):
+    """``_run_task`` over the ``(n, rep_id)`` pairs, results in task order:
+    in-process for one worker or one task, else one task at a time on the
+    shared pool, so task boundaries do not depend on ``workers``."""
+    size = pool_size(workers) if len(ns) > 1 else 1
+    if size <= 1:
+        return list(map(_run_task, itertools.repeat(config), ns, reps))
+    from concurrent.futures.process import BrokenProcessPool
+
+    # computed once here rather than once per task in the workers
+    config.envelope_reference
+    try:
+        return list(
+            _process_pool(size).map(
+                _run_task, itertools.repeat(config), ns, reps, chunksize=1
+            )
+        )
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
+
+
 def aggregate_records(
     records,
     n: int,
@@ -358,11 +444,23 @@ def aggregate_records(
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications and aggregate with a fixed-order reduction.
 
-    Replications may execute on up to ``workers`` threads; since every
-    task is a pure function of ``(base_seed, rep_id)`` and the results are
-    collected in task order (n-major, then rep_id), the result does not
-    depend on the scheduling.  Aborts with :class:`FailureCapExceeded` once
-    more than 1% of the replications at any sample size fail.
+    With ``workers`` > 1 and more than one replication, the replications
+    run on the module's shared process pool of
+    ``pool_size(workers)`` forked workers, one task per replication;
+    otherwise they run in this process.  Every task is a pure function of
+    ``(base_seed, rep_id)``, and records are collected in task order
+    (n-major, then rep_id), so the result does not depend on the
+    scheduling or the worker count.  Each task records its warnings and
+    they are re-emitted here in task order, so the warnings a caller sees
+    do not depend on the worker count either.
+
+    The pool is forked on the first parallel call and reused: a function
+    patched or state changed after that call does not reach its workers.
+    If a worker dies, the call raises
+    :class:`concurrent.futures.process.BrokenProcessPool` and drops the
+    pool, and the next parallel call starts a fresh one.  Aborts with
+    :class:`FailureCapExceeded` once more than 1% of the replications at
+    any sample size fail.
     """
     if not isinstance(config, ExperimentConfig):
         raise ConfigError("run_experiment needs an ExperimentConfig")
@@ -377,12 +475,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     m = config.replications
     ns = [n for n in config.n_values for _ in range(m)]
     reps = list(range(m)) * len(config.n_values)
-    run = functools.partial(_run_replication_tagged, config)
-    if int(workers) <= 1:
-        records = tuple(map(run, ns, reps))
-    else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            records = tuple(pool.map(run, ns, reps))
+    results = _run_tasks(config, ns, reps, workers)
+    records = tuple(record for record, _ in results)
+    for _, caught in results:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(
+                message, category, filename, lineno, registry=_warning_registry
+            )
 
     target_mean = config.model.variate.limit_bias
     aggregates = []

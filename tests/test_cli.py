@@ -536,6 +536,44 @@ class TestExperiment:
         assert cli.main(self._inline_args(b, workers="4")) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_worker_warnings_keep_task_order(self, tmp_path):
+        # replications warn inside the pool's workers; the JSON's warnings
+        # list must come out as it does in-process.  The patch is made in a
+        # fresh interpreter before any pool exists, so the forked workers
+        # inherit it, and the pool gets two workers on any CPU count.
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import sys, warnings\n"
+            "import sephill.montecarlo as mc\n"
+            "from sephill import cli\n"
+            "real = mc.run_replication\n"
+            "def noisy(config, n, rep_id):\n"
+            "    if rep_id in (1, 4):\n"
+            "        warnings.warn(f'synthetic n={n} rep={rep_id}')\n"
+            "    return real(config, n, rep_id)\n"
+            "mc.run_replication = noisy\n"
+            "mc.pool_size = lambda workers: workers\n"
+            "for workers, out in zip(('1', '2'), sys.argv[1:]):\n"
+            "    assert cli.main(['experiment', '--family', 'pareto', '--alpha', '5',\n"
+            "        '--dim', '2', '--n-values', '100,200', '--replications', '6',\n"
+            "        '--method', 'mean-cov', '--seed', '3', '--workers', workers,\n"
+            "        '--out', out]) == 0\n"
+            "    assert (mc._pool is None) == (workers == '1')\n"
+        )
+        serial, pooled = tmp_path / "w1.json", tmp_path / "w2.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(serial), str(pooled)],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert serial.read_bytes() == pooled.read_bytes()
+        assert json.loads(serial.read_text())["warnings"] == [
+            f"synthetic n={n} rep={rep}" for n in (100, 200) for rep in (1, 4)
+        ]
+
     def test_config_file_equivalent_to_inline(self, tmp_path):
         inline_out = tmp_path / "inline.json"
         assert cli.main(self._inline_args(inline_out)) == 0
@@ -799,12 +837,14 @@ class TestExperiment:
 class TestTopLevel:
     def test_import_leaves_out_scipy_stats(self):
         # importing scipy.stats takes longer than the rest of sephill
-        # together; only scipy.special is needed
+        # together; only scipy.special is needed.  The process pool's
+        # modules load only when an experiment first runs in parallel.
         root = Path(__file__).resolve().parent.parent
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, sephill.cli; print(sorted(m for m in sys.modules "
-             "if m.startswith('scipy.stats')))"],
+             "if m.startswith(('scipy.stats', 'multiprocessing', "
+             "'concurrent.futures.process'))))"],
             env=dict(os.environ, PYTHONPATH=str(root / "src")),
             capture_output=True,
             text=True,

@@ -7,6 +7,7 @@ from sephill.distributions import (
     EllipticalModel,
     GeneratingVariateSpec,
     RngStream,
+    elliptical_rows,
     quantile_u,
     sample_elliptical,
     sample_sphere,
@@ -330,7 +331,36 @@ class TestSampleElliptical:
         r2 = sample_variate(model.variate, gen, size=50)
         u2 = sample_sphere(3, gen, size=50)
         np.testing.assert_array_equal(radii, r2)
-        np.testing.assert_array_equal(sample, model.mu + r2[:, None] * (u2 @ model.lambda_chol.T))
+        # coordinate j is sum_{k <= j} L[j, k] * u[:, k], summed in
+        # increasing k, times r, plus mu[j]
+        lower = model.lambda_chol
+        expected = np.empty((50, 3))
+        for j in range(3):
+            col = lower[j, 0] * u2[:, 0]
+            for k in range(1, j + 1):
+                col = col + lower[j, k] * u2[:, k]
+            expected[:, j] = col * r2 + model.mu[j]
+        np.testing.assert_array_equal(sample, expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_rows_match_matrix_product(self, d):
+        # the lower-triangle sum is L @ u up to the order of rounding
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d))
+        model = EllipticalModel(
+            mu=rng.normal(size=d),
+            sigma=a @ a.T + d * np.eye(d),
+            variate=GeneratingVariateSpec.pareto(3.0),
+        )
+        stream = RngStream(9, d)
+        gen = stream.generator()
+        radii = sample_variate(model.variate, gen, size=4000)
+        u = sample_sphere(d, gen, size=4000)
+        rows = elliptical_rows(model, radii, u)
+        reference = model.mu + radii[:, None] * (u @ model.lambda_chol.T)
+        tol = 4 * d * np.finfo(float).eps * np.max(np.abs(reference))
+        assert np.max(np.abs(rows - reference)) <= tol
+        np.testing.assert_array_equal(rows, sample_elliptical(model, 4000, stream)[0])
 
     def test_bit_identical_reruns(self):
         model = self._model()

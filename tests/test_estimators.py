@@ -21,6 +21,7 @@ from sephill.errors import (
     NonPositivePivot,
     NotConverged,
 )
+from sephill.linalg import spd_inverse
 from sephill.estimators import (
     SAMPLE_MEAN_COV,
     SPATIAL_MEDIAN_TYLER,
@@ -386,6 +387,19 @@ class TestEstimateLocationScatter:
             est.sigma_hat_inv @ est.sigma_hat, np.eye(2), atol=1e-10
         )
         assert est.method == SAMPLE_MEAN_COV
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_mean_cov_inverse_is_spd_inverse_of_the_fit(self, d):
+        # the inverse is built from the factorization that checks the fit,
+        # and must be the same bits as inverting the fit afresh
+        model = EllipticalModel(
+            mu=np.arange(d, dtype=float),
+            sigma=np.eye(d) + 0.3 * np.ones((d, d)),
+            variate=GeneratingVariateSpec.pareto(5.0),
+        )
+        x, _ = sample_elliptical(model, 2000, RngStream(12, d))
+        est = estimate_location_scatter(x, SAMPLE_MEAN_COV)
+        np.testing.assert_array_equal(est.sigma_hat_inv, spd_inverse(est.sigma_hat))
 
     def test_median_tyler_method(self):
         rng = np.random.default_rng(7)

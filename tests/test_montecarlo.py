@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,13 +294,63 @@ class TestRunExperiment:
             estimator_method=SPATIAL_MEDIAN_TYLER,
         )
         serial = run_experiment(cfg, workers=1)
-        threaded = run_experiment(cfg, workers=4)
-        for a, b in zip(serial.records, threaded.records):
+        pooled = run_experiment(cfg, workers=4)
+        for a, b in zip(serial.records, pooled.records):
             assert a.gamma_hat_est == b.gamma_hat_est
             assert a.normalized_error == b.normalized_error
             assert a.bound_report.m_n == b.bound_report.m_n
-        for a, b in zip(serial.aggregates, threaded.aggregates):
+        for a, b in zip(serial.aggregates, pooled.aggregates):
             assert a == b
+
+    def test_pool_size_capped_at_usable_cpus(self, monkeypatch):
+        import sephill.montecarlo as mc
+
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert [mc.pool_size(w) for w in (1, 2, 3, 8)] == [1, 2, 2, 2]
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {5})
+        assert mc.pool_size(8) == 1
+
+    def test_dead_worker_breaks_one_call(self, tmp_path):
+        # a worker that dies fails its call with BrokenProcessPool; the pool
+        # is dropped and the next call runs on a fresh one.  Run in a fresh
+        # interpreter, so the patch is in place before the pool forks.
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "import sephill.montecarlo as mc\n"
+            "from sephill.distributions import EllipticalModel, GeneratingVariateSpec\n"
+            "real = mc.run_replication\n"
+            "def dies_once(config, n, rep_id):\n"
+            "    if rep_id == 3 and not os.path.exists(sys.argv[1]):\n"
+            "        open(sys.argv[1], 'w').close()\n"
+            "        os._exit(1)\n"
+            "    return real(config, n, rep_id)\n"
+            "mc.run_replication = dies_once\n"
+            "mc.pool_size = lambda workers: workers\n"
+            "model = EllipticalModel(np.zeros(2), np.eye(2), GeneratingVariateSpec.pareto(5.0))\n"
+            "cfg = mc.ExperimentConfig(model, (200,), 6, base_seed=5)\n"
+            "broken = 0\n"
+            "try:\n"
+            "    mc.run_experiment(cfg, workers=2)\n"
+            "except BrokenProcessPool:\n"
+            "    broken += 1\n"
+            "assert mc._pool is None\n"
+            "again = mc.run_experiment(cfg, workers=2)\n"
+            "serial = mc.run_experiment(cfg, workers=1)\n"
+            "assert again.records == serial.records\n"
+            "print(broken)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "died")],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
 
     def test_aggregates_match_direct_recomputation(self):
         cfg = self._config(replications=8)
