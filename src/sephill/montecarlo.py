@@ -11,9 +11,10 @@ is numpy work that holds the interpreter lock, so threads would take turns
 rather than run side by side.  The pool is forked the first time an
 experiment needs it, kept at module level and reused by later calls; it is
 replaced only when a call asks for a different pool size, or after a worker
-died.  Forked workers are copies of this process as it was when the pool
-started: a function patched or a module changed after that first parallel
-call does not reach them.  The replication path makes no BLAS call (the
+died.  Where the platform cannot fork, experiments run in-process.  Forked
+workers are copies of this process as it was when the pool started: a
+function patched or a module changed after that first parallel call does
+not reach them.  The replication path makes no BLAS call (the
 sampler and every reduction are elementwise numpy or einsum), so no BLAS
 thread competes with the workers for the cores.
 
@@ -32,6 +33,7 @@ import itertools
 import math
 import numbers
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -70,9 +72,10 @@ FAILURE_CAP_FRACTION = 0.01
 #: None until the first one runs, and again after a worker died.
 _pool = None
 
-#: Registry for warnings re-emitted from the tasks, so the "default" action
-#: shows each one once per location, as it would have in-process.
-_warning_registry: dict = {}
+#: Registries, one per source file, for warnings re-emitted from the tasks,
+#: so the "default" action shows each one once per location, as it would
+#: have in-process.
+_warning_registries: dict = {}
 
 
 def k_schedule(n: int, beta: float) -> int:
@@ -332,19 +335,40 @@ def _run_replication_tagged(config: ExperimentConfig, n: int, rep_id: int) -> Re
         )
 
 
+def _module_of(filename: str) -> str:
+    """Name of the loaded module whose source is ``filename``; failing
+    that, the name ``warnings.warn_explicit`` derives from the path."""
+    for name, module in list(sys.modules.items()):
+        if getattr(module, "__file__", None) == filename:
+            return name
+    return filename[:-3] if filename.lower().endswith(".py") else filename
+
+
 def _run_task(config: ExperimentConfig, n: int, rep_id: int):
     """One replication and the warnings it raised, as
-    ``(message, category, filename, lineno)`` tuples."""
+    ``(message, category, filename, lineno, module)`` tuples."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         record = _run_replication_tagged(config, n, rep_id)
-    return record, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return record, [
+        (w.message, w.category, w.filename, w.lineno, _module_of(w.filename))
+        for w in caught
+    ]
 
 
 def pool_size(workers: int) -> int:
     """Processes a pool for ``workers`` gets: no more than the CPUs this
-    process may run on, since a replication keeps one CPU busy."""
-    return min(int(workers), len(os.sched_getaffinity(0)))
+    process may run on, since a replication keeps one CPU busy, and 1 (run
+    in-process) where the platform cannot fork."""
+    if workers <= 1:
+        return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    return min(int(workers), cpus)
 
 
 def _process_pool(size: int):
@@ -359,6 +383,17 @@ def _process_pool(size: int):
 
     _drop_pool()
     executor = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+    # The fork context starts every worker at the first submit: start them
+    # here, with the warning Python 3.12+ gives for forking a process that
+    # runs other threads (BLAS's) kept out of the caller's warnings, which
+    # must not depend on the worker count.
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore",
+            message=r"This process .* is multi-threaded, use of fork\(\)",
+            category=DeprecationWarning,
+        )
+        executor.submit(int).result()
     _pool = (size, executor)
     return executor
 
@@ -450,9 +485,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     otherwise they run in this process.  Every task is a pure function of
     ``(base_seed, rep_id)``, and records are collected in task order
     (n-major, then rep_id), so the result does not depend on the
-    scheduling or the worker count.  Each task records its warnings and
-    they are re-emitted here in task order, so the warnings a caller sees
-    do not depend on the worker count either.
+    scheduling or the worker count.  Where the platform cannot fork, every
+    worker count runs in this process.  Each task records its warnings and
+    they are re-emitted here in task order, with their source module, so
+    the warnings a caller sees do not depend on the worker count either.
+    The caller's warning filters apply at that re-emission, after all
+    replications ran: a filter that turns a replication's warning into an
+    error raises here, not inside the replication.
 
     The pool is forked on the first parallel call and reused: a function
     patched or state changed after that call does not reach its workers.
@@ -478,9 +517,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     results = _run_tasks(config, ns, reps, workers)
     records = tuple(record for record, _ in results)
     for _, caught in results:
-        for message, category, filename, lineno in caught:
+        for message, category, filename, lineno, module in caught:
             warnings.warn_explicit(
-                message, category, filename, lineno, registry=_warning_registry
+                message,
+                category,
+                filename,
+                lineno,
+                module=module,
+                registry=_warning_registries.setdefault(filename, {}),
             )
 
     target_mean = config.model.variate.limit_bias

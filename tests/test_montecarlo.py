@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -309,6 +310,12 @@ class TestRunExperiment:
         assert [mc.pool_size(w) for w in (1, 2, 3, 8)] == [1, 2, 2, 2]
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {5})
         assert mc.pool_size(8) == 1
+        # platforms without sched_getaffinity count all CPUs
+        monkeypatch.delattr(mc.os, "sched_getaffinity")
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+        assert [mc.pool_size(w) for w in (1, 2, 8)] == [1, 2, 3]
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc.pool_size(8) == 1
 
     def test_dead_worker_breaks_one_call(self, tmp_path):
         # a worker that dies fails its call with BrokenProcessPool; the pool
@@ -351,6 +358,84 @@ class TestRunExperiment:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1"
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        # platforms that cannot fork run every worker count in this process
+        import multiprocessing
+
+        import sephill.montecarlo as mc
+
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert mc.pool_size(8) == 1
+
+        def no_pool(size):
+            raise AssertionError("started a pool")
+
+        monkeypatch.setattr(mc, "_process_pool", no_pool)
+        cfg = self._config(replications=4)
+        assert run_experiment(cfg, workers=4).records == run_experiment(cfg).records
+
+    def test_fork_warning_does_not_reach_caller(self, tmp_path):
+        # Python 3.12+ warns when a process that runs other threads forks;
+        # os.fork is wrapped to give that warning on any version.  The
+        # warnings run_experiment's caller sees must not depend on whether
+        # a pool was started.
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import os, warnings\n"
+            "import numpy as np\n"
+            "import sephill.montecarlo as mc\n"
+            "from sephill.distributions import EllipticalModel, GeneratingVariateSpec\n"
+            "real_fork = os.fork\n"
+            "def fork():\n"
+            "    warnings.warn(f'This process (pid={os.getpid()}) is multi-threaded, '\n"
+            "        'use of fork() may lead to deadlocks in the child.',\n"
+            "        DeprecationWarning, stacklevel=2)\n"
+            "    return real_fork()\n"
+            "os.fork = fork\n"
+            "mc.pool_size = lambda workers: workers\n"
+            "model = EllipticalModel(np.zeros(2), np.eye(2), GeneratingVariateSpec.pareto(5.0))\n"
+            "cfg = mc.ExperimentConfig(model, (200,), 4, base_seed=5)\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    mc.run_experiment(cfg, workers=2)\n"
+            "assert mc._pool is not None\n"
+            "assert not caught, [str(w.message) for w in caught]\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_replication_warnings_keep_their_module(self, monkeypatch):
+        # re-emitted warnings carry the module they came from, so a filter
+        # scoped to that module still applies to them.
+        import sephill.montecarlo as mc
+
+        real = mc.run_replication
+
+        def noisy(config, n, rep_id):
+            warnings.warn("noisy replication", RuntimeWarning)
+            return real(config, n, rep_id)
+
+        monkeypatch.setattr(mc, "run_replication", noisy)
+        cfg = self._config(replications=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        assert [str(w.message) for w in caught] == ["noisy replication"] * 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings(
+                "ignore", category=RuntimeWarning, module=re.escape(__name__) + "$"
+            )
+            run_experiment(cfg)
+        assert not caught
 
     def test_aggregates_match_direct_recomputation(self):
         cfg = self._config(replications=8)
