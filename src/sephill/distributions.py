@@ -18,7 +18,9 @@ supported:
     the radial part of a d-dimensional Student-t, i.e. ``r**2 / d`` follows
     an F(d, nu) distribution; its survival function and tail quantile go
     through the F and inverse incomplete beta functions of
-    :mod:`scipy.special`.
+    :mod:`scipy.special`, imported inside those two t-radial branches on
+    first use, so the Pareto and Fréchet families and all sampling (t-radial
+    radii come from numpy's ``chisquare``) never load scipy.
 
 Randomness is addressed by value: an :class:`RngStream` is a (seed,
 stream_id) pair mapped onto a counter-based Philox generator, so the same
@@ -33,7 +35,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, fdtrc
 
 from . import linalg
 from .errors import DimensionMismatch, DomainError, NonFinite
@@ -189,6 +190,8 @@ class GeneratingVariateSpec:
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = np.where(x > 0, -np.expm1(-(x ** -self.alpha)), 1.0)
         else:
+            from scipy.special import fdtrc
+
             s = np.where(x > 0, fdtrc(self.dim, self.nu, x * x / self.dim), 1.0)
         if s.ndim == 0:
             return float(s)
@@ -215,6 +218,8 @@ def quantile_u(spec: GeneratingVariateSpec, y):
             inner = np.where(arr > 1.0, np.log1p(1.0 / (arr - 1.0)), np.inf)
         out = inner ** (-1.0 / spec.alpha)
     else:
+        from scipy.special import betaincinv
+
         w = betaincinv(0.5 * spec.nu, 0.5 * spec.dim, 1.0 / arr)
         out = np.sqrt(spec.nu * (1.0 - w) / w)
     if out.ndim == 0:

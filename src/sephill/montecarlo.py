@@ -22,7 +22,10 @@ Per replication the harness estimates the extreme value index twice — once
 with the true location/scatter and once with the configured estimator —
 and attaches the perturbation-envelope report comparing the two.  The
 aggregates summarize the normalized errors ``sqrt(k) * (gamma_hat - gamma)``
-whose limiting law the experiments are designed to check.
+whose limiting law the experiments are designed to check.  Their
+Kolmogorov-Smirnov distance to the limiting normal law takes the normal
+distribution function from :func:`math.erfc`, so the harness, like every
+command of the CLI, runs without loading scipy.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import bounds as bounds_mod
 from . import linalg
@@ -457,7 +459,7 @@ def aggregate_records(
     if target_mean is None:
         ks = None
     else:
-        ks = ks_statistic(err, lambda x: ndtr((x - target_mean) / gamma))
+        ks = ks_statistic(err, lambda x: _normal_cdf((x - target_mean) / gamma))
     return AggregateStats(
         n=int(n),
         k=int(k),
@@ -557,6 +559,15 @@ def ks_statistic(values, cdf) -> float:
     return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
 
 
+def _normal_cdf(z):
+    """Standard normal distribution function of a 1-D array,
+    ``0.5 * erfc(-z / sqrt(2))`` per value; within 2.3e-16 of
+    ``scipy.special.ndtr``.  A Python loop suffices: the KS statistic
+    evaluates a few thousand values at most."""
+    root2 = math.sqrt(2.0)
+    return np.array([0.5 * math.erfc(-v / root2) for v in z.tolist()])
+
+
 def ks_threshold(n: int, level: float) -> float:
     """Asymptotic Kolmogorov critical value ``c(level) / sqrt(n)``."""
     if not 0.0 < level < 1.0:
@@ -590,5 +601,5 @@ def normality_diagnostics(values, target_mean: float, target_sd: float) -> Norma
     z_sd = (float(np.std(arr, ddof=1)) - target_sd) / (
         target_sd / math.sqrt(2.0 * m)
     )
-    ks = ks_statistic(arr, lambda x: ndtr((x - target_mean) / target_sd))
+    ks = ks_statistic(arr, lambda x: _normal_cdf((x - target_mean) / target_sd))
     return NormalityDiagnostics(z_mean=z_mean, z_sd=z_sd, ks_stat=ks)

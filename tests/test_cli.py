@@ -835,23 +835,33 @@ class TestExperiment:
 
 
 class TestTopLevel:
-    def test_import_leaves_out_scipy_stats(self):
-        # importing scipy.stats takes longer than the rest of sephill
-        # together; only scipy.special is needed.  The process pool's
-        # modules load only when an experiment first runs in parallel.
+    def test_import_leaves_out_scipy(self, tmp_path):
+        # scipy takes most of a cold start and only the t-radial law's sf
+        # and tail quantile need it, so neither the import nor a Pareto
+        # experiment may load it.  The process pool's modules load only
+        # when an experiment first runs in parallel.
         root = Path(__file__).resolve().parent.parent
+        script = (
+            "import sys, sephill.cli\n"
+            "def loaded(*prefixes):\n"
+            "    return sorted(m for m in sys.modules if m.startswith(prefixes))\n"
+            "print(loaded('scipy', 'multiprocessing', 'concurrent.futures.process'))\n"
+            "code = sephill.cli.main(['experiment', '--family', 'pareto', '--alpha',"
+            " '4', '--dim', '2', '--n-values', '200', '--replications', '3',"
+            " '--seed', '1', '--out', sys.argv[1]])\n"
+            "print(code, loaded('scipy'))\n"
+        )
+        out = tmp_path / "exp.json"
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, sephill.cli; print(sorted(m for m in sys.modules "
-             "if m.startswith(('scipy.stats', 'multiprocessing', "
-             "'concurrent.futures.process'))))"],
+            [sys.executable, "-c", script, str(out)],
             env=dict(os.environ, PYTHONPATH=str(root / "src")),
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines() == ["[]", "0 []"]
+        assert json.loads(out.read_text())["aggregates"][0]["ks_stat"] is not None
 
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0

@@ -24,6 +24,7 @@ from sephill.montecarlo import (
     AggregateStats,
     ExperimentConfig,
     ReplicationRecord,
+    _normal_cdf,
     aggregate_records,
     k_schedule,
     ks_statistic,
@@ -267,6 +268,15 @@ class TestAggregateRecords:
         )
         assert agg.ks_stat is None
         assert agg.target_mean is None
+
+    def test_ks_stat_matches_scipy_normal_cdf(self):
+        # the harness's erfc-based normal CDF moves the statistic by at
+        # most an ulp or so of 1 against scipy's ndtr on the same errors
+        err = np.random.default_rng(5).normal(0.1, 0.2, size=400)
+        recs = [self._record(i, e, 0.3, 0.1) for i, e in enumerate(err)]
+        agg = aggregate_records(recs, 100, 4, gamma=0.2, target_mean=0.1)
+        expected = ks_statistic(err, lambda x: ndtr((x - 0.1) / 0.2))
+        assert abs(agg.ks_stat - expected) <= 2.3e-16
 
 
 class TestRunExperiment:
@@ -525,6 +535,14 @@ class TestKolmogorovSmirnov:
         gen = np.random.default_rng(12)
         x = gen.normal(size=5000)
         assert ks_statistic(x, ndtr) < ks_threshold(5000, 0.01)
+
+    def test_normal_cdf_matches_scipy_ndtr(self):
+        z = np.concatenate([np.linspace(-40.0, 40.0, 80001), [np.inf, -np.inf]])
+        np.testing.assert_allclose(_normal_cdf(z), ndtr(z), rtol=0, atol=2.3e-16)
+        # the erfc form keeps relative precision in the lower tail, down to
+        # where the CDF nears the smallest normal double
+        tail = np.linspace(-37.0, 0.0, 3701)
+        np.testing.assert_allclose(_normal_cdf(tail), ndtr(tail), rtol=1e-12)
 
 
 class TestNormalityDiagnostics:
