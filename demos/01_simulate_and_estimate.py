@@ -35,7 +35,11 @@ print(f"known mu/sigma:      gamma_hat = {known.gamma_hat:.4f}")
 for method in ("sample_mean_cov", "spatial_median_tyler"):
     fit = estimate_location_scatter(sample, method)
     est = separating_hill(sample, fit.mu_hat, fit.sigma_hat, k, source=method)
-    extra = f"  ({fit.iterations} iterations)" if fit.iterations else ""
+    extra = (
+        f"  ({fit.median_iterations} Weiszfeld + {fit.shape_iterations} Tyler steps)"
+        if fit.median_iterations
+        else ""
+    )
     print(f"{method:<20} gamma_hat = {est.gamma_hat:.4f}{extra}")
 
 print("\nAll three agree to a couple of decimals: the plug-in step is")

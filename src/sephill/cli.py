@@ -386,6 +386,8 @@ def cmd_estimate(args) -> int:
         "method": method_name,
         "mu_hat": loc.mu_hat,
         "sigma_hat": loc.sigma_hat,
+        "median_iterations": loc.median_iterations,
+        "shape_iterations": loc.shape_iterations,
         "estimates": [{"k": k, "gamma_hat": g} for k, g in estimates],
         "warnings": warning_messages,
         "manifest": build_manifest("estimate", config, 0),

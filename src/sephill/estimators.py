@@ -54,13 +54,23 @@ class HillEstimate:
 
 @dataclass(frozen=True, eq=False)
 class LocationScatterEstimate:
-    """Estimated location and scatter, with the inverse precomputed."""
+    """Estimated location and scatter, with the inverse precomputed.
+
+    ``median_iterations`` and ``shape_iterations`` are the map evaluations
+    of the Weiszfeld and Tyler solves; both are 0 for fits without one.
+    """
 
     mu_hat: np.ndarray
     sigma_hat: np.ndarray
     sigma_hat_inv: np.ndarray
     method: str
-    iterations: int = 0
+    median_iterations: int = 0
+    shape_iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        """Map evaluations of both solves together."""
+        return self.median_iterations + self.shape_iterations
 
 
 def as_sample(sample) -> np.ndarray:
@@ -235,38 +245,89 @@ def sample_covariance(sample) -> np.ndarray:
     return _covariance(_centred_columns(sample)[1])[0]
 
 
+def _squarem_point(v: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """The SQUAREM extrapolation from two map steps ``v -> v1 -> v2``.
+
+    With ``r = v1 - v`` and ``s = v2 - 2 v1 + v`` it returns
+    ``v - 2 alpha r + alpha**2 s`` for the step length
+    ``alpha = min(-|r| / |s|, -1)`` (Varadhan & Roland, "Simple and
+    globally convergent methods for accelerating the convergence of any EM
+    algorithm", Scand. J. Stat. 35, 2008, scheme SqS3).  ``alpha = -1``
+    gives ``v2`` itself, so the clamp never extrapolates less than the two
+    plain steps already went; it is also the length taken when ``s = 0``.
+    """
+    r = v1 - v
+    s = v2 - v1 - r
+    s_norm = float(np.linalg.norm(s))
+    alpha = min(-float(np.linalg.norm(r)) / s_norm, -1.0) if s_norm > 0.0 else -1.0
+    return v - 2.0 * alpha * r + alpha * alpha * s
+
+
 def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
-    """Weiszfeld iteration with the standard adjustment at data points.
+    """SQUAREM-accelerated Weiszfeld iteration, with the standard
+    adjustment at data points.
 
-    Stops when the sum of unit vectors from the iterate toward the
-    observations (the negative gradient of the objective) has norm at most
-    ``d * tol * n``, a scale-free criterion.
+    The map F is one Weiszfeld step.  Evaluated at an iterate it also
+    measures the stopping rule there: the sum of unit vectors from the
+    iterate toward the observations (the negative gradient of the
+    objective) must have norm at most ``d * tol * n``, a scale-free
+    criterion, and the iterate that meets it is returned.
 
-    The loop runs on a ``(d, n)`` layout: the sample is copied once into
+    A SQUAREM cycle (see :func:`_squarem_point`) takes two steps
+    ``v1 = F(v)``, ``v2 = F(v1)``, extrapolates them to ``v'`` and takes
+    one stabilizing step ``F(v')``; the next cycle starts from ``F(v')``.
+    The objective, the sum of distances, comes from the distances each
+    step computes anyway: when it is higher at ``v'`` than at ``v1`` the
+    extrapolation is discarded and the next cycle starts from ``v2``.
+    Once a step finds the iterate on an observation it takes the usual
+    subgradient step, and every later step is a plain Weiszfeld step.
+    The fixed point is the same as without acceleration; only the path
+    to it is shorter.  Every map evaluation counts as one iteration, the
+    discarded ones included, and :class:`NotConverged` carries the last
+    map output when ``max_iter`` evaluations do not meet the rule.
+
+    Each step runs on a ``(d, n)`` layout: the sample is copied once into
     contiguous columns, and each step writes the differences from the
     iterate into one preallocated buffer of the same shape, so every numpy
     call runs along the n rows rather than over rows of length d.  That is
     one n·d copy plus one n·d buffer, 3.2 MB at n = 10^5, d = 2.
     """
     n, d = x.shape
-    m = x.mean(axis=0)
-    scale = float(np.max(np.abs(x - m))) if n else 0.0
-    collision_eps = 1e-12 * max(scale, 1e-300)
-    grad_tol = d * tol * n
     cols = np.ascontiguousarray(x.T)
     buf = np.empty_like(cols)
-    for it in range(1, max_iter + 1):
-        np.subtract(cols, m[:, None], out=buf)
+    m = cols.mean(axis=1)
+    np.subtract(cols, m[:, None], out=buf)
+    scale = float(np.max(np.abs(buf, out=buf))) if n else 0.0
+    collision_eps = 1e-12 * max(scale, 1e-300)
+    grad_tol = d * tol * n
+    evals = 0
+    last = m
+    plain = False
+
+    def step(u):
+        """F(u) and the objective at u; ``None`` for F(u) when u meets
+        the stopping rule."""
+        nonlocal evals, last, plain
+        if evals == max_iter:
+            raise NotConverged(
+                f"spatial median did not converge in {max_iter} iterations",
+                last_iterate=last,
+                iterations=max_iter,
+            )
+        evals += 1
+        np.subtract(cols, u[:, None], out=buf)
         dist = np.sqrt(np.einsum("in,in->n", buf, buf))
         coll = dist <= collision_eps
         eta = int(np.count_nonzero(coll))
         if eta == n:
             # every observation sits at the iterate; it is the minimizer
-            return m, it
+            return None, 0.0
+        objective = float(dist.sum())
         diff, rows = buf, cols
         if eta > 0:
             # rarely taken: in practice no row sits at the iterate, so the
             # mask copies are made only when one does
+            plain = True
             keep = ~coll
             dist, diff, rows = dist[keep], buf[:, keep], cols[:, keep]
         w = 1.0 / dist
@@ -274,30 +335,48 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
         g = float(np.linalg.norm(unit_sum))
         if eta > 0 and g <= eta:
             # subgradient optimality at a repeated data point
-            return m, it
+            return None, objective
         if eta == 0 and g <= grad_tol:
-            return m, it
+            return None, objective
         target = np.einsum("in,n->i", rows, w) / w.sum()
         if eta > 0:
             step_frac = min(1.0, eta / g)
-            m = (1.0 - step_frac) * target + step_frac * m
-        else:
-            m = target
-    raise NotConverged(
-        f"spatial median did not converge in {max_iter} iterations",
-        last_iterate=m,
-        iterations=max_iter,
-    )
+            target = (1.0 - step_frac) * target + step_frac * u
+        last = target
+        return target, objective
+
+    v = m
+    while True:
+        v1, _ = step(v)
+        if v1 is None:
+            return v, evals
+        if plain:
+            v = v1
+            continue
+        v2, f1 = step(v1)
+        if v2 is None:
+            return v1, evals
+        if plain:
+            v = v2
+            continue
+        vp = _squarem_point(v, v1, v2)
+        v3, fp = step(vp)
+        if v3 is None:
+            return vp, evals
+        v = v3 if fp <= f1 else v2
 
 
 def spatial_median(sample, tol: float = MEDIAN_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
-    """Geometric median of the rows by Weiszfeld iteration.
+    """Geometric median of the rows by SQUAREM-accelerated Weiszfeld
+    iteration.
 
     Starts from the coordinate-wise mean.  Iterates that land exactly on a
     repeated observation are handled with the usual subgradient step
-    instead of dividing by zero.  Raises :class:`NotConverged` (carrying
-    the last iterate) if the gradient criterion is not met within
-    ``max_iter`` iterations.
+    instead of dividing by zero, and the rest of the solve takes plain
+    steps.  An extrapolation that raises the sum of distances is
+    discarded (see :func:`_spatial_median_iter`).  Raises
+    :class:`NotConverged` (carrying the last iterate) if the gradient
+    criterion is not met within ``max_iter`` Weiszfeld steps.
     """
     x = as_sample(sample)
     if x.shape[0] < 1:
@@ -307,7 +386,20 @@ def spatial_median(sample, tol: float = MEDIAN_TOL, max_iter: int = MAX_ITER) ->
 
 
 def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
-    """Tyler's fixed-point iteration on precomputed row moments.
+    """SQUAREM-accelerated Tyler fixed-point iteration on precomputed row
+    moments.
+
+    The map F is one Tyler step rescaled to trace d; the solve returns
+    ``F(v)`` as soon as ``max|F(v) - v| < tol``.  A SQUAREM cycle (see
+    :func:`_squarem_point`) takes two steps ``v1 = F(v)``, ``v2 = F(v1)``,
+    extrapolates them to ``v'``, symmetrizes ``v'`` and rescales it to
+    trace d, then takes one stabilizing step ``F(v')``; the next cycle
+    starts from ``F(v')``.  When ``v'`` is not positive definite, or its
+    step raises :class:`SingularIterate`, the extrapolation is discarded
+    and the next cycle starts from ``v2``; the same failure on a plain
+    step is raised.  Every map evaluation counts as one iteration, a
+    rejected one included, and :class:`NotConverged` carries the last
+    map output when ``max_iter`` evaluations do not meet the rule.
 
     The products ``diff_i * diff_j`` (``i <= j``) of the centered rows do
     not change across iterations, so they are built once as a
@@ -319,16 +411,16 @@ def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
     depend on the BLAS build or thread count.
     """
     n, d = x.shape
-    diff = x - mu_hat
-    zero_rows = np.all(diff == 0.0, axis=1)
+    diff = np.subtract(x.T, mu_hat[:, None], out=np.empty((d, n)))
+    zero_rows = ~np.any(diff, axis=0)
     if np.any(zero_rows):
         warnings.warn(
             f"dropping {int(np.count_nonzero(zero_rows))} rows equal to the "
             "location estimate",
             stacklevel=3,
         )
-        diff = diff[~zero_rows]
-    n_eff = diff.shape[0]
+        diff = diff[:, ~zero_rows]
+    n_eff = diff.shape[1]
     if n_eff <= d:
         raise DegenerateSample(
             f"Tyler shape needs more than d={d} usable rows, have {n_eff}"
@@ -336,16 +428,28 @@ def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
     iu, ju = np.triu_indices(d)
     moments = np.empty((iu.shape[0], n_eff))
     for k in range(iu.shape[0]):
-        np.multiply(diff[:, iu[k]], diff[:, ju[k]], out=moments[k])
+        np.multiply(diff[iu[k]], diff[ju[k]], out=moments[k])
     del diff
     pair_weight = np.where(iu == ju, 1.0, 2.0)
     v = np.eye(d)
-    for it in range(1, max_iter + 1):
+    evals = 0
+    last = v
+
+    def step(u):
+        """F(u), and whether it ends the solve."""
+        nonlocal evals, last
+        if evals == max_iter:
+            raise NotConverged(
+                f"Tyler shape iteration did not converge in {max_iter} iterations",
+                last_iterate=last,
+                iterations=max_iter,
+            )
+        evals += 1
         try:
-            v_inv = linalg.spd_inverse(v)
+            u_inv = linalg.spd_inverse(u)
         except NotPositiveDefinite as exc:
             raise SingularIterate(f"shape iterate lost positive definiteness: {exc}") from exc
-        q = np.einsum("kn,k->n", moments, v_inv[iu, ju] * pair_weight)
+        q = np.einsum("kn,k->n", moments, u_inv[iu, ju] * pair_weight)
         if not np.all(q > 0.0):
             raise SingularIterate("a row has nonpositive squared distance under the iterate")
         upper = np.einsum("kn,n->k", moments, 1.0 / q) * (d / n_eff)
@@ -356,15 +460,27 @@ def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
         if not np.isfinite(trace) or trace <= 0.0:
             raise SingularIterate("shape iterate has nonpositive trace")
         nxt *= d / trace
-        delta = float(np.max(np.abs(nxt - v)))
-        v = nxt
-        if delta < tol:
-            return v, it
-    raise NotConverged(
-        f"Tyler shape iteration did not converge in {max_iter} iterations",
-        last_iterate=v,
-        iterations=max_iter,
-    )
+        last = nxt
+        return nxt, float(np.max(np.abs(nxt - u))) < tol
+
+    while True:
+        v1, done = step(v)
+        if done:
+            return v1, evals
+        v2, done = step(v1)
+        if done:
+            return v2, evals
+        vp = _squarem_point(v, v1, v2)
+        vp = 0.5 * (vp + vp.T)
+        vp *= d / np.trace(vp)
+        try:
+            v3, done = step(vp)
+        except SingularIterate:
+            v = v2
+            continue
+        if done:
+            return v3, evals
+        v = v3
 
 
 def tyler_shape(sample, mu_hat, tol: float = SHAPE_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
@@ -372,11 +488,13 @@ def tyler_shape(sample, mu_hat, tol: float = SHAPE_TOL, max_iter: int = MAX_ITER
 
     Each step averages the outer products of the centered rows weighted by
     the inverse of their squared distance under the current iterate, then
-    rescales to trace ``d``.  The outer products are held once as
-    n·d(d+1)/2 row moments, so a step costs two passes over them.  Rows
-    exactly equal to ``mu_hat`` carry no directional information and are
-    dropped with a warning.  The result is symmetric positive definite with
-    trace ``d``.
+    rescales to trace ``d``; SQUAREM cycles extrapolate across pairs of
+    steps, and an extrapolation that is not positive definite is
+    discarded (see :func:`_tyler_iter`).  ``max_iter`` bounds the number
+    of steps.  The outer products are held once as n·d(d+1)/2 row
+    moments, so a step costs two passes over them.  Rows exactly equal to
+    ``mu_hat`` carry no directional information and are dropped with a
+    warning.  The result is symmetric positive definite with trace ``d``.
     """
     x = as_sample(sample)
     mv = np.asarray(mu_hat, dtype=float)
@@ -393,19 +511,21 @@ def estimate_location_scatter(sample, method: str) -> LocationScatterEstimate:
 
     ``sample_mean_cov`` pairs the coordinate-wise mean with the sample
     covariance; ``spatial_median_tyler`` pairs the spatial median with
-    Tyler's shape estimator, solved to :data:`MEDIAN_TOL` and
-    :data:`SHAPE_TOL` within :data:`MAX_ITER` iterations each.
+    Tyler's shape estimator, each solved by SQUAREM-accelerated
+    fixed-point steps to :data:`MEDIAN_TOL` and :data:`SHAPE_TOL` within
+    :data:`MAX_ITER` steps.  ``median_iterations`` and
+    ``shape_iterations`` count the Weiszfeld and Tyler map evaluations
+    (both 0 for the closed-form mean/covariance).
     """
     if method == SAMPLE_MEAN_COV:
         mu_hat, cols = _centred_columns(sample)
         sigma_hat, sigma_hat_inv = _covariance(cols)
-        iterations = 0
+        it_med = it_shape = 0
     elif method == SPATIAL_MEDIAN_TYLER:
         x = as_sample(sample)
         mu_hat, it_med = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER)
         sigma_hat, it_shape = _tyler_iter(x, mu_hat, SHAPE_TOL, MAX_ITER)
         sigma_hat_inv = linalg.spd_inverse(sigma_hat)
-        iterations = it_med + it_shape
     else:
         raise ConfigError(
             f"unknown method {method!r}; expected one of {ESTIMATOR_METHODS}"
@@ -415,7 +535,8 @@ def estimate_location_scatter(sample, method: str) -> LocationScatterEstimate:
         sigma_hat=sigma_hat,
         sigma_hat_inv=sigma_hat_inv,
         method=method,
-        iterations=iterations,
+        median_iterations=it_med,
+        shape_iterations=it_shape,
     )
 
 

@@ -17,7 +17,12 @@ from sephill.distributions import (
     sample_elliptical,
 )
 from sephill.errors import DegenerateSample
-from sephill.estimators import separating_hill
+from sephill.estimators import (
+    SAMPLE_MEAN_COV,
+    SPATIAL_MEDIAN_TYLER,
+    estimate_location_scatter,
+    separating_hill,
+)
 from sephill.montecarlo import AggregateStats
 
 LOG2 = math.log(2.0)
@@ -250,6 +255,7 @@ class TestEstimate:
         assert payload["n"] == 4 and payload["d"] == 2
         assert payload["method"] == "given-params"
         assert payload["mu_hat"] == [0.0, 0.0]
+        assert payload["median_iterations"] == payload["shape_iterations"] == 0
         est = payload["estimates"]
         assert len(est) == 1 and est[0]["k"] == 2
         assert est[0]["gamma_hat"] == pytest.approx(1.5 * LOG2, rel=1e-12)
@@ -298,6 +304,35 @@ class TestEstimate:
         assert payload["method"] == "mean-cov"
         assert len(payload["mu_hat"]) == 2
         assert payload["estimates"][0]["gamma_hat"] > 0
+
+    @pytest.mark.parametrize(
+        "method, library", [("median-tyler", SPATIAL_MEDIAN_TYLER), ("mean-cov", SAMPLE_MEAN_COV)]
+    )
+    def test_reports_iteration_counts(self, tmp_path, method, library):
+        # the Weiszfeld and Tyler map evaluations are reported apart, both
+        # 0 for the closed-form fit, between the fit and the estimates
+        sim = tmp_path / "sim.csv"
+        assert cli.main(
+            ["simulate", "--family", "pareto", "--alpha", "2", "--dim", "2",
+             "--n", "500", "--seed", "5", "--out", str(sim)]
+        ) == 0
+        out = tmp_path / "est.json"
+        assert cli.main(
+            ["estimate", "--data", str(sim), "--k", "20", "--method", method,
+             "--out", str(out)]
+        ) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == [
+            "n", "d", "method", "mu_hat", "sigma_hat", "median_iterations",
+            "shape_iterations", "estimates", "warnings", "manifest",
+        ]
+        fit = estimate_location_scatter(np.loadtxt(sim, delimiter=",", ndmin=2), library)
+        assert payload["median_iterations"] == fit.median_iterations
+        assert payload["shape_iterations"] == fit.shape_iterations
+        if library == SPATIAL_MEDIAN_TYLER:
+            assert payload["median_iterations"] > 0 and payload["shape_iterations"] > 0
+        else:
+            assert payload["median_iterations"] == payload["shape_iterations"] == 0
 
     def test_mu_without_sigma(self, tmp_path, capsys):
         data = write_ladder_csv(tmp_path / "l.csv")

@@ -21,9 +21,13 @@ from sephill.errors import (
     NonPositivePivot,
     NotConverged,
 )
+from sephill import estimators
 from sephill.linalg import spd_inverse
 from sephill.estimators import (
+    MAX_ITER,
+    MEDIAN_TOL,
     SAMPLE_MEAN_COV,
+    SHAPE_TOL,
     SPATIAL_MEDIAN_TYLER,
     TRUE_PARAMS,
     estimate_location_scatter,
@@ -37,6 +41,7 @@ from sephill.estimators import (
     tyler_shape,
     univariate_hill,
 )
+from sephill.montecarlo import ExperimentConfig, run_replication
 
 LOG2 = np.log(2.0)
 EPS = np.finfo(float).eps
@@ -450,3 +455,201 @@ class TestHillPlot:
         for k, gamma in rows:
             direct = separating_hill(sample, model.mu, model.sigma, k=k).gamma_hat
             assert gamma == pytest.approx(direct, rel=1e-12, abs=1e-13)
+
+
+# The Weiszfeld and Tyler loops as they ran before SQUAREM acceleration,
+# one plain map step per iteration: the reference the accelerated solvers
+# are held to.
+def plain_spatial_median(x, tol=MEDIAN_TOL, max_iter=MAX_ITER):
+    n, d = x.shape
+    m = x.mean(axis=0)
+    scale = float(np.max(np.abs(x - m)))
+    collision_eps = 1e-12 * max(scale, 1e-300)
+    grad_tol = d * tol * n
+    cols = np.ascontiguousarray(x.T)
+    buf = np.empty_like(cols)
+    for it in range(1, max_iter + 1):
+        np.subtract(cols, m[:, None], out=buf)
+        dist = np.sqrt(np.einsum("in,in->n", buf, buf))
+        coll = dist <= collision_eps
+        eta = int(np.count_nonzero(coll))
+        if eta == n:
+            return m, it
+        diff, rows = buf, cols
+        if eta > 0:
+            keep = ~coll
+            dist, diff, rows = dist[keep], buf[:, keep], cols[:, keep]
+        w = 1.0 / dist
+        g = float(np.linalg.norm(np.einsum("in,n->i", diff, w)))
+        if eta > 0 and g <= eta:
+            return m, it
+        if eta == 0 and g <= grad_tol:
+            return m, it
+        target = np.einsum("in,n->i", rows, w) / w.sum()
+        if eta > 0:
+            step_frac = min(1.0, eta / g)
+            m = (1.0 - step_frac) * target + step_frac * m
+        else:
+            m = target
+    raise NotConverged("plain Weiszfeld", last_iterate=m, iterations=max_iter)
+
+
+def plain_tyler(x, mu_hat, tol=SHAPE_TOL, max_iter=MAX_ITER):
+    n, d = x.shape
+    diff = x - mu_hat
+    assert not np.any(np.all(diff == 0.0, axis=1))
+    iu, ju = np.triu_indices(d)
+    moments = np.empty((iu.shape[0], n))
+    for k in range(iu.shape[0]):
+        np.multiply(diff[:, iu[k]], diff[:, ju[k]], out=moments[k])
+    pair_weight = np.where(iu == ju, 1.0, 2.0)
+    v = np.eye(d)
+    for it in range(1, max_iter + 1):
+        v_inv = spd_inverse(v)
+        q = np.einsum("kn,k->n", moments, v_inv[iu, ju] * pair_weight)
+        upper = np.einsum("kn,n->k", moments, 1.0 / q) * (d / n)
+        nxt = np.empty((d, d))
+        nxt[iu, ju] = upper
+        nxt[ju, iu] = upper
+        nxt *= d / float(np.trace(nxt))
+        delta = float(np.max(np.abs(nxt - v)))
+        v = nxt
+        if delta < tol:
+            return v, it
+    raise NotConverged("plain Tyler", last_iterate=v, iterations=max_iter)
+
+
+def weiszfeld_gradient(x, m):
+    """Norm of the sum of unit vectors from m toward the rows."""
+    diff = x - m
+    return float(np.linalg.norm((diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)))
+
+
+def tyler_step(x, mu, v):
+    """One Tyler step from v, from the quadratic forms row by row."""
+    d = x.shape[1]
+    diff = x - mu
+    q = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(v), diff)
+    mapped = np.einsum("ni,nj->ij", diff / q[:, None], diff)
+    return mapped * (d / np.trace(mapped))
+
+
+SHAPES = {
+    2: np.array([[2.0, 0.7], [0.7, 1.0]]),
+    3: np.array([[2.0, 0.7, -0.3], [0.7, 1.0, 0.2], [-0.3, 0.2, 0.5]]),
+    4: np.array(
+        [[2.0, 0.7, -0.3, 0.1], [0.7, 1.0, 0.2, 0.0], [-0.3, 0.2, 0.5, -0.1], [0.1, 0.0, -0.1, 3.0]]
+    ),
+}
+
+
+def pareto_sample(d, n, seed):
+    model = EllipticalModel(
+        mu=np.linspace(-1.0, 2.0, d),
+        sigma=SHAPES[d],
+        variate=GeneratingVariateSpec.pareto(2.0),
+    )
+    return sample_elliptical(model, n, RngStream(seed, d))[0]
+
+
+class TestSquaremAcceleration:
+    @pytest.mark.parametrize("n", [10**3, 10**4])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_plain_loops_in_fewer_steps(self, d, n):
+        x = pareto_sample(d, n, seed=60)
+        m_plain, med_plain = plain_spatial_median(x)
+        v_plain, shape_plain = plain_tyler(x, m_plain)
+        fit = estimate_location_scatter(x, SPATIAL_MEDIAN_TYLER)
+        assert np.max(np.abs(fit.mu_hat - m_plain)) <= 1e-8
+        assert np.max(np.abs(fit.sigma_hat - v_plain)) <= 1e-8
+        # at d = 2 the plain loops contract by about 1/2 per step and the
+        # cycles need at most half their steps; at higher d the plain
+        # loops contract faster, and the cycles save less
+        if d == 2:
+            assert 2 * fit.median_iterations <= med_plain
+            assert 2 * fit.shape_iterations <= shape_plain
+        else:
+            assert fit.median_iterations < med_plain
+            assert fit.shape_iterations < shape_plain
+        # both stopping rules hold at the returned fit
+        assert weiszfeld_gradient(x, fit.mu_hat) <= d * MEDIAN_TOL * n
+        step = tyler_step(x, fit.mu_hat, fit.sigma_hat)
+        assert np.max(np.abs(step - fit.sigma_hat)) < SHAPE_TOL
+
+    def test_weiszfeld_discards_extrapolation_that_raises_objective(self, monkeypatch):
+        x = pareto_sample(2, 1000, seed=61)
+        calls = []
+
+        def overshoot(v, v1, v2):
+            calls.append(v)
+            return v2 + 100.0  # far outside the data: the objective rises
+
+        monkeypatch.setattr(estimators, "_squarem_point", overshoot)
+        m, evals = estimators._spatial_median_iter(x, MEDIAN_TOL, MAX_ITER)
+        m_plain, steps = plain_spatial_median(x)
+        # every extrapolation is discarded, so the iterates are the plain
+        # ones and each full cycle spends one evaluation on its rejected point
+        assert len(calls) == (steps - 1) // 2 > 0
+        assert evals == steps + len(calls)
+        np.testing.assert_allclose(m, m_plain, rtol=0, atol=1e-12)
+        assert weiszfeld_gradient(x, m) <= 2 * MEDIAN_TOL * x.shape[0]
+
+    def test_tyler_discards_extrapolation_that_is_not_spd(self, monkeypatch):
+        x = pareto_sample(3, 1000, seed=62)
+        mu = spatial_median(x)
+        calls = []
+
+        def indefinite(v, v1, v2):
+            calls.append(v)
+            return np.diag([5.0, -1.0, -1.0])  # trace 3, one positive eigenvalue
+
+        monkeypatch.setattr(estimators, "_squarem_point", indefinite)
+        v, evals = estimators._tyler_iter(x, mu, SHAPE_TOL, MAX_ITER)
+        v_plain, steps = plain_tyler(x, mu)
+        assert len(calls) == (steps - 1) // 2 > 0
+        assert evals == steps + len(calls)
+        np.testing.assert_array_equal(v, v_plain)
+        assert np.max(np.abs(tyler_step(x, mu, v) - v)) < SHAPE_TOL
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_budget_counts_every_map_evaluation(self, max_iter):
+        # 1 and 2 stop within a cycle's plain steps, 3 on its stabilizing step
+        x = pareto_sample(2, 500, seed=63)
+        mu = np.array([-1.0, 2.0])
+        with pytest.raises(NotConverged, match=f"in {max_iter} iterations") as med:
+            spatial_median(x, tol=0.0, max_iter=max_iter)
+        with pytest.raises(NotConverged, match=f"in {max_iter} iterations") as shape:
+            tyler_shape(x, mu, tol=0.0, max_iter=max_iter)
+        assert med.value.iterations == shape.value.iterations == max_iter
+        last = shape.value.last_iterate
+        assert np.trace(last) == pytest.approx(2.0, abs=1e-12)
+        assert np.all(np.linalg.eigvalsh(last) > 0.0)
+        if max_iter < 3:
+            with pytest.raises(NotConverged) as ref:
+                plain_spatial_median(x, tol=0.0, max_iter=max_iter)
+            np.testing.assert_allclose(
+                med.value.last_iterate, ref.value.last_iterate, rtol=0, atol=1e-12
+            )
+            with pytest.raises(NotConverged) as ref:
+                plain_tyler(x, mu, tol=0.0, max_iter=max_iter)
+            np.testing.assert_array_equal(last, ref.value.last_iterate)
+
+    def test_hill_moves_little_on_criterion_4_seeds(self):
+        # the replication's estimate against one from the plain loops' fit
+        model = EllipticalModel(
+            mu=np.array([0.5, -1.0]),
+            sigma=np.array([[1.5, 0.4], [0.4, 0.8]]),
+            variate=GeneratingVariateSpec.pareto(2.0),
+        )
+        config = ExperimentConfig(
+            model, (10**3, 10**4, 10**5), 4,
+            base_seed=20260401, estimator_method=SPATIAL_MEDIAN_TYLER,
+        )
+        for n in config.n_values:
+            for rep in range(config.replications):
+                record = run_replication(config, n, rep)
+                x, _ = sample_elliptical(model, n, RngStream(config.base_seed, rep))
+                m, _ = plain_spatial_median(x)
+                v, _ = plain_tyler(x, m)
+                plain = separating_hill(x, m, v, config.k_for(n)).gamma_hat
+                assert abs(record.gamma_hat_est - plain) <= 1e-8
