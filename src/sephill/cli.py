@@ -220,12 +220,14 @@ def load_scatter(arg: str, dim: int) -> np.ndarray:
 def _check_scatter(mat: np.ndarray, dim: int, source: str) -> np.ndarray:
     """A user-supplied ``dim x dim`` scatter, symmetrized.
 
-    Symmetry is validated to 1e-9 relative to ``max(largest |entry|, 1)``,
-    and the matrix is then averaged with its transpose.  ``source`` names
-    the input in error messages.
+    Entries must be finite, symmetry is validated to 1e-9 relative to
+    ``max(largest |entry|, 1)``, and the matrix is then averaged with its
+    transpose.  ``source`` names the input in error messages.
     """
     if mat.shape != (dim, dim):
         raise ConfigError(f"{source} has shape {mat.shape}, expected {(dim, dim)}")
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError(f"{source} entries must be finite")
     scale = max(float(np.max(np.abs(mat))), 1.0)
     if float(np.max(np.abs(mat - mat.T))) > 1e-9 * scale:
         raise ConfigError(f"{source} is not symmetric within 1e-9")

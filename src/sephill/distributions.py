@@ -231,8 +231,9 @@ def quantile_u(spec: GeneratingVariateSpec, y):
 class EllipticalModel:
     """Location ``mu``, scatter ``sigma`` and a generating variate family.
 
-    The lower Cholesky factor of the scatter and its inverse are computed
-    once at construction and cached as ``lambda_chol`` and ``sigma_inv``.
+    The scatter is validated and factored once at construction: its lower
+    Cholesky factor is cached as ``lambda_chol``, and the inverse of the
+    scatter, formed from that factor, as ``sigma_inv``.
     """
 
     mu: np.ndarray
@@ -247,8 +248,10 @@ class EllipticalModel:
             )
         if not np.all(np.isfinite(mu)):
             raise NonFinite("mu entries must be finite")
+        # validates sigma (shape, finite, symmetric) and factors it once;
+        # the inverse is formed from the same factor
         chol = linalg.cholesky(self.sigma)
-        sigma = linalg.check_symmetric(self.sigma)
+        sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape[0] != mu.shape[0]:
             raise DimensionMismatch(
                 f"mu has dimension {mu.shape[0]} but sigma is {sigma.shape[0]}x{sigma.shape[0]}"
@@ -260,7 +263,7 @@ class EllipticalModel:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "lambda_chol", chol)
-        object.__setattr__(self, "sigma_inv", linalg.spd_inverse(sigma))
+        object.__setattr__(self, "sigma_inv", linalg._inverse_from_factor(chol))
 
     @property
     def dim(self) -> int:
@@ -271,20 +274,29 @@ def sample_sphere(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Uniform draws on the unit sphere in ``dim`` dimensions.
 
     Standard normal vectors scaled to unit length.  Returns shape ``(dim,)``
-    when ``size`` is None, else ``(size, dim)``.
+    when ``size`` is None, else ``(size, dim)`` in column-major layout: the
+    transpose of a contiguous ``(dim, size)`` array, so each coordinate is
+    one contiguous column.  The normals are drawn row by row as ``(size,
+    dim)``; the squared norms are summed one coordinate at a time, in
+    increasing coordinate order, which for ``dim <= 7`` gives the same
+    bytes as ``np.linalg.norm(g, axis=1)``.
     """
     if int(dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
     gen = _materialize(rng)
     n = 1 if size is None else int(size)
-    g = gen.standard_normal((n, int(dim)))
-    norms = np.linalg.norm(g, axis=1)
+    d = int(dim)
+    g = gen.standard_normal((n, d))
+    norms = np.square(g[:, 0])
+    for k in range(1, d):
+        norms += np.square(g[:, k])
+    np.sqrt(norms, out=norms)
     # a zero vector has probability zero; pin it to the first axis anyway
     zero = norms == 0.0
     if np.any(zero):
         g[zero, 0] = 1.0
         norms[zero] = 1.0
-    u = g / norms[:, None]
+    u = np.divide(g.T, norms, out=np.empty((d, n))).T
     if size is None:
         return u[0]
     return u
@@ -321,18 +333,20 @@ def elliptical_rows(model: EllipticalModel, radii, directions) -> np.ndarray:
     Output coordinate ``j`` is ``sum_{k <= j} L[j, k] * u[:, k]``, summed
     in increasing ``k``, times ``r``, plus ``mu[j]``: the lower triangle of
     the factor only, and no matrix product, so no BLAS thread is started.
+    Each coordinate is built in place in row ``j`` of a contiguous
+    ``(d, n)`` array, whose ``(n, d)`` transpose is returned, so the result
+    is column-major.
     """
     lower = model.lambda_chol
     n, d = directions.shape
-    out = np.empty((n, d))
+    out = np.empty((d, n))
     for j in range(d):
-        col = lower[j, 0] * directions[:, 0]
+        col = np.multiply(lower[j, 0], directions[:, 0], out=out[j])
         for k in range(1, j + 1):
             col += lower[j, k] * directions[:, k]
         col *= radii
         col += model.mu[j]
-        out[:, j] = col
-    return out
+    return out.T
 
 
 def sample_elliptical(model: EllipticalModel, n: int, rng):
@@ -340,8 +354,11 @@ def sample_elliptical(model: EllipticalModel, n: int, rng):
 
     Returns ``(sample, radii)`` where ``sample`` has shape ``(n, d)`` and
     ``radii`` holds the generating variates used for each row, in row
-    order.  The radii equal the scatter-metric distances of the rows from
-    ``mu`` up to rounding, which the tests rely on.
+    order.  ``sample`` is column-major (see :func:`elliptical_rows`), so
+    the fits and distances in :mod:`sephill.estimators` read each
+    coordinate as one contiguous column.  The radii equal the
+    scatter-metric distances of the rows from ``mu`` up to rounding, which
+    the tests rely on.
 
     Draw order is fixed (all radii first, then the sphere directions), so a
     given stream always produces the same sample.

@@ -144,7 +144,8 @@ def mahalanobis_distances(sample, mu, sigma_inv) -> np.ndarray:
 
     The rows are centred into one contiguous ``(d, n)`` copy, n·d floats
     that live only for the call, so every numpy call runs along the n rows
-    rather than over rows of length d.  The quadratic forms
+    rather than over rows of length d; a column-major sample is read along
+    its contiguous columns.  The quadratic forms
     ``c_n . (sigma_inv c_n)`` are accumulated one coordinate at a time,
     each row of ``sigma_inv c`` reduced with einsum into a single n-float
     buffer, in a fixed summation order, so the values do not depend on the
@@ -286,11 +287,13 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
     discarded ones included, and :class:`NotConverged` carries the last
     map output when ``max_iter`` evaluations do not meet the rule.
 
-    Each step runs on a ``(d, n)`` layout: the sample is copied once into
-    contiguous columns, and each step writes the differences from the
-    iterate into one preallocated buffer of the same shape, so every numpy
-    call runs along the n rows rather than over rows of length d.  That is
-    one n·d copy plus one n·d buffer, 3.2 MB at n = 10^5, d = 2.
+    Each step runs on a ``(d, n)`` layout: a column-major sample, as
+    :func:`~sephill.distributions.sample_elliptical` returns it, is read in
+    place as contiguous columns, and any other is copied into them once.
+    Each step writes the differences from the iterate into one
+    preallocated buffer of the same shape, so every numpy call runs along
+    the n rows rather than over rows of length d.  That is one n·d buffer,
+    1.6 MB at n = 10^5, d = 2, plus an n·d copy for a row-major sample.
     """
     n, d = x.shape
     cols = np.ascontiguousarray(x.T)

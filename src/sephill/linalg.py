@@ -92,7 +92,13 @@ def spd_inverse(m) -> np.ndarray:
     ``L^-T L^-1``, then symmetrizes the result so round-off cannot leave a
     lopsided inverse.
     """
-    li = np.linalg.inv(cholesky(m))
+    return _inverse_from_factor(cholesky(m))
+
+
+def _inverse_from_factor(lower: np.ndarray) -> np.ndarray:
+    """``L^-T L^-1``, symmetrized, from the lower Cholesky factor ``L`` of
+    a validated matrix: the inverse of ``L L^T``."""
+    li = np.linalg.inv(lower)
     inv = np.einsum("ki,kj->ij", li, li)
     return 0.5 * (inv + inv.T)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -731,6 +732,28 @@ class TestExperiment:
              "--sigma", str(sigma_csv), "--n-values", "100",
              "--replications", "2", "--method", "mean-cov", "--out", out]
         ) == 2
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan], ids=["inf", "minus-inf", "nan"])
+    @pytest.mark.parametrize("via", ["config", "sigma-file"])
+    def test_nonfinite_sigma_rejected_before_symmetry(self, tmp_path, capsys, via, entry):
+        sigma = [[1.0, entry], [entry, 1.0]]
+        if via == "config":
+            argv = ["experiment", "--config", self._config(tmp_path, sigma=sigma)]
+            source = "sigma"
+        else:
+            sigma_csv = tmp_path / "sigma.csv"
+            sigma_csv.write_text("\n".join(",".join(map(str, r)) for r in sigma) + "\n")
+            argv = ["experiment", "--family", "pareto", "--alpha", "5", "--dim", "2",
+                    "--sigma", str(sigma_csv), "--n-values", "100",
+                    "--replications", "2", "--method", "mean-cov"]
+            source = "--sigma file"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv + ["--out", str(tmp_path / "exp.json")])
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err == f"error: {source} entries must be finite\n"
 
     @pytest.mark.parametrize(
         "field, value",

@@ -13,9 +13,18 @@ from sephill.distributions import (
     sample_sphere,
     sample_variate,
 )
-from sephill.errors import DimensionMismatch, DomainError, NotPositiveDefinite
+from sephill import linalg
+from sephill.errors import (
+    DimensionMismatch,
+    DomainError,
+    NonFinite,
+    NonSymmetric,
+    NotPositiveDefinite,
+)
 from sephill.estimators import mahalanobis_distances
 from sephill.linalg import cholesky, spd_inverse
+
+EPS = np.finfo(float).eps
 
 
 class TestRngStream:
@@ -302,6 +311,47 @@ class TestEllipticalModel:
                 variate=GeneratingVariateSpec.t_radial(3.0, 5),
             )
 
+    def test_scatter_validated_and_factored_once(self, monkeypatch):
+        calls = {"check_symmetric": 0, "factor": 0}
+        check, factor = linalg.check_symmetric, np.linalg.cholesky
+
+        def counted_check(*args, **kwargs):
+            calls["check_symmetric"] += 1
+            return check(*args, **kwargs)
+
+        def counted_factor(*args, **kwargs):
+            calls["factor"] += 1
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "check_symmetric", counted_check)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_factor)
+        m = self._model()
+        assert calls == {"check_symmetric": 1, "factor": 1}
+        monkeypatch.undo()
+        assert m.sigma_inv.tobytes() == spd_inverse(m.sigma).tobytes()
+        assert m.lambda_chol.tobytes() == cholesky(m.sigma).tobytes()
+
+    @pytest.mark.parametrize(
+        "sigma, error",
+        [
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], NonSymmetric),
+            ([[1.0, np.inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], NonFinite),
+            ([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], NonSymmetric),
+            ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], NotPositiveDefinite),
+            (np.eye(3), DimensionMismatch),
+        ],
+        ids=["not-square", "non-finite", "asymmetric", "indefinite", "valid"],
+    )
+    def test_scatter_checked_before_dimensions(self, sigma, error):
+        # mu has dimension 2 in every case: a fault of the scatter itself
+        # is reported before the dimension mismatch
+        with pytest.raises(error):
+            EllipticalModel(
+                mu=np.zeros(2),
+                sigma=np.array(sigma),
+                variate=GeneratingVariateSpec.pareto(3.0),
+            )
+
 
 class TestSampleElliptical:
     def _model(self):
@@ -372,3 +422,116 @@ class TestSampleElliptical:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             sample_elliptical(self._model(), 0, RngStream(1, 0))
+
+
+def row_major_sphere(dim, gen, size):
+    """The row-major normalization: each row divided by its
+    ``np.linalg.norm``, a zero row pinned to the first axis."""
+    g = gen.standard_normal((size, dim))
+    norms = np.linalg.norm(g, axis=1)
+    zero = norms == 0.0
+    if np.any(zero):
+        g[zero, 0] = 1.0
+        norms[zero] = 1.0
+    return g / norms[:, None]
+
+
+def row_major_elliptical(model, n, stream):
+    """Radii then directions off one generator, each output coordinate
+    written into column ``j`` of an ``(n, d)`` array."""
+    gen = stream.generator()
+    radii = sample_variate(model.variate, gen, size=n)
+    u = row_major_sphere(model.dim, gen, n)
+    lower = model.lambda_chol
+    out = np.empty((n, model.dim))
+    for j in range(model.dim):
+        col = lower[j, 0] * u[:, 0]
+        for k in range(1, j + 1):
+            col += lower[j, k] * u[:, k]
+        col *= radii
+        col += model.mu[j]
+        out[:, j] = col
+    return out, radii
+
+
+def random_model(d, family):
+    rng = np.random.default_rng(100 + d)
+    a = rng.normal(size=(d, d))
+    variate = (
+        GeneratingVariateSpec.pareto(2.5)
+        if family == "pareto"
+        else GeneratingVariateSpec.t_radial(3.0, d)
+    )
+    return EllipticalModel(
+        mu=rng.normal(size=d), sigma=a @ a.T + d * np.eye(d), variate=variate
+    )
+
+
+class _ZeroRowGenerator(np.random.Generator):
+    """A generator whose standard normal draws have an all-zero row 1."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        g = super().standard_normal(size)
+        g[1] = 0.0
+        return g
+
+
+class TestColumnMajorSample:
+    """The sampler builds ``(d, n)`` columns and returns their transpose;
+    for d <= 7 the bytes are those of the row-major code above."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("n", [1, 2, 9, 1000])
+    @pytest.mark.parametrize("seed", [0, 31])
+    def test_sphere_bytes_match_row_major(self, d, n, seed):
+        stream = RngStream(seed, d)
+        u = sample_sphere(d, stream, size=n)
+        np.testing.assert_array_equal(u, row_major_sphere(d, stream.generator(), n))
+        assert u.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("n", [1, 9, 1000])
+    @pytest.mark.parametrize("family", ["pareto", "t-radial"])
+    def test_elliptical_bytes_match_row_major(self, d, n, family):
+        model = random_model(d, family)
+        for seed in (0, 31):
+            stream = RngStream(seed, d)
+            sample, radii = sample_elliptical(model, n, stream)
+            ref, ref_radii = row_major_elliptical(model, n, stream)
+            np.testing.assert_array_equal(sample, ref)
+            np.testing.assert_array_equal(radii, ref_radii)
+            assert sample.shape == (n, d) and sample.dtype == np.float64
+            assert sample.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("d", range(8, 13))
+    def test_wide_samples_agree_within_a_few_ulp(self, d):
+        # from d = 8 numpy's row reduction in np.linalg.norm sums pairwise,
+        # while the sampler sums the coordinates in order
+        model = random_model(d, "pareto")
+        stream = RngStream(5, d)
+        u = sample_sphere(d, stream, size=2000)
+        np.testing.assert_array_max_ulp(u, row_major_sphere(d, stream.generator(), 2000), maxulp=4)
+        sample, radii = sample_elliptical(model, 2000, stream)
+        ref, ref_radii = row_major_elliptical(model, 2000, stream)
+        np.testing.assert_array_equal(radii, ref_radii)
+        # coordinate j is r * sum_k L[j, k] * u[k] + mu[j] with |u[k]| <= 1;
+        # bound the gap by a few eps of the summed magnitudes
+        scale = radii[:, None] * np.abs(model.lambda_chol).sum(axis=1) + np.abs(model.mu)
+        assert np.all(np.abs(sample - ref) <= 4 * (d + 2) * EPS * scale)
+        assert sample.T.flags.c_contiguous
+
+    def test_elliptical_rows_output_is_column_major(self):
+        model = random_model(3, "pareto")
+        rows = elliptical_rows(model, np.ones(5), np.eye(3)[[0, 1, 2, 0, 1]])
+        assert rows.shape == (5, 3)
+        assert rows.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_vector_pinned_to_first_axis(self, d):
+        u = sample_sphere(d, _ZeroRowGenerator(np.random.Philox(8)), size=4)
+        expected = np.zeros(d)
+        expected[0] = 1.0
+        np.testing.assert_array_equal(u[1], expected)
+        ref = row_major_sphere(d, _ZeroRowGenerator(np.random.Philox(8)), 4)
+        np.testing.assert_array_equal(u, ref)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-15)

@@ -24,6 +24,7 @@ from sephill.errors import (
 from sephill import estimators
 from sephill.linalg import spd_inverse
 from sephill.estimators import (
+    ESTIMATOR_METHODS,
     MAX_ITER,
     MEDIAN_TOL,
     SAMPLE_MEAN_COV,
@@ -416,6 +417,38 @@ class TestEstimateLocationScatter:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             estimate_location_scatter(np.ones((10, 2)), "mle")
+
+
+class TestLayoutIndependence:
+    """``estimate`` fits row-major CSV data and ``experiment`` fits
+    column-major samples: the two layouts of one sample give the same
+    bytes."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_fits_and_distances_do_not_depend_on_layout(self, d):
+        model = EllipticalModel(
+            mu=np.linspace(-1.0, 2.0, d),
+            sigma=SHAPES.get(d, np.eye(d)),
+            variate=GeneratingVariateSpec.pareto(2.0),
+        )
+        sample, _ = sample_elliptical(model, 3000, RngStream(70, d))
+        col_major = np.asfortranarray(sample)
+        row_major = np.ascontiguousarray(sample)
+        assert col_major.T.flags.c_contiguous and row_major.flags.c_contiguous
+        for method in ESTIMATOR_METHODS:
+            f, c = (estimate_location_scatter(x, method) for x in (col_major, row_major))
+            for field in ("mu_hat", "sigma_hat", "sigma_hat_inv"):
+                assert getattr(f, field).tobytes() == getattr(c, field).tobytes()
+            assert (f.median_iterations, f.shape_iterations) == (
+                c.median_iterations,
+                c.shape_iterations,
+            )
+            dist_f = mahalanobis_distances(col_major, f.mu_hat, f.sigma_hat_inv)
+            dist_c = mahalanobis_distances(row_major, c.mu_hat, c.sigma_hat_inv)
+            assert dist_f.tobytes() == dist_c.tobytes()
+            hill_f = separating_hill(col_major, f.mu_hat, f.sigma_hat, k=60)
+            hill_c = separating_hill(row_major, c.mu_hat, c.sigma_hat, k=60)
+            assert hill_f == hill_c
 
 
 class TestHillPlot:
