@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .bounds import (
     PerturbationBound,
+    check_envelopes,
     complete_bound,
     delta_poly,
     log_ratio_bound,
@@ -57,6 +58,7 @@ from .montecarlo import (
 __all__ = [
     "__version__",
     "PerturbationBound",
+    "check_envelopes",
     "complete_bound",
     "delta_poly",
     "log_ratio_bound",

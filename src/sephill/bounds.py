@@ -192,39 +192,62 @@ class LogRatioReport:
     bound: float
 
 
+@dataclass(frozen=True)
+class EnvelopeSweep:
+    """Both envelope lemmas checked at every pivot of one ordered pair.
+
+    ``applicable`` and ``violations`` sum the per-pivot reports of both
+    lemmas; ``min_epsilon_slack`` and ``max_ratio_gap`` are taken over the
+    applicable checks only and are None when there is none;
+    ``ratio_bounds`` holds the log-ratio bound of each applicable ratio
+    check, in pivot order.
+    """
+
+    applicable: int
+    violations: int
+    min_epsilon_slack: float | None
+    max_ratio_gap: float | None
+    ratio_bounds: tuple[float, ...]
+
+
 def _check_ordered(values, name: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFinite(f"{name} must be finite")
-    if v.shape[0] > 1 and np.any(np.diff(v) > 0):
+    if (v[1:] > v[:-1]).any():
         raise DomainError(f"{name} must be sorted in descending order")
     return v
 
 
-def verify_epsilon_lemma(true_sq_dists, est_sq_dists, m_n: float, l: int) -> EpsilonLemmaReport:
-    """Check the squared-distance envelope at index ``l`` (1-based).
-
-    ``applicable`` reflects whether the envelope's preconditions hold for
-    the pivot ``sqrt(true_sq_dists[l-1])``; when they do, the inequality
-    ``|est^2 - true^2| <= delta_poly(m_n, pivot)`` is evaluated there and
-    ``max_slack`` reports the margin by which it holds.
-    """
-    t = _check_ordered(true_sq_dists, "true squared distances")
-    e = _check_ordered(est_sq_dists, "estimated squared distances")
+def _check_pair(true_values, est_values, kind: str, pivots) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two descending sequences of equal length and 1-based pivots."""
+    t = _check_ordered(true_values, f"true {kind}")
+    e = _check_ordered(est_values, f"estimated {kind}")
     if t.shape[0] != e.shape[0]:
         raise LengthMismatch(
             f"sequences have lengths {t.shape[0]} and {e.shape[0]}"
         )
     n = t.shape[0]
-    if not 1 <= l <= n:
-        raise DomainError(f"l must satisfy 1 <= l <= {n}, got {l}")
-    r_l = math.sqrt(max(float(t[l - 1]), 0.0))
+    for l in pivots:
+        if not 1 <= l <= n:
+            raise DomainError(f"l must satisfy 1 <= l <= {n}, got {l}")
+    return t, e
+
+
+def _check_positive(t: np.ndarray, e: np.ndarray) -> None:
+    # both sequences are descending, so their last entries are their minima
+    if not (t[-1] > 0.0 and e[-1] > 0.0):
+        raise NonPositiveDistance("all distances must be strictly positive")
+
+
+def _epsilon_at(t_sq: np.ndarray, e_sq: np.ndarray, m_n: float, l: int) -> EpsilonLemmaReport:
+    r_l = math.sqrt(max(float(t_sq[l - 1]), 0.0))
     applicable = m_n < 1.0 and r_l > pivot_threshold(m_n)
     if not applicable:
         return EpsilonLemmaReport(applicable=False, violations=0, max_slack=math.nan)
-    eps = abs(float(e[l - 1]) - float(t[l - 1]))
+    eps = abs(float(e_sq[l - 1]) - float(t_sq[l - 1]))
     envelope = delta_poly(m_n, r_l)
     return EpsilonLemmaReport(
         applicable=True,
@@ -233,24 +256,7 @@ def verify_epsilon_lemma(true_sq_dists, est_sq_dists, m_n: float, l: int) -> Eps
     )
 
 
-def verify_log_ratio_lemma(true_dists, est_dists, m_n: float, l: int) -> LogRatioReport:
-    """Check the log-ratio envelope for every index up to ``l`` (1-based).
-
-    Compares ``log(est[i]/est[l])`` with ``log(true[i]/true[l])`` for
-    ``i = 1..l`` against the bound from :func:`log_ratio_bound` at the true
-    pivot.  All distances must be strictly positive.
-    """
-    t = _check_ordered(true_dists, "true distances")
-    e = _check_ordered(est_dists, "estimated distances")
-    if t.shape[0] != e.shape[0]:
-        raise LengthMismatch(
-            f"sequences have lengths {t.shape[0]} and {e.shape[0]}"
-        )
-    n = t.shape[0]
-    if not 1 <= l <= n:
-        raise DomainError(f"l must satisfy 1 <= l <= {n}, got {l}")
-    if not (np.all(t > 0.0) and np.all(e > 0.0)):
-        raise NonPositiveDistance("all distances must be strictly positive")
+def _log_ratio_at(t: np.ndarray, e: np.ndarray, m_n: float, l: int) -> LogRatioReport:
     pivot_part = log_ratio_bound(m_n, float(t[l - 1]))
     flags = pivot_part.preconds
     applicable = flags.m_lt_one and flags.pivot_ok and flags.a_lt_one
@@ -267,4 +273,69 @@ def verify_log_ratio_lemma(true_dists, est_dists, m_n: float, l: int) -> LogRati
         violations=int(np.count_nonzero(gaps > bound)),
         max_ratio_gap=float(np.max(gaps)),
         bound=bound,
+    )
+
+
+def verify_epsilon_lemma(true_sq_dists, est_sq_dists, m_n: float, l: int) -> EpsilonLemmaReport:
+    """Check the squared-distance envelope at index ``l`` (1-based).
+
+    ``applicable`` reflects whether the envelope's preconditions hold for
+    the pivot ``sqrt(true_sq_dists[l-1])``; when they do, the inequality
+    ``|est^2 - true^2| <= delta_poly(m_n, pivot)`` is evaluated there and
+    ``max_slack`` reports the margin by which it holds.
+    """
+    t_sq, e_sq = _check_pair(true_sq_dists, est_sq_dists, "squared distances", (l,))
+    return _epsilon_at(t_sq, e_sq, m_n, l)
+
+
+def verify_log_ratio_lemma(true_dists, est_dists, m_n: float, l: int) -> LogRatioReport:
+    """Check the log-ratio envelope for every index up to ``l`` (1-based).
+
+    Compares ``log(est[i]/est[l])`` with ``log(true[i]/true[l])`` for
+    ``i = 1..l`` against the bound from :func:`log_ratio_bound` at the true
+    pivot.  All distances must be strictly positive.
+    """
+    t, e = _check_pair(true_dists, est_dists, "distances", (l,))
+    _check_positive(t, e)
+    return _log_ratio_at(t, e, m_n, l)
+
+
+def check_envelopes(true_dists, est_dists, m_n: float, pivots) -> EnvelopeSweep:
+    """Check both envelope lemmas at every pivot in one validated pass.
+
+    Equivalent to calling :func:`verify_epsilon_lemma` on the squared
+    distances and :func:`verify_log_ratio_lemma` on the distances at each
+    pivot ``l`` in ``pivots`` (a non-empty sequence of 1-based indices) and
+    summing the reports, and raises the same exceptions, but validates and
+    squares each sequence once.
+    """
+    t, e = _check_pair(true_dists, est_dists, "distances", pivots)
+    _check_positive(t, e)
+    t_sq, e_sq = t**2, e**2
+    for sq, name in ((t_sq, "true"), (e_sq, "estimated")):
+        if not math.isfinite(sq[0]):
+            raise NonFinite(f"{name} squared distances must be finite")
+    applicable = violations = 0
+    slack_min = gap_max = None
+    ratio_bounds = []
+    for l in pivots:
+        eps_rep = _epsilon_at(t_sq, e_sq, m_n, l)
+        if eps_rep.applicable:
+            applicable += 1
+            violations += eps_rep.violations
+            if slack_min is None or eps_rep.max_slack < slack_min:
+                slack_min = eps_rep.max_slack
+        ratio_rep = _log_ratio_at(t, e, m_n, l)
+        if ratio_rep.applicable:
+            applicable += 1
+            violations += ratio_rep.violations
+            if gap_max is None or ratio_rep.max_ratio_gap > gap_max:
+                gap_max = ratio_rep.max_ratio_gap
+            ratio_bounds.append(ratio_rep.bound)
+    return EnvelopeSweep(
+        applicable=applicable,
+        violations=violations,
+        min_epsilon_slack=slack_min,
+        max_ratio_gap=gap_max,
+        ratio_bounds=tuple(ratio_bounds),
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import io
 import json
 import math
@@ -441,12 +442,14 @@ def cmd_verify_bounds(args) -> int:
     scale = args.perturbation_scale
     d, n = args.dim, args.n
 
+    pivots = sorted({1, math.ceil(math.sqrt(n)), math.ceil(n / 10)})
+
     applicable_count = 0
     violations = 0
-    max_ratio_gap = None
+    slacks = []
+    ratio_gaps = []
     m_values = []
     bound_values = []
-    slack_min = None
 
     for trial in range(args.trials):
         gen = RngStream(seed, trial).generator()
@@ -472,26 +475,15 @@ def cmd_verify_bounds(args) -> int:
         est_ordered = order_desc(
             mahalanobis_distances(sample, mu_hat, sigma_hat_inv)
         )
-        ls = sorted({1, math.ceil(math.sqrt(n)), math.ceil(n / 10)})
-        for l in ls:
-            eps_rep = bounds.verify_epsilon_lemma(
-                true_ordered**2, est_ordered**2, coeffs.m_n, l
-            )
-            if eps_rep.applicable:
-                applicable_count += 1
-                violations += eps_rep.violations
-                if slack_min is None or eps_rep.max_slack < slack_min:
-                    slack_min = eps_rep.max_slack
-            ratio_rep = bounds.verify_log_ratio_lemma(
-                true_ordered, est_ordered, coeffs.m_n, l
-            )
-            if ratio_rep.applicable:
-                applicable_count += 1
-                violations += ratio_rep.violations
-                if max_ratio_gap is None or ratio_rep.max_ratio_gap > max_ratio_gap:
-                    max_ratio_gap = ratio_rep.max_ratio_gap
-                m_values.append(coeffs.m_n)
-                bound_values.append(ratio_rep.bound)
+        sweep = bounds.check_envelopes(true_ordered, est_ordered, coeffs.m_n, pivots)
+        applicable_count += sweep.applicable
+        violations += sweep.violations
+        if sweep.min_epsilon_slack is not None:
+            slacks.append(sweep.min_epsilon_slack)
+        if sweep.max_ratio_gap is not None:
+            ratio_gaps.append(sweep.max_ratio_gap)
+        m_values.extend([coeffs.m_n] * len(sweep.ratio_bounds))
+        bound_values.extend(sweep.ratio_bounds)
 
     def _stats(vals):
         if not vals:
@@ -517,11 +509,11 @@ def cmd_verify_bounds(args) -> int:
         "trials": args.trials,
         "applicable_count": applicable_count,
         "violations": violations,
-        "max_ratio_gap": max_ratio_gap,
+        "max_ratio_gap": max(ratio_gaps, default=None),
         "bound_stats": {
             "m_n": _stats(m_values),
             "log_ratio_bound": _stats(bound_values),
-            "min_epsilon_slack": slack_min,
+            "min_epsilon_slack": min(slacks, default=None),
         },
         "manifest": build_manifest("verify-bounds", config, seed),
     }
@@ -702,6 +694,7 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=float, help="degrees of freedom for t-radial")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sephill",

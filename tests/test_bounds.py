@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sephill.bounds import (
+    check_envelopes,
     complete_bound,
     delta_poly,
     log_ratio_bound,
@@ -16,6 +17,7 @@ from sephill.errors import (
     DimensionMismatch,
     DomainError,
     LengthMismatch,
+    NonFinite,
     NonPositiveDistance,
 )
 from sephill.linalg import spd_inverse, spectral_norm
@@ -396,3 +398,106 @@ def test_scaled_bound_vanishes_along_root_k_schedule():
         assert scaled < prev
         prev = scaled
     assert prev < 0.01
+
+
+def summed_per_pivot(t, e, m_n, pivots):
+    """What check_envelopes must equal: the verifiers' per-pivot reports,
+    summed the way a sweep over ``pivots`` sums them."""
+    applicable = violations = 0
+    slacks, gaps, bounds = [], [], []
+    for l in pivots:
+        eps = verify_epsilon_lemma(t**2, e**2, m_n, l)
+        lr = verify_log_ratio_lemma(t, e, m_n, l)
+        applicable += int(eps.applicable) + int(lr.applicable)
+        violations += eps.violations + lr.violations
+        if eps.applicable:
+            slacks.append(eps.max_slack)
+        if lr.applicable:
+            gaps.append(lr.max_ratio_gap)
+            bounds.append(lr.bound)
+    return applicable, violations, min(slacks, default=None), max(gaps, default=None), tuple(bounds)
+
+
+def random_ordered_pair(gen, n, noise):
+    t = np.sort(gen.pareto(3.0, n) + 0.05)[::-1]
+    e = np.sort(t * np.exp(noise * gen.normal(size=n)))[::-1]
+    return t, e
+
+
+class TestCheckEnvelopes:
+    def _sweep_tuple(self, t, e, m_n, pivots):
+        s = check_envelopes(t, e, m_n, pivots)
+        return s.applicable, s.violations, s.min_epsilon_slack, s.max_ratio_gap, s.ratio_bounds
+
+    def test_matches_summed_verifiers_on_random_pairs(self):
+        gen = np.random.default_rng(1313)
+        seen_applicable = seen_violation = seen_mixed = 0
+        for _ in range(300):
+            n = int(gen.integers(1, 200))
+            t, e = random_ordered_pair(gen, n, 10.0 ** gen.uniform(-6.0, 0.0))
+            m_n = float(gen.choice([0.0, 10.0 ** gen.uniform(-6.0, 0.2)]))
+            pivots = sorted(set(gen.integers(1, n + 1, size=int(gen.integers(1, 6)))) | {1, n})
+            got = self._sweep_tuple(t, e, m_n, pivots)
+            assert got == summed_per_pivot(t, e, m_n, pivots)
+            seen_applicable += got[0] > 0
+            seen_violation += got[1] > 0
+            seen_mixed += 0 < got[0] < 2 * len(pivots)
+        # the pairs must reach every branch of both lemmas
+        assert seen_applicable and seen_violation and seen_mixed
+
+    def test_pivot_order_kept(self):
+        gen = np.random.default_rng(7)
+        t, e = random_ordered_pair(gen, 300, 1e-4)
+        forward = check_envelopes(t, e, 1e-3, [1, 18, 30, 300])
+        backward = check_envelopes(t, e, 1e-3, [300, 30, 18, 1])
+        assert len(forward.ratio_bounds) == 4
+        assert forward.ratio_bounds == backward.ratio_bounds[::-1]
+        assert forward.ratio_bounds == summed_per_pivot(t, e, 1e-3, [1, 18, 30, 300])[4]
+
+    def test_zero_perturbation_binds_everywhere(self):
+        t, _ = random_ordered_pair(np.random.default_rng(3), 50, 0.0)
+        pivots = [1, 8, 50]
+        sweep = check_envelopes(t, t.copy(), 0.0, pivots)
+        assert sweep.applicable == 2 * len(pivots)
+        assert sweep.violations == 0
+        assert sweep.max_ratio_gap == 0.0
+        assert sweep.min_epsilon_slack == 0.0
+        assert sweep.ratio_bounds == (0.0, 0.0, 0.0)
+        assert self._sweep_tuple(t, t.copy(), 0.0, pivots) == summed_per_pivot(t, t.copy(), 0.0, pivots)
+
+    def test_huge_perturbation_never_applicable(self):
+        t, e = random_ordered_pair(np.random.default_rng(4), 50, 1.0)
+        sweep = check_envelopes(t, e, 5.0, [1, 8, 50])
+        assert (sweep.applicable, sweep.violations) == (0, 0)
+        assert sweep.min_epsilon_slack is None
+        assert sweep.max_ratio_gap is None
+        assert sweep.ratio_bounds == ()
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_first_and_last_pivot(self, n):
+        t, e = random_ordered_pair(np.random.default_rng(n), n, 1e-3)
+        for pivots in ([1], [n], [1, n]):
+            assert self._sweep_tuple(t, e, 1e-3, pivots) == summed_per_pivot(t, e, 1e-3, pivots)
+
+    @pytest.mark.parametrize(
+        "t, e, pivots, error",
+        [
+            ([4.0, np.nan], [4.0, 1.0], [1], NonFinite),
+            ([4.0, 1.0], [np.inf, 1.0], [1], NonFinite),
+            ([1e200, 1.0], [1e200, 1.0], [1], NonFinite),  # squares overflow
+            ([1.0, 4.0], [4.0, 1.0], [1], DomainError),
+            ([4.0, 1.0], [1.0, 4.0], [1], DomainError),
+            ([4.0, 1.0], [4.0], [1], LengthMismatch),
+            ([4.0, 1.0], [4.0, 1.0], [0], DomainError),
+            ([4.0, 1.0], [4.0, 1.0], [1, 3], DomainError),
+            ([4.0, 0.0], [4.0, 1.0], [1], NonPositiveDistance),
+            ([4.0, 1.0], [4.0, -1.0], [1], NonPositiveDistance),
+            ([[4.0, 1.0]], [[4.0, 1.0]], [1], DimensionMismatch),
+        ],
+    )
+    def test_raises_what_the_verifiers_raise(self, t, e, pivots, error):
+        t, e = np.asarray(t), np.asarray(e)
+        with np.errstate(over="ignore"), pytest.raises(error):
+            check_envelopes(t, e, 0.1, pivots)
+        with np.errstate(over="ignore"), pytest.raises(error):
+            summed_per_pivot(t, e, 0.1, pivots)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sephill import cli
+from sephill import bounds, cli, linalg
 from sephill.distributions import (
     EllipticalModel,
     GeneratingVariateSpec,
@@ -22,6 +22,8 @@ from sephill.estimators import (
     SAMPLE_MEAN_COV,
     SPATIAL_MEDIAN_TYLER,
     estimate_location_scatter,
+    mahalanobis_distances,
+    order_desc,
     separating_hill,
 )
 from sephill.montecarlo import AggregateStats
@@ -537,6 +539,171 @@ class TestVerifyBounds:
         )
         assert code == 0
         assert json.loads(out.read_text())["violations"] == 0
+
+
+def per_pivot_verify_bounds(family, alpha, nu, dim, n, scale, trials, seed, out):
+    """The verify-bounds JSON as the per-pivot sweep wrote it: each trial
+    calls both verifiers at each pivot and folds their reports one by one."""
+    variate = cli.build_variate(family, alpha, nu, dim)
+    d = dim
+    applicable_count = 0
+    violations = 0
+    max_ratio_gap = None
+    m_values = []
+    bound_values = []
+    slack_min = None
+    for trial in range(trials):
+        gen = RngStream(seed, trial).generator()
+        mu = gen.normal(0.0, 1.0, d)
+        g = gen.normal(0.0, 1.0, (d, d))
+        sigma = np.einsum("ik,jk->ij", g, g) / d + 0.5 * np.eye(d)
+        sigma = 0.5 * (sigma + sigma.T)
+        model = EllipticalModel(mu=mu, sigma=sigma, variate=variate)
+        sample, _ = sample_elliptical(model, n, gen)
+        sigma_inv = model.sigma_inv
+        w = gen.normal(0.0, 1.0, (d, d))
+        sigma_hat_inv = sigma_inv + scale * np.einsum("ik,jk->ij", w, w) / d
+        sigma_hat_inv = 0.5 * (sigma_hat_inv + sigma_hat_inv.T)
+        mu_hat = mu + scale * gen.normal(0.0, 1.0, d)
+        coeffs = bounds.perturbation_coefficients(
+            mu, sigma_inv, mu_hat, sigma_hat_inv, linalg.spectral_norm(sigma)
+        )
+        true_ordered = order_desc(mahalanobis_distances(sample, mu, sigma_inv))
+        est_ordered = order_desc(mahalanobis_distances(sample, mu_hat, sigma_hat_inv))
+        for l in sorted({1, math.ceil(math.sqrt(n)), math.ceil(n / 10)}):
+            eps_rep = bounds.verify_epsilon_lemma(
+                true_ordered**2, est_ordered**2, coeffs.m_n, l
+            )
+            if eps_rep.applicable:
+                applicable_count += 1
+                violations += eps_rep.violations
+                if slack_min is None or eps_rep.max_slack < slack_min:
+                    slack_min = eps_rep.max_slack
+            ratio_rep = bounds.verify_log_ratio_lemma(
+                true_ordered, est_ordered, coeffs.m_n, l
+            )
+            if ratio_rep.applicable:
+                applicable_count += 1
+                violations += ratio_rep.violations
+                if max_ratio_gap is None or ratio_rep.max_ratio_gap > max_ratio_gap:
+                    max_ratio_gap = ratio_rep.max_ratio_gap
+                m_values.append(coeffs.m_n)
+                bound_values.append(ratio_rep.bound)
+
+    def _stats(vals):
+        if not vals:
+            return None
+        arr = np.asarray(vals, dtype=float)
+        return {"min": float(arr.min()), "mean": float(arr.mean()), "max": float(arr.max())}
+
+    config = {
+        "trials": trials, "n": n, "dim": d, "family": family, "alpha": alpha,
+        "nu": nu, "perturbation_scale": scale, "out": out,
+    }
+    payload = {
+        "trials": trials,
+        "applicable_count": applicable_count,
+        "violations": violations,
+        "max_ratio_gap": max_ratio_gap,
+        "bound_stats": {
+            "m_n": _stats(m_values),
+            "log_ratio_bound": _stats(bound_values),
+            "min_epsilon_slack": slack_min,
+        },
+        "manifest": cli.build_manifest("verify-bounds", config, seed),
+    }
+    return cli.dumps_json(payload) + "\n"
+
+
+class TestVerifyBoundsOnePass:
+    """verify-bounds checks every pivot in one validated pass per trial; its
+    JSON is byte for byte that of the per-pivot sweep above."""
+
+    FAMILIES = {
+        "pareto": (["--alpha", "3"], 3.0, None),
+        "t-radial": (["--nu", "3"], None, 3.0),
+        "frechet": (["--alpha", "2"], 2.0, None),
+    }
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("scale", ["0", "1e-3", "1e6"])
+    def test_json_bytes_match_per_pivot_sweep(self, tmp_path, dim, family, scale):
+        shape, alpha, nu = self.FAMILIES[family]
+        out = tmp_path / "vb.json"
+        code = cli.main(
+            ["verify-bounds", "--family", family, *shape, "--trials", "4",
+             "--n", "120", "--dim", str(dim), "--perturbation-scale", scale,
+             "--seed", "11", "--out", str(out)]
+        )
+        assert code == 0
+        expected = per_pivot_verify_bounds(
+            family, alpha, nu, dim, 120, float(scale), 4, 11, str(out)
+        )
+        assert out.read_text() == expected
+
+    def test_mixed_applicability_matches(self, tmp_path):
+        # scale 0.05 leaves some pivots applicable and others not, so the
+        # per-trial minima and maxima are folded across partial sweeps
+        out = tmp_path / "mixed.json"
+        argv = ["verify-bounds", "--family", "pareto", "--alpha", "3", "--trials", "12",
+                "--n", "300", "--dim", "2", "--perturbation-scale", "0.05",
+                "--seed", "5", "--out", str(out)]
+        assert cli.main(argv) == 0
+        payload = json.loads(out.read_text())
+        assert 0 < payload["applicable_count"] < 6 * 12
+        assert out.read_text() == per_pivot_verify_bounds(
+            "pareto", 3.0, None, 2, 300, 0.05, 12, 5, str(out)
+        )
+
+
+class TestParserReuse:
+    """The parser is built once per process and keeps no state between
+    calls: every call prints what it prints on a freshly built parser."""
+
+    CALLS = [
+        ["verify-bounds", "--family", "pareto", "--alpha", "3", "--n", "40",
+         "--dim", "2", "--trials", "2", "--perturbation-scale", "1e-3", "--seed", "2"],
+        ["verify-bounds", "--family", "pareto", "--n", "40"],  # missing flags: exit 2
+        ["estimate", "--method", "bogus", "--data", "x.csv"],  # bad choice: exit 2
+        ["--version"],
+        ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2", "--n", "3",
+         "--seed", "4"],
+        ["verify-bounds", "--family", "pareto", "--alpha", "3", "--n", "40",
+         "--dim", "2", "--trials", "2", "--perturbation-scale", "1e-3", "--seed", "2"],
+    ]
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_matches_fresh(self, capsys):
+        reused = [self._run(argv, capsys) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            cli.build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        assert [r[0] for r in reused] == [0, 2, 2, 0, 0, 0]
+        assert reused == fresh
+        assert reused[0] == reused[-1]
+        assert "the following arguments are required" in reused[1][2]
+        assert "sephill" in reused[3][1]
+
+    def test_namespaces_do_not_share_defaults(self):
+        parser = cli.build_parser()
+        first = parser.parse_args(
+            ["experiment", "--family", "pareto", "--alpha", "3", "--dim", "2"]
+        )
+        second = parser.parse_args(["estimate", "--data", "x.csv"])
+        assert first.method == "mean-cov"
+        assert second.method is None
+        assert not hasattr(second, "workers")
+        assert second.func is cli.cmd_estimate
 
 
 class TestExperiment:
