@@ -34,7 +34,7 @@ print(f"known mu/sigma:      gamma_hat = {known.gamma_hat:.4f}")
 
 for method in ("sample_mean_cov", "spatial_median_tyler"):
     fit = estimate_location_scatter(sample, method)
-    est = separating_hill(sample, fit.mu_hat, fit.sigma_hat, k, source=method)
+    est = separating_hill(sample, fit.mu_hat, fit.sigma_hat, k)
     extra = (
         f"  ({fit.median_iterations} Weiszfeld + {fit.shape_iterations} Tyler steps)"
         if fit.median_iterations

@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .bounds import (
     PerturbationBound,
+    PerturbationCoefficients,
     check_envelopes,
     complete_bound,
     delta_poly,
@@ -58,6 +59,7 @@ from .montecarlo import (
 __all__ = [
     "__version__",
     "PerturbationBound",
+    "PerturbationCoefficients",
     "check_envelopes",
     "complete_bound",
     "delta_poly",

@@ -13,7 +13,7 @@ verifiers that check the inequalities on concrete ordered samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
     NonFinite,
     NonPositiveDistance,
 )
+from .estimators import check_ordered
 
 
 @dataclass(frozen=True)
@@ -38,27 +39,37 @@ class PreconditionFlags:
 
 
 @dataclass(frozen=True)
-class PerturbationBound:
-    """Envelope quantities for one (estimate, pivot) configuration.
+class PerturbationCoefficients:
+    """Envelope coefficients of one location/scatter estimate.
 
     ``a_coef``/``b_coef``/``c_coef`` bound the perturbation of the squared
     quadratic form in the quadratic, linear and constant term; ``m_n`` is
-    their scale-adjusted maximum.  Given a pivot distance ``r_pivot``, the
-    derived ``a_n`` bounds the relative movement of distance ratios and
-    ``b_n`` the movement of their logarithms (capped at log 2 once ``a_n``
-    exceeds one half).  Fields not yet populated are NaN; ``preconds`` is
-    None until a pivot has been supplied.
+    their scale-adjusted maximum, and ``lambda_max`` the largest eigenvalue
+    of the true scatter it was scaled by.
     """
 
-    a_coef: float = math.nan
-    b_coef: float = math.nan
-    c_coef: float = math.nan
-    m_n: float = math.nan
-    lambda_max: float = math.nan
-    r_pivot: float = math.nan
-    a_n: float = math.nan
-    b_n: float = math.nan
-    preconds: PreconditionFlags | None = None
+    a_coef: float
+    b_coef: float
+    c_coef: float
+    m_n: float
+    lambda_max: float
+
+
+@dataclass(frozen=True)
+class PerturbationBound:
+    """Log-ratio envelope of an envelope constant at one pivot distance.
+
+    ``a_n`` bounds the relative movement of distance ratios and ``b_n``
+    the movement of their logarithms (capped at log 2 once ``a_n``
+    exceeds one half); ``preconds`` records which applicability
+    conditions hold.
+    """
+
+    m_n: float
+    r_pivot: float
+    a_n: float
+    b_n: float
+    preconds: PreconditionFlags
 
 
 def pivot_threshold(m_n: float) -> float:
@@ -70,7 +81,7 @@ def pivot_threshold(m_n: float) -> float:
 
 def perturbation_coefficients(
     mu, sigma_inv, mu_hat, sigma_hat_inv, lambda_max: float
-) -> PerturbationBound:
+) -> PerturbationCoefficients:
     """Envelope coefficients for a location/scatter estimate.
 
     Parameters
@@ -84,9 +95,8 @@ def perturbation_coefficients(
 
     Returns
     -------
-    PerturbationBound
-        With ``a_coef``, ``b_coef``, ``c_coef``, ``m_n`` and ``lambda_max``
-        populated.  All matrix norms are spectral, vector norms Euclidean.
+    PerturbationCoefficients
+        All matrix norms are spectral, vector norms Euclidean.
     """
     mu = np.asarray(mu, dtype=float)
     mu_hat = np.asarray(mu_hat, dtype=float)
@@ -117,7 +127,7 @@ def perturbation_coefficients(
         math.sqrt(lambda_max) * (2.0 * norm_mu * a_coef + b_coef),
         a_coef * norm_mu**2 + b_coef * norm_mu + c_coef,
     )
-    return PerturbationBound(
+    return PerturbationCoefficients(
         a_coef=a_coef,
         b_coef=b_coef,
         c_coef=c_coef,
@@ -161,16 +171,9 @@ def log_ratio_bound(m_n: float, r_pivot: float) -> PerturbationBound:
     )
 
 
-def complete_bound(coefficients: PerturbationBound, r_pivot: float) -> PerturbationBound:
-    """Fill the pivot-dependent half of a coefficient-only bound."""
-    pivot_part = log_ratio_bound(coefficients.m_n, r_pivot)
-    return replace(
-        coefficients,
-        r_pivot=pivot_part.r_pivot,
-        a_n=pivot_part.a_n,
-        b_n=pivot_part.b_n,
-        preconds=pivot_part.preconds,
-    )
+def complete_bound(coefficients: PerturbationCoefficients, r_pivot: float) -> PerturbationBound:
+    """The log-ratio envelope of ``coefficients.m_n`` at ``r_pivot``."""
+    return log_ratio_bound(coefficients.m_n, r_pivot)
 
 
 @dataclass(frozen=True)
@@ -210,21 +213,10 @@ class EnvelopeSweep:
     ratio_bounds: tuple[float, ...]
 
 
-def _check_ordered(values, name: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise NonFinite(f"{name} must be finite")
-    if (v[1:] > v[:-1]).any():
-        raise DomainError(f"{name} must be sorted in descending order")
-    return v
-
-
 def _check_pair(true_values, est_values, kind: str, pivots) -> tuple[np.ndarray, np.ndarray]:
     """Validate two descending sequences of equal length and 1-based pivots."""
-    t = _check_ordered(true_values, f"true {kind}")
-    e = _check_ordered(est_values, f"estimated {kind}")
+    t = check_ordered(true_values, f"true {kind}")
+    e = check_ordered(est_values, f"estimated {kind}")
     if t.shape[0] != e.shape[0]:
         raise LengthMismatch(
             f"sequences have lengths {t.shape[0]} and {e.shape[0]}"

@@ -324,13 +324,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _check_k_range(ks: list[int], n: int) -> None:
+    for k in ks:
+        if not 1 <= k <= n - 1:
+            raise ConfigError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
+
+
 def _parse_k_values(args, n: int) -> list[int]:
     if (args.k is None) == (args.k_list is None):
         raise ConfigError("exactly one of --k and --k-list is required")
     ks = [args.k] if args.k is not None else parse_int_list(args.k_list, "--k-list")
-    for k in ks:
-        if not 1 <= k <= n - 1:
-            raise ConfigError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
+    _check_k_range(ks, n)
     return ks
 
 
@@ -410,9 +414,7 @@ def cmd_hillplot(args) -> int:
         raise ConfigError(
             f"empty k range: --k-min {args.k_min} > --k-max {args.k_max}"
         )
-    for k in ks:
-        if not 1 <= k <= n - 1:
-            raise ConfigError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
+    _check_k_range(ks, n)
     loc, method_name, _ = _location_scatter_from_args(args, data)
     series = hill_plot(data, loc, ks)
     config = {

@@ -75,17 +75,6 @@ def _materialize(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-@dataclass(frozen=True)
-class SecondOrder:
-    """Second-order tail regularity: exponent ``rho <= 0`` and the limit
-    ``lambda_limit`` of the scaled bias along the tail-fraction schedule.
-    An exact power tail is marked by ``rho = -inf`` and ``lambda_limit = 0``.
-    """
-
-    rho: float
-    lambda_limit: float
-
-
 def _positive_real(value, name: str) -> float:
     """``value`` as a float, if it is a finite positive real number (a bool
     is not); otherwise :class:`DomainError`."""
@@ -149,26 +138,13 @@ class GeneratingVariateSpec:
         return 1.0 / self.alpha
 
     @property
-    def second_order(self) -> SecondOrder | None:
-        """Known second-order regularity, or None when we do not pin it down.
-
-        Only the exact power tail is certified here; for the other families
-        the harness treats the limiting bias as unknown.
-        """
-        if self.family == PARETO:
-            return SecondOrder(rho=-np.inf, lambda_limit=0.0)
-        return None
-
-    @property
     def limit_bias(self) -> float | None:
-        """Centre ``lambda / (1 - rho)`` of the limiting normal law, when the
-        second-order behaviour is known; None otherwise."""
-        so = self.second_order
-        if so is None:
-            return None
-        if so.lambda_limit == 0.0:
+        """Centre of the limiting normal law of ``sqrt(k) (gamma_hat -
+        gamma)``, when it is certified: 0 for the exact power tail of
+        Pareto, None for the other families."""
+        if self.family == PARETO:
             return 0.0
-        return so.lambda_limit / (1.0 - so.rho)
+        return None
 
     # -- distribution function -------------------------------------------
 

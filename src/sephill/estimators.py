@@ -49,7 +49,6 @@ class HillEstimate:
     gamma_hat: float
     k: int
     n: int
-    location_scatter_source: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +80,21 @@ def as_sample(sample) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFinite("sample entries must be finite")
     return x
+
+
+def check_ordered(values, name: str) -> np.ndarray:
+    """Validate a sequence sorted in descending order: 1-d, finite, float.
+
+    ``name`` names the sequence in error messages.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise NonFinite(f"{name} must be finite")
+    if (v[1:] > v[:-1]).any():
+        raise DomainError(f"{name} must be sorted in descending order")
+    return v
 
 
 def order_desc(values, top: int | None = None) -> np.ndarray:
@@ -121,22 +135,16 @@ def _hill_from_ordered(ordered: np.ndarray, k: int) -> float:
     return max(value, 0.0)
 
 
-def univariate_hill(ordered, k: int, source: str = "direct") -> HillEstimate:
+def univariate_hill(ordered, k: int) -> HillEstimate:
     """Hill estimator from distances already sorted in descending order.
 
     Averages ``log(ordered[i] / ordered[k])`` over the top ``k`` entries
     (0-based: entries ``0..k-1`` against pivot ``ordered[k]``).  The result
     is nonnegative and invariant to positive rescaling of all distances.
     """
-    v = np.asarray(ordered, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected 1-d ordered distances, got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFinite("distances must be finite")
-    if v.shape[0] > 1 and np.any(np.diff(v) > 0):
-        raise DomainError("distances must be sorted in descending order")
+    v = check_ordered(ordered, "distances")
     gamma = _hill_from_ordered(v, int(k))
-    return HillEstimate(gamma_hat=gamma, k=int(k), n=v.shape[0], location_scatter_source=source)
+    return HillEstimate(gamma_hat=gamma, k=int(k), n=v.shape[0])
 
 
 def mahalanobis_distances(sample, mu, sigma_inv) -> np.ndarray:
@@ -178,7 +186,7 @@ def mahalanobis_distances(sample, mu, sigma_inv) -> np.ndarray:
     return np.sqrt(q, out=q)
 
 
-def separating_hill(sample, mu, sigma, k: int, source: str = TRUE_PARAMS) -> HillEstimate:
+def separating_hill(sample, mu, sigma, k: int) -> HillEstimate:
     """Separating Hill estimator of the extreme value index.
 
     Inverts ``sigma`` once, computes the distance of every row from ``mu``
@@ -189,9 +197,7 @@ def separating_hill(sample, mu, sigma, k: int, source: str = TRUE_PARAMS) -> Hil
     dists = mahalanobis_distances(sample, mu, sigma_inv)
     ordered = order_desc(dists)
     gamma = _hill_from_ordered(ordered, int(k))
-    return HillEstimate(
-        gamma_hat=gamma, k=int(k), n=ordered.shape[0], location_scatter_source=source
-    )
+    return HillEstimate(gamma_hat=gamma, k=int(k), n=ordered.shape[0])
 
 
 def _centred_columns(sample) -> tuple[np.ndarray, np.ndarray]:
@@ -548,8 +554,7 @@ def hill_plot(sample, loc_scatter: LocationScatterEstimate, k_values) -> list[tu
 
     Returns ``[(k, gamma_hat), ...]`` in the order the k values were given.
     """
-    x = as_sample(sample)
+    dists = mahalanobis_distances(sample, loc_scatter.mu_hat, loc_scatter.sigma_hat_inv)
     ks = [int(k) for k in k_values]
-    dists = mahalanobis_distances(x, loc_scatter.mu_hat, loc_scatter.sigma_hat_inv)
     ordered = order_desc(dists)
     return [(k, _hill_from_ordered(ordered, k)) for k in ks]

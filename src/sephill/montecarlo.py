@@ -274,7 +274,7 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     ordered_true = order_desc(
         mahalanobis_distances(sample, model.mu, sigma_inv), top=k + 1
     )
-    gamma_true = univariate_hill(ordered_true, k, source=TRUE_PARAMS).gamma_hat
+    gamma_true = univariate_hill(ordered_true, k).gamma_hat
 
     method = config.estimator_method
     if method == TRUE_PARAMS:
@@ -291,9 +291,7 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
             mahalanobis_distances(sample, loc.mu_hat, loc.sigma_hat_inv),
             top=k + 1,
         )
-        gamma_est = univariate_hill(
-            ordered_est, k, source=f"estimated:{method}"
-        ).gamma_hat
+        gamma_est = univariate_hill(ordered_est, k).gamma_hat
 
     ref = config.envelope_reference
     coeffs = bounds_mod.perturbation_coefficients(

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sephill.bounds import (
+    PerturbationBound,
+    PerturbationCoefficients,
     check_envelopes,
     complete_bound,
     delta_poly,
@@ -194,21 +198,19 @@ class TestLogRatioBound:
 
 
 class TestCompleteBound:
-    def test_fills_derived_fields(self):
+    def test_is_log_ratio_bound_of_m_n(self):
         c = coeffs([0.0, 0.0], np.eye(2), [0.1, 0.0], np.eye(2), 1.0)
-        assert np.isnan(c.a_n) and np.isnan(c.b_n)
-        full = complete_bound(c, r_pivot=10.0)
-        assert full.a_coef == c.a_coef
-        assert full.m_n == c.m_n
-        lr = log_ratio_bound(c.m_n, 10.0)
-        assert full.a_n == lr.a_n
-        assert full.b_n == lr.b_n
-        assert full.preconds == lr.preconds
+        assert complete_bound(c, 10.0) == log_ratio_bound(c.m_n, 10.0)
 
-    def test_original_untouched(self):
-        c = coeffs([0.0], np.eye(1), [0.0], np.eye(1), 1.0)
-        complete_bound(c, 1.0)
-        assert c.preconds is None
+
+@pytest.mark.parametrize("record", [PerturbationCoefficients, PerturbationBound])
+def test_records_have_no_field_defaults(record):
+    # every field is computed by the function that builds the record
+    for field in dataclasses.fields(record):
+        assert field.default is dataclasses.MISSING
+        assert field.default_factory is dataclasses.MISSING
+    with pytest.raises(TypeError):
+        record()
 
 
 def shrink_factor(m_n, x):

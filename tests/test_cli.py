@@ -480,6 +480,16 @@ class TestHillplot:
              "--k-step", "0", "--mu", "0,0", "--sigma", "identity"]
         ) == 2
 
+    def test_k_out_of_range(self, tmp_path, capsys):
+        # the same check and message as `estimate --k`
+        data = write_ladder_csv(tmp_path / "l.csv")
+        code = cli.main(
+            ["hillplot", "--data", data, "--k-min", "2", "--k-max", "4",
+             "--mu", "0,0", "--sigma", "identity"]
+        )
+        assert code == 2
+        assert "k must satisfy 1 <= k <= n - 1 = 3, got 4" in capsys.readouterr().err
+
 
 class TestVerifyBounds:
     def _run(self, tmp_path, name, scale, seed="3", extra=()):

@@ -57,16 +57,10 @@ class TestVariateSpec:
         assert GeneratingVariateSpec.frechet(2.0).gamma == 0.5
         assert GeneratingVariateSpec.t_radial(3.0, 2).gamma == pytest.approx(1 / 3)
 
-    def test_second_order_exact_power_tail(self):
-        so = GeneratingVariateSpec.pareto(2.0).second_order
-        assert so.rho == -np.inf
-        assert so.lambda_limit == 0.0
+    def test_limit_bias_certified_only_for_exact_power_tail(self):
         assert GeneratingVariateSpec.pareto(2.0).limit_bias == 0.0
-
-    def test_second_order_unknown_for_other_families(self):
-        assert GeneratingVariateSpec.frechet(2.0).second_order is None
         assert GeneratingVariateSpec.frechet(2.0).limit_bias is None
-        assert GeneratingVariateSpec.t_radial(2.0, 3).second_order is None
+        assert GeneratingVariateSpec.t_radial(2.0, 3).limit_bias is None
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_bad_alpha(self, alpha):

@@ -31,6 +31,7 @@ from sephill.estimators import (
     SHAPE_TOL,
     SPATIAL_MEDIAN_TYLER,
     TRUE_PARAMS,
+    check_ordered,
     estimate_location_scatter,
     hill_plot,
     mahalanobis_distances,
@@ -83,9 +84,27 @@ class TestUnivariateHill:
         with pytest.raises(NonFinite):
             univariate_hill([np.inf, 2.0, 1.0], k=1)
 
-    def test_source_label(self):
-        est = univariate_hill([4.0, 2.0, 1.0], k=1, source="direct")
-        assert est.location_scatter_source == "direct"
+
+class TestCheckOrdered:
+    def test_returns_float_array_keeping_ties(self):
+        v = check_ordered([3, 2, 2, 1], "x")
+        assert v.dtype == np.float64
+        np.testing.assert_array_equal(v, [3.0, 2.0, 2.0, 1.0])
+        assert check_ordered([], "x").shape == (0,)
+        assert check_ordered([5.0], "x").shape == (1,)
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ([[2.0, 1.0]], DimensionMismatch),
+            ([2.0, np.nan, 1.0], NonFinite),
+            ([1.0, 2.0], DomainError),
+        ],
+        ids=["2-d", "nan", "ascending"],
+    )
+    def test_rejects_with_name(self, values, error):
+        with pytest.raises(error, match="seq"):
+            check_ordered(values, "seq")
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,7 +210,6 @@ class TestSeparatingHill:
         sample = np.array([[8.0, 0.0], [4.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
         est = separating_hill(sample, np.zeros(2), np.eye(2), k=2)
         assert est.gamma_hat == pytest.approx(1.5 * LOG2, rel=1e-12)
-        assert est.location_scatter_source == TRUE_PARAMS
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(11)
