@@ -12,6 +12,7 @@ from sephill import (
     EllipticalModel,
     GeneratingVariateSpec,
     ExperimentConfig,
+    ReplicationRecord,
     ks_threshold,
     normality_diagnostics,
     run_experiment,
@@ -39,7 +40,11 @@ for agg in result.aggregates:
 
 final = result.aggregates[-1]
 errors = np.array(
-    [r.normalized_error for r in result.records if r.n == final.n and not r.failed]
+    [
+        r.normalized_error
+        for r in result.records
+        if r.n == final.n and isinstance(r, ReplicationRecord)
+    ]
 )
 diag = normality_diagnostics(errors, target_mean=0.0, target_sd=gamma)
 print(f"\nat n = {final.n}: z-scores for mean/sd = "

@@ -47,6 +47,7 @@ from .linalg import cholesky, spd_inverse, spectral_norm
 from .montecarlo import (
     ExperimentConfig,
     ExperimentResult,
+    ReplicationFailure,
     ReplicationRecord,
     k_schedule,
     ks_statistic,
@@ -91,6 +92,7 @@ __all__ = [
     "spectral_norm",
     "ExperimentConfig",
     "ExperimentResult",
+    "ReplicationFailure",
     "ReplicationRecord",
     "k_schedule",
     "ks_statistic",

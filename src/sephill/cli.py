@@ -356,10 +356,7 @@ def _location_scatter_from_args(args, data: np.ndarray):
         except NotPositiveDefinite as exc:
             raise ConfigError(f"--sigma is not positive definite: {exc}") from exc
         loc = LocationScatterEstimate(
-            mu_hat=mu,
-            sigma_hat=sigma,
-            sigma_hat_inv=sigma_inv,
-            method="given-params",
+            mu_hat=mu, sigma_hat=sigma, sigma_hat_inv=sigma_inv
         )
         return loc, "given-params", []
     if args.method is None:
@@ -665,22 +662,22 @@ def cmd_experiment(args) -> int:
         buf = io.StringIO()
         rows = []
         for rec in result.records:
-            rep = rec.bound_report
-            rows.append(
-                [
-                    rec.rep_id,
-                    rec.n,
-                    rec.k,
+            row = [rec.rep_id, rec.n, rec.k]
+            if isinstance(rec, montecarlo.ReplicationFailure):
+                row += [math.nan] * 6 + [1, rec.failure]
+            else:
+                rep = rec.bound_report
+                row += [
                     rec.gamma_hat_true,
                     rec.gamma_hat_est,
                     rec.normalized_error,
                     rec.estimator_gap,
-                    rep.m_n if rep is not None else math.nan,
-                    rep.b_n if rep is not None else math.nan,
-                    rec.failed,
-                    rec.failure if rec.failure is not None else "",
+                    rep.m_n,
+                    rep.b_n,
+                    0,
+                    "",
                 ]
-            )
+            rows.append(row)
         write_csv(buf, rows)
         _write_output(args.records_out, buf.getvalue())
         _write_manifest_sidecar(args.records_out, manifest)

@@ -334,7 +334,7 @@ def sample_elliptical(model: EllipticalModel, n: int, rng):
     the fits and distances in :mod:`sephill.estimators` read each
     coordinate as one contiguous column.  The radii equal the
     scatter-metric distances of the rows from ``mu`` up to rounding, which
-    the tests rely on.
+    the harness relies on.
 
     Draw order is fixed (all radii first, then the sphere directions), so a
     given stream always produces the same sample.

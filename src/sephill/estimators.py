@@ -62,7 +62,6 @@ class LocationScatterEstimate:
     mu_hat: np.ndarray
     sigma_hat: np.ndarray
     sigma_hat_inv: np.ndarray
-    method: str
     median_iterations: int = 0
     shape_iterations: int = 0
 
@@ -543,7 +542,6 @@ def estimate_location_scatter(sample, method: str) -> LocationScatterEstimate:
         mu_hat=mu_hat,
         sigma_hat=sigma_hat,
         sigma_hat_inv=sigma_hat_inv,
-        method=method,
         median_iterations=it_med,
         shape_iterations=it_shape,
     )

@@ -25,22 +25,22 @@ SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-14
 
 
-def check_symmetric(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def check_symmetric(m) -> np.ndarray:
     """Validate that ``m`` is a finite symmetric square matrix.
 
     Returns the input as a float ndarray.  Raises :class:`NonSymmetric`
-    when the shape is not square or the asymmetry exceeds ``rtol`` relative
-    to the largest entry, and :class:`NonFinite` for NaN/inf entries.
+    when the shape is not square or the asymmetry exceeds
+    :data:`SYMMETRY_RTOL` relative to the largest entry, and
+    :class:`NonFinite` for NaN/inf entries.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite("matrix entries must be finite")
-    scale = float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.T))) > rtol * scale:
+    if np.abs(a - a.T).max() > SYMMETRY_RTOL * np.abs(a).max():
         raise NonSymmetric(
-            f"matrix is not symmetric within relative tolerance {rtol:g}"
+            f"matrix is not symmetric within relative tolerance {SYMMETRY_RTOL:g}"
         )
     return a
 

@@ -20,7 +20,12 @@ thread competes with the workers for the cores.
 
 Per replication the harness estimates the extreme value index twice — once
 with the true location/scatter and once with the configured estimator —
-and attaches the perturbation-envelope report comparing the two.  The
+and attaches the perturbation-envelope report comparing the two.  Under the
+true parameters a row ``mu + R * L u`` lies at scatter-metric distance R,
+so the true side reads the generating radii the sampler returns rather
+than recomputing them from the rows.  A replication that raises a
+:class:`SepHillError` yields a :class:`ReplicationFailure` in place of its
+:class:`ReplicationRecord`.  The
 aggregates summarize the normalized errors ``sqrt(k) * (gamma_hat - gamma)``
 whose limiting law the experiments are designed to check.  Their
 Kolmogorov-Smirnov distance to the limiting normal law takes the normal
@@ -57,7 +62,6 @@ from .estimators import (
     SAMPLE_MEAN_COV,
     SPATIAL_MEDIAN_TYLER,
     TRUE_PARAMS,
-    LocationScatterEstimate,
     estimate_location_scatter,
     mahalanobis_distances,
     order_desc,
@@ -219,9 +223,18 @@ class ReplicationRecord:
     gamma_hat_est: float
     normalized_error: float
     estimator_gap: float
-    bound_report: bounds_mod.PerturbationBound | None
-    failed: bool = False
-    failure: str | None = None
+    bound_report: bounds_mod.PerturbationBound
+
+
+@dataclass(frozen=True)
+class ReplicationFailure:
+    """A replication that raised: its address and the error, tagged
+    ``"<ExceptionType>: <message>"``."""
+
+    rep_id: int
+    n: int
+    k: int
+    failure: str
 
 
 @dataclass(frozen=True)
@@ -250,56 +263,46 @@ class ExperimentResult:
     function of the records, so they can always be recomputed."""
 
     config: ExperimentConfig
-    records: tuple[ReplicationRecord, ...]
+    records: tuple[ReplicationRecord | ReplicationFailure, ...]
     aggregates: tuple[AggregateStats, ...]
 
 
 def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> ReplicationRecord:
     """Run a single replication.
 
-    Samples ``n`` rows on the stream ``(base_seed, rep_id)``, estimates the
-    index under the true parameters and under the configured method, and
-    fills the perturbation report using the (k+1)-th largest true distance
-    as pivot.  Only the k+1 largest distances are ordered, since Hill and
-    the pivot read no others.  Estimator errors propagate to the caller.
+    Samples ``n`` rows on the stream ``(base_seed, rep_id)`` and estimates
+    the index twice.  Under the true parameters the distances are the
+    generating radii the sampler returns, so the true side orders those;
+    under the configured method they are computed from the fitted
+    location/scatter.  The (k+1)-th largest radius is the pivot of the
+    perturbation report.  Only the k+1 largest values are ordered, since
+    Hill and the pivot read no others.  Estimator errors propagate to the
+    caller.
     """
     model = config.model
     n = int(n)
     k = config.k_for(n)
     gamma = model.variate.gamma
     stream = RngStream(config.base_seed, rep_id)
-    sample, _ = sample_elliptical(model, n, stream)
+    sample, radii = sample_elliptical(model, n, stream)
 
-    sigma_inv = model.sigma_inv
-    ordered_true = order_desc(
-        mahalanobis_distances(sample, model.mu, sigma_inv), top=k + 1
-    )
+    ordered_true = order_desc(radii, top=k + 1)
     gamma_true = univariate_hill(ordered_true, k).gamma_hat
 
-    method = config.estimator_method
-    if method == TRUE_PARAMS:
+    if config.estimator_method == TRUE_PARAMS:
         gamma_est = gamma_true
-        loc = LocationScatterEstimate(
-            mu_hat=model.mu,
-            sigma_hat=model.sigma,
-            sigma_hat_inv=sigma_inv,
-            method=TRUE_PARAMS,
-        )
+        mu_hat, sigma_hat_inv = model.mu, model.sigma_inv
     else:
-        loc = estimate_location_scatter(sample, method)
+        loc = estimate_location_scatter(sample, config.estimator_method)
+        mu_hat, sigma_hat_inv = loc.mu_hat, loc.sigma_hat_inv
         ordered_est = order_desc(
-            mahalanobis_distances(sample, loc.mu_hat, loc.sigma_hat_inv),
-            top=k + 1,
+            mahalanobis_distances(sample, mu_hat, sigma_hat_inv), top=k + 1
         )
         gamma_est = univariate_hill(ordered_est, k).gamma_hat
 
     ref = config.envelope_reference
     coeffs = bounds_mod.perturbation_coefficients(
-        model.mu,
-        ref.sigma_inv,
-        loc.mu_hat,
-        loc.sigma_hat_inv,
-        ref.lambda_max,
+        model.mu, ref.sigma_inv, mu_hat, sigma_hat_inv, ref.lambda_max
     )
     report = bounds_mod.complete_bound(
         coeffs, float(ordered_true[k]) * ref.distance_scale
@@ -317,20 +320,16 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     )
 
 
-def _run_replication_tagged(config: ExperimentConfig, n: int, rep_id: int) -> ReplicationRecord:
+def _run_replication_tagged(
+    config: ExperimentConfig, n: int, rep_id: int
+) -> ReplicationRecord | ReplicationFailure:
     try:
         return run_replication(config, n, rep_id)
     except SepHillError as exc:
-        return ReplicationRecord(
+        return ReplicationFailure(
             rep_id=int(rep_id),
             n=int(n),
             k=config.k_for(n),
-            gamma_hat_true=math.nan,
-            gamma_hat_est=math.nan,
-            normalized_error=math.nan,
-            estimator_gap=math.nan,
-            bound_report=None,
-            failed=True,
             failure=f"{type(exc).__name__}: {exc}",
         )
 
@@ -439,12 +438,14 @@ def aggregate_records(
     gamma: float,
     target_mean: float | None,
 ) -> AggregateStats:
-    """Summary statistics for the successful records at one sample size.
+    """Summary statistics for the records at one sample size: the
+    :class:`ReplicationRecord` values are summarized and the
+    :class:`ReplicationFailure` values counted.
 
     ``target_mean`` is the centre of the limiting normal law when it is
     known; the KS statistic is only reported in that case.
     """
-    ok = [r for r in records if not r.failed]
+    ok = [r for r in records if isinstance(r, ReplicationRecord)]
     failures = len(records) - len(ok)
     err = np.array([r.normalized_error for r in ok], dtype=float)
     abs_err = np.abs(
@@ -531,12 +532,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     aggregates = []
     for i, n in enumerate(config.n_values):
         recs = records[i * m : (i + 1) * m]
-        failures = sum(1 for r in recs if r.failed)
-        if failures > FAILURE_CAP_FRACTION * m:
-            tags = [r.failure for r in recs if r.failed][:5]
+        tags = [r.failure for r in recs if isinstance(r, ReplicationFailure)]
+        if len(tags) > FAILURE_CAP_FRACTION * m:
             raise FailureCapExceeded(
-                f"{failures} of {m} replications failed at n={n} "
-                f"(cap {FAILURE_CAP_FRACTION:.0%}); first failures: {tags}"
+                f"{len(tags)} of {m} replications failed at n={n} "
+                f"(cap {FAILURE_CAP_FRACTION:.0%}); first failures: {tags[:5]}"
             )
         aggregates.append(
             aggregate_records(recs, n, config.k_for(n), gamma, target_mean)

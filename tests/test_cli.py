@@ -830,6 +830,33 @@ class TestExperiment:
         assert float(first[7]) > 0  # envelope constant
         assert first[9] == "0"  # not failed
 
+    def test_failed_row_keeps_its_bytes(self, tmp_path, monkeypatch):
+        import sephill.montecarlo as mc
+
+        real = mc.run_replication
+
+        def flaky(config, n, rep_id):
+            if rep_id == 37:
+                raise DegenerateSample("synthetic failure, for testing")
+            return real(config, n, rep_id)
+
+        monkeypatch.setattr(mc, "run_replication", flaky)
+        recs = tmp_path / "records.csv"
+        assert cli.main(
+            ["experiment", "--family", "pareto", "--alpha", "5", "--dim", "2",
+             "--n-values", "100", "--replications", "100", "--method",
+             "mean-cov", "--seed", "1", "--workers", "1",
+             "--out", str(tmp_path / "exp.json"), "--records-out", str(recs)]
+        ) == 0
+        lines = recs.read_text().splitlines()
+        assert len(lines) == 100
+        assert lines[37] == (
+            "37,100,10,nan,nan,nan,nan,nan,nan,1,"
+            "DegenerateSample: synthetic failure; for testing"
+        )
+        for line in lines[:37] + lines[38:]:
+            assert line.endswith(",0,") and len(line.split(",")) == 11
+
     def test_frechet_has_no_target_mean(self, tmp_path):
         out = tmp_path / "f.json"
         assert cli.main(

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from sephill.distributions import EllipticalModel, GeneratingVariateSpec
+from sephill.bounds import log_ratio_bound
+from sephill.distributions import (
+    EllipticalModel,
+    GeneratingVariateSpec,
+    RngStream,
+    sample_elliptical,
+)
 from sephill.errors import (
     BetaOutOfRange,
     ConfigError,
@@ -19,10 +25,18 @@ from sephill.errors import (
     FailureCapExceeded,
     TooFewValues,
 )
-from sephill.estimators import SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER, TRUE_PARAMS
+from sephill.estimators import (
+    SAMPLE_MEAN_COV,
+    SPATIAL_MEDIAN_TYLER,
+    TRUE_PARAMS,
+    mahalanobis_distances,
+    order_desc,
+    univariate_hill,
+)
 from sephill.montecarlo import (
     AggregateStats,
     ExperimentConfig,
+    ReplicationFailure,
     ReplicationRecord,
     _normal_cdf,
     aggregate_records,
@@ -208,8 +222,47 @@ class TestRunReplication:
         )
 
 
+class TestRadiiRoute:
+    """The true side of a replication is Hill on the generating radii."""
+
+    FAMILIES = {
+        "pareto": lambda d: GeneratingVariateSpec.pareto(5.0),
+        "frechet": lambda d: GeneratingVariateSpec.frechet(5.0),
+        "t-radial": lambda d: GeneratingVariateSpec.t_radial(5.0, d),
+    }
+
+    @staticmethod
+    def _model(variate, d):
+        a = np.random.default_rng(d).normal(size=(d, d))
+        return EllipticalModel(
+            mu=np.linspace(-1.0, 2.0, d),
+            sigma=a @ a.T + np.eye(d),
+            variate=variate,
+        )
+
+    @pytest.mark.parametrize("method", [TRUE_PARAMS, SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_true_side_reads_the_radii(self, family, d, method):
+        model = self._model(self.FAMILIES[family](d), d)
+        n, rep = 400, 3
+        cfg = ExperimentConfig(model, (n,), 1, base_seed=17, estimator_method=method)
+        rec = run_replication(cfg, n, rep)
+        k = rec.k
+        sample, radii = sample_elliptical(model, n, RngStream(17, rep))
+        ordered = order_desc(radii, top=k + 1)
+        assert rec.gamma_hat_true == univariate_hill(ordered, k).gamma_hat
+        recomputed = univariate_hill(
+            order_desc(mahalanobis_distances(sample, model.mu, model.sigma_inv)), k
+        ).gamma_hat
+        assert abs(rec.gamma_hat_true - recomputed) <= 1e-13
+        assert rec.bound_report.r_pivot == (
+            float(ordered[k]) * cfg.envelope_reference.distance_scale
+        )
+
+
 class TestAggregateRecords:
-    def _record(self, rep_id, ne, est, gap, failed=False, failure=None):
+    def _record(self, rep_id, ne, est, gap):
         return ReplicationRecord(
             rep_id=rep_id,
             n=100,
@@ -218,9 +271,7 @@ class TestAggregateRecords:
             gamma_hat_est=est,
             normalized_error=ne,
             estimator_gap=gap,
-            bound_report=None,
-            failed=failed,
-            failure=failure,
+            bound_report=log_ratio_bound(0.0, 1.0),
         )
 
     def test_hand_stats(self):
@@ -246,7 +297,7 @@ class TestAggregateRecords:
         recs = [
             self._record(0, 1.0, 0.3, 0.1),
             self._record(1, 3.0, 0.5, -0.3),
-            self._record(2, math.nan, math.nan, math.nan, failed=True, failure="x"),
+            ReplicationFailure(rep_id=2, n=100, k=4, failure="x"),
         ]
         agg = aggregate_records(recs, 100, 4, gamma=0.2, target_mean=0.0)
         assert agg.count == 2 and agg.failures == 1
@@ -486,11 +537,16 @@ class TestRunExperiment:
         agg = res.aggregates[0]
         assert agg.failures == 1
         assert agg.count == 149
-        bad = [r for r in res.records if r.failed]
-        assert len(bad) == 1
-        assert bad[0].rep_id == 37
-        assert bad[0].failure.startswith("DegenerateSample")
-        assert math.isnan(bad[0].gamma_hat_est)
+        bad = [r for r in res.records if isinstance(r, ReplicationFailure)]
+        assert bad == [
+            ReplicationFailure(
+                rep_id=37,
+                n=100,
+                k=10,
+                failure="DegenerateSample: synthetic failure for testing",
+            )
+        ]
+        assert sum(isinstance(r, ReplicationRecord) for r in res.records) == 149
 
     def test_failure_cap_aborts(self, monkeypatch):
         import sephill.montecarlo as mc

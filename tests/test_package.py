@@ -1,0 +1,18 @@
+import dataclasses
+
+import sephill
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in sephill.__all__ if not hasattr(sephill, name)]
+    assert missing == []
+    assert len(set(sephill.__all__)) == len(sephill.__all__)
+
+
+def test_records_hold_only_computed_fields():
+    # a failed replication has its own record type; a fit records no label
+    assert "ReplicationFailure" in sephill.__all__
+    fields = {f.name for f in dataclasses.fields(sephill.ReplicationRecord)}
+    assert fields.isdisjoint({"failed", "failure"})
+    fields = {f.name for f in dataclasses.fields(sephill.LocationScatterEstimate)}
+    assert "method" not in fields
