@@ -97,6 +97,12 @@ def perturbation_coefficients(
     -------
     PerturbationCoefficients
         All matrix norms are spectral, vector norms Euclidean.
+
+    Raises
+    ------
+    NonFinite, NonSymmetric
+        As :func:`linalg.spectral_norm` would raise on ``sigma_inv -
+        sigma_hat_inv``, ``sigma_hat_inv`` or ``sigma_inv``.
     """
     mu = np.asarray(mu, dtype=float)
     mu_hat = np.asarray(mu_hat, dtype=float)
@@ -116,11 +122,8 @@ def perturbation_coefficients(
     norm_mu = float(np.linalg.norm(mu))
     norm_mu_hat = float(np.linalg.norm(mu_hat))
     mu_gap = float(np.linalg.norm(mu - mu_hat))
-    a_coef = linalg.spectral_norm(si - shi)
-    norm_shi = linalg.spectral_norm(shi)
-    b_coef = (norm_mu_hat + norm_mu) * a_coef + (
-        norm_shi + linalg.spectral_norm(si)
-    ) * mu_gap
+    a_coef, norm_shi, norm_si = linalg.spectral_norms((si - shi, shi, si)).tolist()
+    b_coef = (norm_mu_hat + norm_mu) * a_coef + (norm_shi + norm_si) * mu_gap
     c_coef = norm_mu**2 * a_coef + (norm_mu + norm_mu_hat) * norm_shi * mu_gap
     m_n = max(
         lambda_max * a_coef,

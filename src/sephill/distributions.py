@@ -38,6 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, DomainError, NonFinite
+from .workspace import scratch
 
 PARETO = "pareto"
 FRECHET = "frechet"
@@ -262,20 +263,30 @@ def sample_sphere(dim: int, rng, size: int | None = None) -> np.ndarray:
     gen = _materialize(rng)
     n = 1 if size is None else int(size)
     d = int(dim)
-    g = gen.standard_normal((n, d))
-    norms = np.square(g[:, 0])
+    u = _sphere_columns(gen, np.empty((n, d)), np.empty(n), np.empty((d, n))).T
+    if size is None:
+        return u[0]
+    return u
+
+
+def _sphere_columns(gen, normals, norms, out) -> np.ndarray:
+    """Unit directions as the ``(d, n)`` columns ``out``, from standard
+    normals drawn row by row into the C-ordered ``(n, d)`` array
+    ``normals``; ``norms`` takes the n row norms.  Each squared coordinate
+    passes through row ``k`` of ``out`` before the division overwrites
+    it."""
+    normals = gen.standard_normal(normals.shape, out=normals)
+    d = normals.shape[1]
+    np.square(normals[:, 0], out=norms)
     for k in range(1, d):
-        norms += np.square(g[:, k])
+        norms += np.square(normals[:, k], out=out[k])
     np.sqrt(norms, out=norms)
     # a zero vector has probability zero; pin it to the first axis anyway
     zero = norms == 0.0
     if np.any(zero):
-        g[zero, 0] = 1.0
+        normals[zero, 0] = 1.0
         norms[zero] = 1.0
-    u = np.divide(g.T, norms, out=np.empty((d, n))).T
-    if size is None:
-        return u[0]
-    return u
+    return np.divide(normals.T, norms, out=out)
 
 
 def sample_variate(spec: GeneratingVariateSpec, rng, size: int | None = None):
@@ -287,19 +298,35 @@ def sample_variate(spec: GeneratingVariateSpec, rng, size: int | None = None):
     """
     gen = _materialize(rng)
     n = 1 if size is None else int(size)
-    if spec.family == PARETO:
-        v = gen.random(n)
-        r = spec.x_m * (1.0 - v) ** (-1.0 / spec.alpha)
-    elif spec.family == FRECHET:
-        v = np.maximum(gen.random(n), _TINY)
-        r = (-np.log(v)) ** (-1.0 / spec.alpha)
-    else:
-        num = np.maximum(gen.chisquare(spec.dim, n), _TINY)
-        den = np.maximum(gen.chisquare(spec.nu, n), _TINY)
-        r = np.sqrt(num * spec.nu / den)
+    r = _fill_variate(spec, gen, np.empty(n))
     if size is None:
         return float(r[0])
     return r
+
+
+def _fill_variate(spec: GeneratingVariateSpec, gen, out) -> np.ndarray:
+    """Draws of the variate written into ``out``, one per entry.  Pareto
+    and Fréchet transform uniforms in place; t-radial draws its
+    chi-squares into fresh arrays, since numpy's ``chisquare`` takes no
+    output buffer."""
+    if spec.family == PARETO:
+        gen.random(out=out)
+        np.subtract(1.0, out, out=out)
+        out **= -1.0 / spec.alpha
+        out *= spec.x_m
+    elif spec.family == FRECHET:
+        gen.random(out=out)
+        np.maximum(out, _TINY, out=out)
+        np.log(out, out=out)
+        np.negative(out, out=out)
+        out **= -1.0 / spec.alpha
+    else:
+        n = out.shape[0]
+        num = np.maximum(gen.chisquare(spec.dim, n), _TINY)
+        den = np.maximum(gen.chisquare(spec.nu, n), _TINY)
+        np.divide(num * spec.nu, den, out=out)
+        np.sqrt(out, out=out)
+    return out
 
 
 def elliptical_rows(model: EllipticalModel, radii, directions) -> np.ndarray:
@@ -313,19 +340,25 @@ def elliptical_rows(model: EllipticalModel, radii, directions) -> np.ndarray:
     ``(d, n)`` array, whose ``(n, d)`` transpose is returned, so the result
     is column-major.
     """
-    lower = model.lambda_chol
     n, d = directions.shape
-    out = np.empty((d, n))
+    return _rows_into(model, radii, directions, np.empty((d, n)), np.empty(n)).T
+
+
+def _rows_into(model, radii, directions, out, term) -> np.ndarray:
+    """:func:`elliptical_rows` built into the ``(d, n)`` array ``out``,
+    which it returns; ``term`` is an n-float buffer for the products."""
+    lower = model.lambda_chol
+    d = directions.shape[1]
     for j in range(d):
         col = np.multiply(lower[j, 0], directions[:, 0], out=out[j])
         for k in range(1, j + 1):
-            col += lower[j, k] * directions[:, k]
+            col += np.multiply(lower[j, k], directions[:, k], out=term)
         col *= radii
         col += model.mu[j]
-    return out.T
+    return out
 
 
-def sample_elliptical(model: EllipticalModel, n: int, rng):
+def sample_elliptical(model: EllipticalModel, n: int, rng, *, workspace=None):
     """Draw ``n`` rows from the elliptical model.
 
     Returns ``(sample, radii)`` where ``sample`` has shape ``(n, d)`` and
@@ -338,10 +371,28 @@ def sample_elliptical(model: EllipticalModel, n: int, rng):
 
     Draw order is fixed (all radii first, then the sphere directions), so a
     given stream always produces the same sample.
+
+    With a :class:`~sephill.workspace.Workspace` the draws are built in
+    its slabs and both returned arrays are views of them: ``"radii"``,
+    ``"sample"`` (the normals, then the rows), ``"columns"`` (the
+    directions) and ``"rows"`` (the row norms and products).  Without
+    one, every array is fresh.
     """
     if int(n) < 1:
         raise DomainError("sample size must be at least 1")
     gen = _materialize(rng)
-    radii = sample_variate(model.variate, gen, size=int(n))
-    u = sample_sphere(model.dim, gen, size=int(n))
-    return elliptical_rows(model, radii, u), radii
+    n, d = int(n), model.dim
+    radii = _fill_variate(model.variate, gen, scratch(workspace, "radii", (n,)))
+    term = scratch(workspace, "rows", (n,))
+    # the normals are dead once the directions exist, so the rows can
+    # take their slab
+    directions = _sphere_columns(
+        gen,
+        scratch(workspace, "sample", (n, d)),
+        term,
+        scratch(workspace, "columns", (d, n)),
+    )
+    sample = _rows_into(
+        model, radii, directions.T, scratch(workspace, "sample", (d, n)), term
+    )
+    return sample.T, radii

@@ -28,6 +28,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularIterate,
 )
+from .workspace import scratch
 
 TRUE_PARAMS = "true_params"
 SAMPLE_MEAN_COV = "sample_mean_cov"
@@ -96,7 +97,7 @@ def check_ordered(values, name: str) -> np.ndarray:
     return v
 
 
-def order_desc(values, top: int | None = None) -> np.ndarray:
+def order_desc(values, top: int | None = None, *, workspace=None) -> np.ndarray:
     """Sort values into descending order, or only the ``top`` largest.
 
     With ``top`` given, returns the ``top`` largest values in descending
@@ -104,6 +105,9 @@ def order_desc(values, top: int | None = None) -> np.ndarray:
     finds them and only they are sorted.  Equal values are
     interchangeable (a zero's sign aside), so the order among ties cannot
     change the result.  Every value is checked for finiteness either way.
+    The partition runs on a copy of the values, in the ``"order"`` slab
+    of ``workspace`` when one is given; the result is always a fresh
+    array of ``top`` values.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
@@ -115,9 +119,12 @@ def order_desc(values, top: int | None = None) -> np.ndarray:
     if top < 1:
         raise DomainError(f"top must be at least 1, got {top}")
     cut = v.shape[0] - top
-    largest = np.partition(v, cut)[cut:]
+    part = scratch(workspace, "order", v.shape)
+    np.copyto(part, v)
+    part.partition(cut)
+    largest = part[cut:]
     largest.sort()
-    return largest[::-1]
+    return largest[::-1].copy()
 
 
 def _hill_from_ordered(ordered: np.ndarray, k: int) -> float:
@@ -146,17 +153,19 @@ def univariate_hill(ordered, k: int) -> HillEstimate:
     return HillEstimate(gamma_hat=gamma, k=int(k), n=v.shape[0])
 
 
-def mahalanobis_distances(sample, mu, sigma_inv) -> np.ndarray:
+def mahalanobis_distances(sample, mu, sigma_inv, *, workspace=None) -> np.ndarray:
     """Row-wise distances of a sample from ``mu``; shape ``(n,)``.
 
-    The rows are centred into one contiguous ``(d, n)`` copy, n·d floats
-    that live only for the call, so every numpy call runs along the n rows
-    rather than over rows of length d; a column-major sample is read along
-    its contiguous columns.  The quadratic forms
-    ``c_n . (sigma_inv c_n)`` are accumulated one coordinate at a time,
-    each row of ``sigma_inv c`` reduced with einsum into a single n-float
-    buffer, in a fixed summation order, so the values do not depend on the
-    BLAS build or thread count.
+    The rows are centred into one contiguous ``(d, n)`` copy, so every
+    numpy call runs along the n rows rather than over rows of length d; a
+    column-major sample is read along its contiguous columns.  The
+    quadratic forms ``c_n . (sigma_inv c_n)`` are accumulated one
+    coordinate at a time, each row of ``sigma_inv c`` reduced with einsum
+    into a single n-float buffer, in a fixed summation order, so the
+    values do not depend on the BLAS build or thread count.  With a
+    ``workspace`` the centred copy, the buffer and the result are its
+    ``"columns"``, ``"rows"`` and ``"distances"`` slabs, and the result is
+    valid until the next call that takes them.
     """
     x = as_sample(sample)
     n, d = x.shape
@@ -170,13 +179,16 @@ def mahalanobis_distances(sample, mu, sigma_inv) -> np.ndarray:
         raise DimensionMismatch(
             f"scatter inverse has shape {si.shape}, expected square of side {d}"
         )
-    cols = np.subtract(x.T, mv[:, None], out=np.empty((d, n)))
+    cols = np.subtract(
+        x.T, mv[:, None], out=scratch(workspace, "columns", (d, n))
+    )
     # the rows of sigma_inv @ cols pass through one n-float buffer rather
-    # than a second (d, n) array: in a replication loop each call's
+    # than a second (d, n) array: without a workspace each call's
     # temporaries land on fresh pages, and those page faults cost more
     # than the arithmetic
-    q = np.zeros(n)
-    row = np.empty(n)
+    q = scratch(workspace, "distances", (n,))
+    q.fill(0.0)
+    row = scratch(workspace, "rows", (n,))
     for i in range(d):
         np.einsum("j,jn->n", si[i], cols, out=row)
         row *= cols[i]
@@ -199,16 +211,18 @@ def separating_hill(sample, mu, sigma, k: int) -> HillEstimate:
     return HillEstimate(gamma_hat=gamma, k=int(k), n=ordered.shape[0])
 
 
-def _centred_columns(sample) -> tuple[np.ndarray, np.ndarray]:
+def _centred_columns(sample, workspace=None) -> tuple[np.ndarray, np.ndarray]:
     """Validate a sample once; return its row mean and a centred copy.
 
-    The copy is a contiguous ``(d, n)`` array, so the mean is taken along
-    the contiguous axis and the centring runs in place along the n rows.
+    The copy is a contiguous ``(d, n)`` array, the ``"columns"`` slab of
+    ``workspace`` when one is given, so the mean is taken along the
+    contiguous axis and the centring runs in place along the n rows.
     """
     x = as_sample(sample)
     if x.shape[0] < 1:
         raise DegenerateSample("mean needs at least one row")
-    cols = np.array(x.T, order="C")
+    cols = scratch(workspace, "columns", x.T.shape)
+    np.copyto(cols, x.T)
     mean = cols.mean(axis=1)
     cols -= mean[:, None]
     return mean, cols
@@ -217,9 +231,10 @@ def _centred_columns(sample) -> tuple[np.ndarray, np.ndarray]:
 def _covariance(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Covariance of centred ``(d, n)`` columns, and its inverse.
 
-    The inverse comes from :func:`linalg.spd_inverse`, whose Cholesky
-    factorization is also the positive-definiteness check, so the matrix
-    is factored once.
+    The inverse comes from :func:`linalg.symmetric_spd_inverse` (the
+    covariance is symmetrized, so it skips the symmetry comparison),
+    whose Cholesky factorization is also the positive-definiteness check,
+    so the matrix is factored once.
     """
     d, n = cols.shape
     if n < d + 1:
@@ -229,7 +244,7 @@ def _covariance(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cov = np.einsum("in,jn->ij", cols, cols) / (n - 1)
     cov = 0.5 * (cov + cov.T)
     try:
-        cov_inv = linalg.spd_inverse(cov)
+        cov_inv = linalg.symmetric_spd_inverse(cov)
     except NotPositiveDefinite as exc:
         raise DegenerateSample(f"sample covariance is degenerate: {exc}") from exc
     return cov, cov_inv
@@ -269,7 +284,7 @@ def _squarem_point(v: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return v - 2.0 * alpha * r + alpha * alpha * s
 
 
-def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
+def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=None):
     """SQUAREM-accelerated Weiszfeld iteration, with the standard
     adjustment at data points.
 
@@ -297,12 +312,16 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
     place as contiguous columns, and any other is copied into them once.
     Each step writes the differences from the iterate into one
     preallocated buffer of the same shape, so every numpy call runs along
-    the n rows rather than over rows of length d.  That is one n·d buffer,
-    1.6 MB at n = 10^5, d = 2, plus an n·d copy for a row-major sample.
+    the n rows rather than over rows of length d, and the distances and
+    their reciprocals into one n-float buffer.  That is one n·d buffer,
+    1.6 MB at n = 10^5, d = 2, plus an n·d copy for a row-major sample;
+    with a ``workspace`` the two buffers are its ``"columns"`` and
+    ``"rows"`` slabs.
     """
     n, d = x.shape
     cols = np.ascontiguousarray(x.T)
-    buf = np.empty_like(cols)
+    buf = scratch(workspace, "columns", (d, n))
+    dist_buf = scratch(workspace, "rows", (n,))
     m = cols.mean(axis=1)
     np.subtract(cols, m[:, None], out=buf)
     scale = float(np.max(np.abs(buf, out=buf))) if n else 0.0
@@ -324,7 +343,7 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
             )
         evals += 1
         np.subtract(cols, u[:, None], out=buf)
-        dist = np.sqrt(np.einsum("in,in->n", buf, buf))
+        dist = np.sqrt(np.einsum("in,in->n", buf, buf, out=dist_buf), out=dist_buf)
         coll = dist <= collision_eps
         eta = int(np.count_nonzero(coll))
         if eta == n:
@@ -338,7 +357,7 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int):
             plain = True
             keep = ~coll
             dist, diff, rows = dist[keep], buf[:, keep], cols[:, keep]
-        w = 1.0 / dist
+        w = np.divide(1.0, dist, out=dist)
         unit_sum = np.einsum("in,n->i", diff, w)
         g = float(np.linalg.norm(unit_sum))
         if eta > 0 and g <= eta:
@@ -393,7 +412,9 @@ def spatial_median(sample, tol: float = MEDIAN_TOL, max_iter: int = MAX_ITER) ->
     return m
 
 
-def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
+def _tyler_iter(
+    x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int, workspace=None
+):
     """SQUAREM-accelerated Tyler fixed-point iteration on precomputed row
     moments.
 
@@ -416,10 +437,18 @@ def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
     ``q`` against the upper triangle of the inverse iterate (off-diagonal
     terms doubled), and the upper triangle of the next iterate from the
     weights ``1/q``.  Reductions stay in einsum, so the result does not
-    depend on the BLAS build or thread count.
+    depend on the BLAS build or thread count.  With a ``workspace`` the
+    centred rows, the moments and ``q`` are its ``"columns"``,
+    ``"moments"`` and ``"rows"`` slabs.
+
+    Each iterate is symmetric by construction (filled from one triangle,
+    or symmetrized), so it is inverted through the pivot floor without
+    the symmetry comparison.
     """
     n, d = x.shape
-    diff = np.subtract(x.T, mu_hat[:, None], out=np.empty((d, n)))
+    diff = np.subtract(
+        x.T, mu_hat[:, None], out=scratch(workspace, "columns", (d, n))
+    )
     zero_rows = ~np.any(diff, axis=0)
     if np.any(zero_rows):
         warnings.warn(
@@ -434,7 +463,8 @@ def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
             f"Tyler shape needs more than d={d} usable rows, have {n_eff}"
         )
     iu, ju = np.triu_indices(d)
-    moments = np.empty((iu.shape[0], n_eff))
+    moments = scratch(workspace, "moments", (iu.shape[0], n_eff))
+    q_buf = scratch(workspace, "rows", (n_eff,))
     for k in range(iu.shape[0]):
         np.multiply(diff[iu[k]], diff[ju[k]], out=moments[k])
     del diff
@@ -454,13 +484,13 @@ def _tyler_iter(x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int):
             )
         evals += 1
         try:
-            u_inv = linalg.spd_inverse(u)
+            u_inv = linalg.symmetric_spd_inverse(u)
         except NotPositiveDefinite as exc:
             raise SingularIterate(f"shape iterate lost positive definiteness: {exc}") from exc
-        q = np.einsum("kn,k->n", moments, u_inv[iu, ju] * pair_weight)
+        q = np.einsum("kn,k->n", moments, u_inv[iu, ju] * pair_weight, out=q_buf)
         if not np.all(q > 0.0):
             raise SingularIterate("a row has nonpositive squared distance under the iterate")
-        upper = np.einsum("kn,n->k", moments, 1.0 / q) * (d / n_eff)
+        upper = np.einsum("kn,n->k", moments, np.divide(1.0, q, out=q)) * (d / n_eff)
         nxt = np.empty((d, d))
         nxt[iu, ju] = upper
         nxt[ju, iu] = upper
@@ -514,7 +544,9 @@ def tyler_shape(sample, mu_hat, tol: float = SHAPE_TOL, max_iter: int = MAX_ITER
     return v
 
 
-def estimate_location_scatter(sample, method: str) -> LocationScatterEstimate:
+def estimate_location_scatter(
+    sample, method: str, *, workspace=None
+) -> LocationScatterEstimate:
     """Estimate location and scatter by the requested method.
 
     ``sample_mean_cov`` pairs the coordinate-wise mean with the sample
@@ -523,17 +555,19 @@ def estimate_location_scatter(sample, method: str) -> LocationScatterEstimate:
     fixed-point steps to :data:`MEDIAN_TOL` and :data:`SHAPE_TOL` within
     :data:`MAX_ITER` steps.  ``median_iterations`` and
     ``shape_iterations`` count the Weiszfeld and Tyler map evaluations
-    (both 0 for the closed-form mean/covariance).
+    (both 0 for the closed-form mean/covariance).  With a ``workspace``
+    the fits' (d, n) and n-float scratch arrays are its slabs; the
+    returned estimate never refers to them.
     """
     if method == SAMPLE_MEAN_COV:
-        mu_hat, cols = _centred_columns(sample)
+        mu_hat, cols = _centred_columns(sample, workspace)
         sigma_hat, sigma_hat_inv = _covariance(cols)
         it_med = it_shape = 0
     elif method == SPATIAL_MEDIAN_TYLER:
         x = as_sample(sample)
-        mu_hat, it_med = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER)
-        sigma_hat, it_shape = _tyler_iter(x, mu_hat, SHAPE_TOL, MAX_ITER)
-        sigma_hat_inv = linalg.spd_inverse(sigma_hat)
+        mu_hat, it_med = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER, workspace)
+        sigma_hat, it_shape = _tyler_iter(x, mu_hat, SHAPE_TOL, MAX_ITER, workspace)
+        sigma_hat_inv = linalg.symmetric_spd_inverse(sigma_hat)
     else:
         raise ConfigError(
             f"unknown method {method!r}; expected one of {ESTIMATOR_METHODS}"

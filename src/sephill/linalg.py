@@ -29,13 +29,16 @@ def check_symmetric(m) -> np.ndarray:
     """Validate that ``m`` is a finite symmetric square matrix.
 
     Returns the input as a float ndarray.  Raises :class:`NonSymmetric`
-    when the shape is not square or the asymmetry exceeds
-    :data:`SYMMETRY_RTOL` relative to the largest entry, and
+    when the shape is not square, when the matrix is empty (0 x 0: it has
+    no largest entry to scale the tolerance by) or when the asymmetry
+    exceeds :data:`SYMMETRY_RTOL` relative to the largest entry, and
     :class:`NonFinite` for NaN/inf entries.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise NonSymmetric("expected a nonempty matrix, got shape (0, 0)")
     if not np.isfinite(a).all():
         raise NonFinite("matrix entries must be finite")
     if np.abs(a - a.T).max() > SYMMETRY_RTOL * np.abs(a).max():
@@ -66,8 +69,13 @@ def cholesky(m) -> np.ndarray:
         below.  The check is relative, so rescaling the input by a positive
         constant cannot change the verdict.
     """
-    a = check_symmetric(m)
-    diag_scale = float(np.max(np.abs(np.diag(a))))
+    return _factor(check_symmetric(m))
+
+
+def _factor(a: np.ndarray) -> np.ndarray:
+    """:func:`cholesky` of a matrix already known to be finite and
+    symmetric: the factor and the pivot floor, without the validation."""
+    diag_scale = float(abs(a.diagonal()).max())
     if diag_scale == 0.0:
         raise NotPositiveDefinite("matrix has a zero diagonal")
     try:
@@ -75,8 +83,8 @@ def cholesky(m) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"factorization failed: {exc}") from None
     floor = PIVOT_RTOL * diag_scale
-    pivots = np.diag(lower) ** 2
-    j = int(np.argmin(pivots))
+    pivots = lower.diagonal() ** 2
+    j = int(pivots.argmin())
     if pivots[j] <= floor:
         raise NotPositiveDefinite(
             f"pivot {pivots[j]:.3e} at column {j} is not positive "
@@ -93,6 +101,16 @@ def spd_inverse(m) -> np.ndarray:
     lopsided inverse.
     """
     return _inverse_from_factor(cholesky(m))
+
+
+def symmetric_spd_inverse(a: np.ndarray) -> np.ndarray:
+    """:func:`spd_inverse` of a float matrix that is symmetric by
+    construction, such as an iterate filled from one triangle: the same
+    finiteness check, factor, pivot floor and exceptions, without the
+    shape test and the symmetry comparison."""
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix entries must be finite")
+    return _inverse_from_factor(_factor(a))
 
 
 def _inverse_from_factor(lower: np.ndarray) -> np.ndarray:
@@ -112,3 +130,30 @@ def spectral_norm(m) -> float:
     """
     a = check_symmetric(m)
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+
+
+def spectral_norms(matrices) -> np.ndarray:
+    """:func:`spectral_norm` of each of several symmetric matrices of one
+    size, from one stacked eigen-solve.
+
+    ``matrices`` is a sequence of ``d x d`` matrices or a ``(count, d,
+    d)`` array.  Each matrix is validated as :func:`check_symmetric`
+    validates it, all of them in one pass: :class:`NonSymmetric` if they
+    are empty, else :class:`NonFinite` if any has a NaN/inf entry, else
+    :class:`NonSymmetric` if any is asymmetric.  LAPACK solves each
+    matrix of the stack on its own, so every norm has the bytes of a
+    separate :func:`spectral_norm` call.
+    """
+    a = np.asarray(matrices, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise NonSymmetric(f"expected a stack of square matrices, got shape {a.shape}")
+    if a.shape[1] == 0:
+        raise NonSymmetric(f"expected nonempty matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix entries must be finite")
+    asym = np.abs(a - a.mT).max(axis=(1, 2))
+    if (asym > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2))).any():
+        raise NonSymmetric(
+            f"matrix is not symmetric within relative tolerance {SYMMETRY_RTOL:g}"
+        )
+    return np.abs(np.linalg.eigvalsh(a)).max(axis=1)

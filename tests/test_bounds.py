@@ -23,6 +23,7 @@ from sephill.errors import (
     LengthMismatch,
     NonFinite,
     NonPositiveDistance,
+    NonSymmetric,
 )
 from sephill.linalg import spd_inverse, spectral_norm
 
@@ -116,6 +117,23 @@ class TestPerturbationCoefficients:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             coeffs([0.0, 0.0], np.eye(2), [0.0], np.eye(1), 1.0)
+
+    @pytest.mark.parametrize(
+        "si, shi, error",
+        [
+            (np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], NonFinite),
+            ([[1.0, 0.0], [0.0, np.inf]], np.eye(2), NonFinite),
+            (np.eye(2), [[1.0, 0.2], [0.3, 1.0]], NonSymmetric),
+            ([[1.0, 0.2], [0.3, 1.0]], np.eye(2), NonSymmetric),
+            # the difference is symmetric; each inverse is not
+            ([[1.0, 0.2], [0.3, 1.0]], [[2.0, 0.2], [0.3, 2.0]], NonSymmetric),
+            (np.zeros((0, 0)), np.zeros((0, 0)), NonSymmetric),
+        ],
+    )
+    def test_rejects_what_the_spectral_norms_reject(self, si, shi, error):
+        d = np.shape(si)[0]
+        with pytest.raises(error):
+            coeffs(np.zeros(d), si, np.zeros(d), shi, 1.0)
 
 
 class TestDeltaPoly:

@@ -700,3 +700,47 @@ class TestSquaremAcceleration:
                 v, _ = plain_tyler(x, m)
                 plain = separating_hill(x, m, v, config.k_for(n)).gamma_hat
                 assert abs(record.gamma_hat_est - plain) <= 1e-8
+
+
+class TestRobustFitBytes:
+    """The criterion-4 fit at d = 2, n = 10^3 on streams (seed, 0): the
+    Weiszfeld and Tyler iteration counts, mu_hat and the upper triangle of
+    sigma_hat, pinned bit for bit (as float.hex)."""
+
+    PINNED = [
+        (0, 12, 11, ("0x1.fac81eb2db746p-2", "-0x1.e20df1bab1ff0p-1"),
+         ("0x1.5eb9bb22b20e8p+0", "0x1.578eb6f428778p-2", "0x1.428c89ba9be32p-1")),
+        (1, 9, 9, ("0x1.102d0d8fe036dp-1", "-0x1.0cf3cc5a05336p+0"),
+         ("0x1.40b38294376e9p+0", "0x1.61404910d323dp-2", "0x1.7e98fad79122dp-1")),
+        (2, 9, 11, ("0x1.0891d615656e9p-1", "-0x1.fee13024259d4p-1"),
+         ("0x1.50583cd26f00dp+0", "0x1.7c8d096c42727p-2", "0x1.5f4f865b21fe8p-1")),
+        (3, 9, 9, ("0x1.0755329ae5e1bp-1", "-0x1.11cdd2dea510cp+0"),
+         ("0x1.4c1028cd9cad9p+0", "0x1.9691fa19e45dep-2", "0x1.67dfae64c6a4dp-1")),
+        (4, 9, 9, ("0x1.f428d120e7572p-2", "-0x1.04103cb0a37c4p+0"),
+         ("0x1.5f30bf669b13bp+0", "0x1.5c251c28d848ap-2", "0x1.419e8132c9d8dp-1")),
+        (5, 9, 12, ("0x1.06b80b1eff2d4p-1", "-0x1.050fb4db588edp+0"),
+         ("0x1.530a03b476471p+0", "0x1.5441d1da5c0ebp-2", "0x1.59ebf89713720p-1")),
+        (6, 9, 10, ("0x1.0885f60065bf8p-1", "-0x1.05e58502ed161p+0"),
+         ("0x1.3b3fa070194a1p+0", "0x1.6461e73ce0555p-2", "0x1.8980bf1fcd6bep-1")),
+        (7, 9, 9, ("0x1.e79fd01620991p-2", "-0x1.cce00592868cbp-1"),
+         ("0x1.5294c298d51a5p+0", "0x1.40c77c904979bp-2", "0x1.5ad67ace55cb5p-1")),
+        (8, 12, 9, ("0x1.15e0f4766e267p-1", "-0x1.10e95aa3402d7p+0"),
+         ("0x1.3c39de2af01fbp+0", "0x1.65dfd104889a8p-2", "0x1.878c43aa1fc09p-1")),
+        (9, 12, 9, ("0x1.0b54568882834p-1", "-0x1.12d8a90e5926cp+0"),
+         ("0x1.4ef4b6b5175a7p+0", "0x1.6897c56329ee2p-2", "0x1.62169295d14b1p-1")),
+    ]
+
+    @pytest.mark.parametrize("seed, it_med, it_shape, mu_hat, upper", PINNED)
+    def test_criterion_4_fit_is_pinned(self, seed, it_med, it_shape, mu_hat, upper):
+        model = EllipticalModel(
+            mu=np.array([0.5, -1.0]),
+            sigma=np.array([[1.5, 0.4], [0.4, 0.8]]),
+            variate=GeneratingVariateSpec.pareto(2.0),
+        )
+        x, _ = sample_elliptical(model, 1000, RngStream(seed, 0))
+        fit = estimate_location_scatter(x, SPATIAL_MEDIAN_TYLER)
+        s = fit.sigma_hat
+        assert (fit.median_iterations, fit.shape_iterations) == (it_med, it_shape)
+        assert [v.hex() for v in fit.mu_hat.tolist()] == list(mu_hat)
+        assert [v.hex() for v in (s[0, 0], s[0, 1], s[1, 1])] == list(upper)
+        assert s[1, 0] == s[0, 1]

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sephill.errors import NonFinite, NonSymmetric, NotPositiveDefinite
-from sephill.linalg import cholesky, check_symmetric, spd_inverse, spectral_norm
+from sephill.linalg import (
+    check_symmetric,
+    cholesky,
+    spd_inverse,
+    spectral_norm,
+    spectral_norms,
+    symmetric_spd_inverse,
+)
 
 
 def random_spd(rng, d, cond_cap=1e4):
@@ -143,6 +150,46 @@ class TestSpectralNorm:
         assert spectral_norm(m) == pytest.approx(1.5, rel=1e-12)
 
 
+class TestSpectralNorms:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_stacked_norms_equal_separate_calls_bit_for_bit(self, d):
+        rng = np.random.default_rng(700 + d)
+        for _ in range(200):
+            g = rng.normal(size=(3, d, d)) * rng.uniform(1e-3, 1e3, size=(3, 1, 1))
+            stack = 0.5 * (g + g.mT)
+            norms = spectral_norms(list(stack))
+            assert norms.tolist() == [spectral_norm(m) for m in stack]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), NonFinite),
+            (np.array([[1.0, np.inf], [np.inf, 1.0]]), NonFinite),
+            (np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]), NonSymmetric),
+        ],
+    )
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_raises_what_a_separate_call_raises(self, bad, error, slot):
+        stack = [np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]
+        stack[slot] = bad
+        with pytest.raises(error):
+            spectral_norm(bad)
+        with pytest.raises(error):
+            spectral_norms(stack)
+
+    def test_symmetry_tolerance_is_per_matrix(self):
+        # a rounding-level asymmetry next to small entries fails even when
+        # another matrix of the stack has far larger entries
+        small = np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]])
+        with pytest.raises(NonSymmetric):
+            spectral_norms([1e12 * np.eye(2), small])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (0, 0, 0), (2, 0, 0)])
+    def test_rejects_shapes_that_are_not_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(NonSymmetric):
+            spectral_norms(np.zeros(shape))
+
+
 class TestCheckSymmetric:
     def test_returns_float_array(self):
         out = check_symmetric([[1, 2], [2, 1]])
@@ -151,6 +198,39 @@ class TestCheckSymmetric:
     def test_relative_tolerance_scales(self):
         big = np.array([[1e12, 5e-1], [5e-1 + 1e-3, 1e12]])
         check_symmetric(big)  # 1e-3 asymmetry is tiny next to 1e12 entries
+
+    @pytest.mark.parametrize(
+        "fn", [check_symmetric, cholesky, spd_inverse, spectral_norm]
+    )
+    def test_empty_matrix_is_rejected(self, fn):
+        with pytest.raises(NonSymmetric, match="nonempty"):
+            fn(np.zeros((0, 0)))
+
+
+class TestSymmetricSpdInverse:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_same_bytes_as_spd_inverse(self, d):
+        rng = np.random.default_rng(800 + d)
+        for _ in range(20):
+            m = random_spd(rng, d)
+            assert symmetric_spd_inverse(m).tobytes() == spd_inverse(m).tobytes()
+
+    @pytest.mark.parametrize(
+        "m, error",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], NonFinite),
+            ([[1.0, 2.0], [2.0, 1.0]], NotPositiveDefinite),
+            ([[0.0, 0.0], [0.0, 0.0]], NotPositiveDefinite),
+            ([[1.0, 0.0], [0.0, 1e-20]], NotPositiveDefinite),
+        ],
+    )
+    def test_raises_what_spd_inverse_raises(self, m, error):
+        a = np.array(m)
+        with pytest.raises(error) as ref:
+            spd_inverse(a)
+        with pytest.raises(error) as got:
+            symmetric_spd_inverse(a)
+        assert str(got.value) == str(ref.value)
 
 
 @settings(max_examples=60, deadline=None)

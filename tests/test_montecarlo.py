@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from sephill.montecarlo import (
     run_experiment,
     run_replication,
 )
+from sephill.workspace import Workspace
 
 
 def pareto_model(alpha=5.0, d=2, mu=None, sigma=None):
@@ -259,6 +261,99 @@ class TestRadiiRoute:
         assert rec.bound_report.r_pivot == (
             float(ordered[k]) * cfg.envelope_reference.distance_scale
         )
+
+
+class TestWorkspace:
+    """A replication reuses its thread's workspace; what it returns never
+    aliases the workspace, so a reused workspace changes no byte."""
+
+    NS = (20000, 2000, 20000)  # grow, take a leading view, reuse
+
+    @staticmethod
+    def _config(family, d, method):
+        model = TestRadiiRoute._model(TestRadiiRoute.FAMILIES[family](d), d)
+        return ExperimentConfig(
+            model, (2000, 20000), 1, base_seed=23, estimator_method=method
+        )
+
+    @pytest.mark.parametrize("method", [TRUE_PARAMS, SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER])
+    @pytest.mark.parametrize("family", sorted(TestRadiiRoute.FAMILIES))
+    def test_reused_workspace_matches_fresh_arrays(self, monkeypatch, family, method):
+        import sephill.montecarlo as mc
+
+        # the tagged form, so a replication that fails (the median-tyler
+        # fit at d = 1 does not converge at n = 20000) compares too
+        for d in range(1, 6):
+            cfg = self._config(family, d, method)
+            monkeypatch.setattr(mc, "_thread_workspace", lambda: None)
+            fresh = [repr(mc._run_replication_tagged(cfg, n, rep))
+                     for rep, n in enumerate(self.NS)]
+            workspace = Workspace()
+            monkeypatch.setattr(mc, "_thread_workspace", lambda: workspace)
+            reused = [repr(mc._run_replication_tagged(cfg, n, rep))
+                      for rep, n in enumerate(self.NS)]
+            assert reused == fresh
+
+    def test_mean_cov_holds_two_wide_and_four_narrow_slabs(self, monkeypatch):
+        import sephill.montecarlo as mc
+
+        workspace = Workspace()
+        monkeypatch.setattr(mc, "_thread_workspace", lambda: workspace)
+        cfg = ExperimentConfig(pareto_model(), (20000,), 1, base_seed=7)
+        run_replication(cfg, 20000, 0)
+        # (d, n) slabs "sample" and "columns"; n-float "radii", "rows",
+        # "order" and "distances"
+        d, n = 2, 20000
+        assert workspace.nbytes() == (2 * d * n + 4 * n) * 8
+
+    def test_fresh_sample_survives_later_replications(self):
+        cfg = self._config("pareto", 3, SAMPLE_MEAN_COV)
+        # a stream no replication draws, so a rewrite would change bytes
+        sample, radii = sample_elliptical(cfg.model, 2000, RngStream(99, 0))
+        kept = (sample.copy(), radii.copy())
+        for rep in range(20):
+            run_replication(cfg, (2000, 20000)[rep % 2], rep)
+        np.testing.assert_array_equal(sample, kept[0])
+        np.testing.assert_array_equal(radii, kept[1])
+
+    @pytest.mark.parametrize("method", [SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER])
+    def test_threads_running_at_once_match_a_serial_run(self, method):
+        # more threads than cores and a short switch interval, so the
+        # threads interleave inside the stages; a shared workspace would
+        # mix their samples
+        cfg = self._config("pareto", 2, method)
+        tasks = [(n, rep) for rep in range(6) for n in (2000, 20000)]
+        serial = [repr(run_replication(cfg, n, rep)) for n, rep in tasks]
+        results = [[None] * len(tasks) for _ in range(4)]
+
+        def work(slot):
+            order = range(len(tasks)) if slot % 2 == 0 else reversed(range(len(tasks)))
+            for i in order:
+                results[slot][i] = repr(run_replication(cfg, *tasks[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial] * 4
+
+    @pytest.mark.parametrize("method", [TRUE_PARAMS, SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER])
+    def test_pool_workers_match_in_process_records(self, method):
+        cfg = ExperimentConfig(
+            pareto_model(alpha=5.0, d=3), (2000, 300), 4, base_seed=29,
+            estimator_method=method,
+        )
+        serial = run_experiment(cfg, workers=1)
+        pooled = run_experiment(cfg, workers=2)
+        assert repr(pooled.records) == repr(serial.records)
+        assert pooled.aggregates == serial.aggregates
 
 
 class TestAggregateRecords:
