@@ -266,27 +266,58 @@ def sample_covariance(sample) -> np.ndarray:
     return _covariance(_centred_columns(sample)[1])[0]
 
 
-def _squarem_point(v: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """The SQUAREM extrapolation from two map steps ``v -> v1 -> v2``.
+class _AndersonMixer:
+    """Type-II Anderson mixing for a fixed-point map on vectors of one size.
 
-    With ``r = v1 - v`` and ``s = v2 - 2 v1 + v`` it returns
-    ``v - 2 alpha r + alpha**2 s`` for the step length
-    ``alpha = min(-|r| / |s|, -1)`` (Varadhan & Roland, "Simple and
-    globally convergent methods for accelerating the convergence of any EM
-    algorithm", Scand. J. Stat. 35, 2008, scheme SqS3).  ``alpha = -1``
-    gives ``v2`` itself, so the clamp never extrapolates less than the two
-    plain steps already went; it is also the length taken when ``s = 0``.
+    It keeps the map outputs ``f_i = F(x_i)`` and residuals
+    ``r_i = f_i - x_i`` of the last ``memory + 1`` evaluations pushed
+    since the last restart.  With ``dF`` and ``dR`` the differences of
+    consecutive outputs and of consecutive residuals, the next iterate is
+    ``f - dF g`` for the latest pair ``(f, r)``, where ``g`` minimizes
+    ``|r - dR g|`` (Walker & Ni, "Anderson acceleration for fixed-point
+    iterations", SIAM J. Numer. Anal. 49, 2011).  On an affine map whose
+    residuals span ``memory`` dimensions that point is the fixed point,
+    so the solvers set ``memory`` to the number of free parameters of
+    their map.  The least-squares problem has at most ``memory`` unknowns
+    and is solved from its normal equations by LAPACK; it never touches
+    n-length data.
     """
-    r = v1 - v
-    s = v2 - v1 - r
-    s_norm = float(np.linalg.norm(s))
-    alpha = min(-float(np.linalg.norm(r)) / s_norm, -1.0) if s_norm > 0.0 else -1.0
-    return v - 2.0 * alpha * r + alpha * alpha * s
+
+    def __init__(self, size: int, memory: int):
+        self._pairs = np.empty((2, memory + 1, size))
+        #: Pairs held, from 0 after a restart up to ``memory + 1``.
+        self.held = 0
+
+    def restart(self) -> None:
+        """Forget every pair pushed so far."""
+        self.held = 0
+
+    def push(self, f: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Keep the output ``f`` and residual ``r`` of one evaluation,
+        dropping the oldest pair once ``memory + 1`` are held, and return
+        the mixed point: ``f`` itself while one pair is held or when the
+        least-squares problem is singular."""
+        pairs = self._pairs
+        if self.held == pairs.shape[1]:
+            pairs[:, :-1] = pairs[:, 1:]
+        else:
+            self.held += 1
+        held = self.held
+        pairs[0, held - 1] = f
+        pairs[1, held - 1] = r
+        if held == 1:
+            return f
+        d_out, d_res = pairs[:, 1:held] - pairs[:, : held - 1]
+        try:
+            g = np.linalg.solve(d_res @ d_res.T, d_res @ r)
+        except np.linalg.LinAlgError:
+            return f
+        return f - g @ d_out
 
 
 def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=None):
-    """SQUAREM-accelerated Weiszfeld iteration, with the standard
-    adjustment at data points.
+    """Anderson-mixed Weiszfeld iteration, with the standard adjustment at
+    data points.
 
     The map F is one Weiszfeld step.  Evaluated at an iterate it also
     measures the stopping rule there: the sum of unit vectors from the
@@ -294,18 +325,24 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=Non
     objective) must have norm at most ``d * tol * n``, a scale-free
     criterion, and the iterate that meets it is returned.
 
-    A SQUAREM cycle (see :func:`_squarem_point`) takes two steps
-    ``v1 = F(v)``, ``v2 = F(v1)``, extrapolates them to ``v'`` and takes
-    one stabilizing step ``F(v')``; the next cycle starts from ``F(v')``.
+    Each evaluation goes to an :class:`_AndersonMixer` with memory d, the
+    number of free parameters, and the next iterate is its mixed point.
     The objective, the sum of distances, comes from the distances each
-    step computes anyway: when it is higher at ``v'`` than at ``v1`` the
-    extrapolation is discarded and the next cycle starts from ``v2``.
-    Once a step finds the iterate on an observation it takes the usual
-    subgradient step, and every later step is a plain Weiszfeld step.
-    The fixed point is the same as without acceleration; only the path
-    to it is shorter.  Every map evaluation counts as one iteration, the
-    discarded ones included, and :class:`NotConverged` carries the last
-    map output when ``max_iter`` evaluations do not meet the rule.
+    step computes anyway: a mixed point whose objective is above that of
+    the last accepted iterate is dropped, and the memory restarts from
+    that iterate's plain step.  Once a step finds the iterate on an
+    observation it takes the usual subgradient step, and every later step
+    is a plain Weiszfeld step.  The fixed point is the same as without
+    mixing; only the path to it is shorter.  Every map evaluation counts
+    as one iteration, the dropped ones included, and
+    :class:`NotConverged` carries the last map output when ``max_iter``
+    evaluations do not meet the rule.
+
+    At d = 1 the spatial median is the median of the column, returned in
+    closed form after 0 evaluations.  There the gradient is a nonzero
+    whole number at every point outside the medians, so the rule is met
+    only by an iterate that lands among them, and Weiszfeld steps can
+    approach them from one side for the whole budget.
 
     Each step runs on a ``(d, n)`` layout: a column-major sample, as
     :func:`~sephill.distributions.sample_elliptical` returns it, is read in
@@ -319,12 +356,16 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=Non
     ``"rows"`` slabs.
     """
     n, d = x.shape
+    if n < 1:
+        raise DegenerateSample("spatial median needs at least one row")
+    if d == 1:
+        return np.array([np.median(x[:, 0])]), 0
     cols = np.ascontiguousarray(x.T)
     buf = scratch(workspace, "columns", (d, n))
     dist_buf = scratch(workspace, "rows", (n,))
     m = cols.mean(axis=1)
     np.subtract(cols, m[:, None], out=buf)
-    scale = float(np.max(np.abs(buf, out=buf))) if n else 0.0
+    scale = float(np.max(np.abs(buf, out=buf)))
     collision_eps = 1e-12 * max(scale, 1e-300)
     grad_tol = d * tol * n
     evals = 0
@@ -344,16 +385,16 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=Non
         evals += 1
         np.subtract(cols, u[:, None], out=buf)
         dist = np.sqrt(np.einsum("in,in->n", buf, buf, out=dist_buf), out=dist_buf)
-        coll = dist <= collision_eps
-        eta = int(np.count_nonzero(coll))
-        if eta == n:
-            # every observation sits at the iterate; it is the minimizer
-            return None, 0.0
         objective = float(dist.sum())
-        diff, rows = buf, cols
-        if eta > 0:
+        diff, rows, eta = buf, cols, 0
+        if dist.min() <= collision_eps:
             # rarely taken: in practice no row sits at the iterate, so the
-            # mask copies are made only when one does
+            # mask and its copies are made only when one does
+            coll = dist <= collision_eps
+            eta = int(np.count_nonzero(coll))
+            if eta == n:
+                # every observation sits at the iterate; it is the minimizer
+                return None, 0.0
             plain = True
             keep = ~coll
             dist, diff, rows = dist[keep], buf[:, keep], cols[:, keep]
@@ -372,63 +413,59 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=Non
         last = target
         return target, objective
 
-    v = m
+    mixer = _AndersonMixer(d, d)
+    v, mixed = m, False
     while True:
-        v1, _ = step(v)
-        if v1 is None:
+        f, objective = step(v)
+        if f is None:
             return v, evals
-        if plain:
-            v = v1
+        if mixed and not objective <= best:
+            # drop the mixed point; restart from the last accepted plain step
+            mixer.restart()
+            v, mixed = mixer.push(*kept), False
             continue
-        v2, f1 = step(v1)
-        if v2 is None:
-            return v1, evals
+        best, kept = objective, (f, f - v)
         if plain:
-            v = v2
-            continue
-        vp = _squarem_point(v, v1, v2)
-        v3, fp = step(vp)
-        if v3 is None:
-            return vp, evals
-        v = v3 if fp <= f1 else v2
+            v, mixed = f, False
+        else:
+            v = mixer.push(*kept)
+            mixed = mixer.held > 1
 
 
 def spatial_median(sample, tol: float = MEDIAN_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
-    """Geometric median of the rows by SQUAREM-accelerated Weiszfeld
-    iteration.
+    """Geometric median of the rows by Anderson-mixed Weiszfeld iteration.
 
     Starts from the coordinate-wise mean.  Iterates that land exactly on a
     repeated observation are handled with the usual subgradient step
     instead of dividing by zero, and the rest of the solve takes plain
-    steps.  An extrapolation that raises the sum of distances is
-    discarded (see :func:`_spatial_median_iter`).  Raises
-    :class:`NotConverged` (carrying the last iterate) if the gradient
-    criterion is not met within ``max_iter`` Weiszfeld steps.
+    steps.  A mixed point that raises the sum of distances is dropped
+    (see :func:`_spatial_median_iter`).  A single column's median is
+    returned in closed form.  Raises :class:`NotConverged` (carrying the
+    last iterate) if the gradient criterion is not met within
+    ``max_iter`` Weiszfeld steps.
     """
-    x = as_sample(sample)
-    if x.shape[0] < 1:
-        raise DegenerateSample("spatial median needs at least one row")
-    m, _ = _spatial_median_iter(x, tol, max_iter)
+    m, _ = _spatial_median_iter(as_sample(sample), tol, max_iter)
     return m
 
 
 def _tyler_iter(
     x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int, workspace=None
 ):
-    """SQUAREM-accelerated Tyler fixed-point iteration on precomputed row
+    """Anderson-mixed Tyler fixed-point iteration on precomputed row
     moments.
 
-    The map F is one Tyler step rescaled to trace d; the solve returns
-    ``F(v)`` as soon as ``max|F(v) - v| < tol``.  A SQUAREM cycle (see
-    :func:`_squarem_point`) takes two steps ``v1 = F(v)``, ``v2 = F(v1)``,
-    extrapolates them to ``v'``, symmetrizes ``v'`` and rescales it to
-    trace d, then takes one stabilizing step ``F(v')``; the next cycle
-    starts from ``F(v')``.  When ``v'`` is not positive definite, or its
-    step raises :class:`SingularIterate`, the extrapolation is discarded
-    and the next cycle starts from ``v2``; the same failure on a plain
-    step is raised.  Every map evaluation counts as one iteration, a
-    rejected one included, and :class:`NotConverged` carries the last
-    map output when ``max_iter`` evaluations do not meet the rule.
+    The map F is one Tyler step rescaled to trace d, on the upper
+    triangle of the iterate; the solve returns ``F(v)`` as soon as
+    ``max|F(v) - v| < tol``.  Each evaluation goes to an
+    :class:`_AndersonMixer` with memory ``d(d+1)/2 - 1``, the number of
+    free parameters of a trace-d shape, and the next iterate is its mixed
+    point, rescaled to trace d.  When that point's trace is not positive,
+    or its step raises :class:`SingularIterate`, it is dropped and the
+    memory restarts from the plain step of the last accepted iterate; the
+    same failure on a plain step is raised.  Every map evaluation counts
+    as one iteration, a dropped one included, and :class:`NotConverged`
+    carries the last map output when ``max_iter`` evaluations do not meet
+    the rule.
 
     The products ``diff_i * diff_j`` (``i <= j``) of the centered rows do
     not change across iterations, so they are built once as a
@@ -441,9 +478,9 @@ def _tyler_iter(
     centred rows, the moments and ``q`` are its ``"columns"``,
     ``"moments"`` and ``"rows"`` slabs.
 
-    Each iterate is symmetric by construction (filled from one triangle,
-    or symmetrized), so it is inverted through the pivot floor without
-    the symmetry comparison.
+    Each iterate is symmetric by construction (filled from one triangle),
+    so it is inverted through the pivot floor without the symmetry
+    comparison.
     """
     n, d = x.shape
     diff = np.subtract(
@@ -463,15 +500,31 @@ def _tyler_iter(
             f"Tyler shape needs more than d={d} usable rows, have {n_eff}"
         )
     iu, ju = np.triu_indices(d)
-    moments = scratch(workspace, "moments", (iu.shape[0], n_eff))
+    size = iu.shape[0]
+    moments = scratch(workspace, "moments", (size, n_eff))
     q_buf = scratch(workspace, "rows", (n_eff,))
-    for k in range(iu.shape[0]):
+    for k in range(size):
         np.multiply(diff[iu[k]], diff[ju[k]], out=moments[k])
     del diff
-    pair_weight = np.where(iu == ju, 1.0, 2.0)
-    v = np.eye(d)
+    on_diag = iu == ju
+    pair_weight = np.where(on_diag, 1.0, 2.0)
+
+    def matrix(upper):
+        """The symmetric matrix with this upper triangle."""
+        out = np.empty((d, d))
+        out[iu, ju] = upper
+        out[ju, iu] = upper
+        return out
+
+    v = np.eye(d)[iu, ju]
     evals = 0
     last = v
+
+    def trace_of(upper, what):
+        trace = float(upper[on_diag].sum())
+        if not 0.0 < trace < np.inf:
+            raise SingularIterate(f"{what} has nonpositive trace")
+        return trace
 
     def step(u):
         """F(u), and whether it ends the solve."""
@@ -479,46 +532,40 @@ def _tyler_iter(
         if evals == max_iter:
             raise NotConverged(
                 f"Tyler shape iteration did not converge in {max_iter} iterations",
-                last_iterate=last,
+                last_iterate=matrix(last),
                 iterations=max_iter,
             )
         evals += 1
         try:
-            u_inv = linalg.symmetric_spd_inverse(u)
+            u_inv = linalg.symmetric_spd_inverse(matrix(u))
         except NotPositiveDefinite as exc:
             raise SingularIterate(f"shape iterate lost positive definiteness: {exc}") from exc
         q = np.einsum("kn,k->n", moments, u_inv[iu, ju] * pair_weight, out=q_buf)
-        if not np.all(q > 0.0):
+        if not q.min() > 0.0:
             raise SingularIterate("a row has nonpositive squared distance under the iterate")
-        upper = np.einsum("kn,n->k", moments, np.divide(1.0, q, out=q)) * (d / n_eff)
-        nxt = np.empty((d, d))
-        nxt[iu, ju] = upper
-        nxt[ju, iu] = upper
-        trace = float(np.trace(nxt))
-        if not np.isfinite(trace) or trace <= 0.0:
-            raise SingularIterate("shape iterate has nonpositive trace")
-        nxt *= d / trace
+        nxt = np.einsum("kn,n->k", moments, np.divide(1.0, q, out=q)) * (d / n_eff)
+        nxt *= d / trace_of(nxt, "shape iterate")
         last = nxt
         return nxt, float(np.max(np.abs(nxt - u))) < tol
 
+    mixer = _AndersonMixer(size, size - 1)
+    mixed = False
     while True:
-        v1, done = step(v)
-        if done:
-            return v1, evals
-        v2, done = step(v1)
-        if done:
-            return v2, evals
-        vp = _squarem_point(v, v1, v2)
-        vp = 0.5 * (vp + vp.T)
-        vp *= d / np.trace(vp)
         try:
-            v3, done = step(vp)
+            if mixed:
+                v = v * (d / trace_of(v, "mixed shape point"))
+            f, done = step(v)
         except SingularIterate:
-            v = v2
+            if not mixed:
+                raise
+            mixer.restart()
+            v, mixed = mixer.push(*kept), False
             continue
         if done:
-            return v3, evals
-        v = v3
+            return matrix(f), evals
+        kept = (f, f - v)
+        v = mixer.push(*kept)
+        mixed = mixer.held > 1
 
 
 def tyler_shape(sample, mu_hat, tol: float = SHAPE_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
@@ -526,13 +573,13 @@ def tyler_shape(sample, mu_hat, tol: float = SHAPE_TOL, max_iter: int = MAX_ITER
 
     Each step averages the outer products of the centered rows weighted by
     the inverse of their squared distance under the current iterate, then
-    rescales to trace ``d``; SQUAREM cycles extrapolate across pairs of
-    steps, and an extrapolation that is not positive definite is
-    discarded (see :func:`_tyler_iter`).  ``max_iter`` bounds the number
-    of steps.  The outer products are held once as n·d(d+1)/2 row
-    moments, so a step costs two passes over them.  Rows exactly equal to
-    ``mu_hat`` carry no directional information and are dropped with a
-    warning.  The result is symmetric positive definite with trace ``d``.
+    rescales to trace ``d``; Anderson mixing of the steps picks the next
+    iterate, and a mixed point that is not positive definite is dropped
+    (see :func:`_tyler_iter`).  ``max_iter`` bounds the number of steps.
+    The outer products are held once as n·d(d+1)/2 row moments, so a
+    step costs two passes over them.  Rows exactly equal to ``mu_hat``
+    carry no directional information and are dropped with a warning.  The
+    result is symmetric positive definite with trace ``d``.
     """
     x = as_sample(sample)
     mv = np.asarray(mu_hat, dtype=float)
@@ -551,11 +598,13 @@ def estimate_location_scatter(
 
     ``sample_mean_cov`` pairs the coordinate-wise mean with the sample
     covariance; ``spatial_median_tyler`` pairs the spatial median with
-    Tyler's shape estimator, each solved by SQUAREM-accelerated
-    fixed-point steps to :data:`MEDIAN_TOL` and :data:`SHAPE_TOL` within
-    :data:`MAX_ITER` steps.  ``median_iterations`` and
-    ``shape_iterations`` count the Weiszfeld and Tyler map evaluations
-    (both 0 for the closed-form mean/covariance).  With a ``workspace``
+    Tyler's shape estimator, each solved by Anderson-mixed fixed-point
+    steps to :data:`MEDIAN_TOL` and :data:`SHAPE_TOL` within
+    :data:`MAX_ITER` steps (see :func:`_spatial_median_iter` and
+    :func:`_tyler_iter`).  ``median_iterations`` and ``shape_iterations``
+    count the Weiszfeld and Tyler map evaluations (both 0 for the
+    closed-form mean/covariance; ``median_iterations`` is 0 at d = 1,
+    where the median is the column's).  With a ``workspace``
     the fits' (d, n) and n-float scratch arrays are its slabs; the
     returned estimate never refers to them.
     """

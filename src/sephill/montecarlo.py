@@ -14,9 +14,12 @@ replaced only when a call asks for a different pool size, or after a worker
 died.  Where the platform cannot fork, experiments run in-process.  Forked
 workers are copies of this process as it was when the pool started: a
 function patched or a module changed after that first parallel call does
-not reach them.  The replication path makes no BLAS call (the
-sampler and every reduction are elementwise numpy or einsum), so no BLAS
-thread competes with the workers for the cores.
+not reach them.  The replication path reduces n-length data only with
+elementwise numpy and einsum.  What it hands to LAPACK/BLAS is
+d×d-sized: Cholesky factors and their inverses, ``eigvalsh`` of the
+scatter matrices, and the small products and solve of the robust fit's
+Anderson mixing.  Calls that small run on the calling thread, so no
+BLAS thread competes with the workers for the cores.
 
 Each thread that runs replications (the caller's, or a pool worker's)
 keeps one :class:`~sephill.workspace.Workspace`, made on its first

@@ -742,6 +742,21 @@ class TestExperiment:
         assert payload["manifest"]["config"]["n_values"] == [100, 200]
         assert "workers" not in payload["manifest"]["config"]
 
+    def test_one_dimensional_median_tyler_run_has_no_failures(self, tmp_path):
+        # at d = 1 the median is taken in closed form; Weiszfeld steps do
+        # not meet their rule within MAX_ITER on 10 of these 20 samples
+        out = tmp_path / "d1.json"
+        argv = [
+            "experiment", "--family", "pareto", "--alpha", "5", "--dim", "1",
+            "--n-values", "20000", "--replications", "20",
+            "--method", "median-tyler", "--seed", "23", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["total_failures"] == 0
+        assert payload["aggregates"][0]["count"] == 20
+        assert payload["warnings"] == []
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         a = tmp_path / "serial.json"
         b = tmp_path / "threaded.json"

@@ -281,8 +281,7 @@ class TestWorkspace:
     def test_reused_workspace_matches_fresh_arrays(self, monkeypatch, family, method):
         import sephill.montecarlo as mc
 
-        # the tagged form, so a replication that fails (the median-tyler
-        # fit at d = 1 does not converge at n = 20000) compares too
+        # the tagged form, so a replication that fails would compare too
         for d in range(1, 6):
             cfg = self._config(family, d, method)
             monkeypatch.setattr(mc, "_thread_workspace", lambda: None)
