@@ -481,24 +481,33 @@ def _tyler_iter(
     Each iterate is symmetric by construction (filled from one triangle),
     so it is inverted through the pivot floor without the symmetry
     comparison.
+
+    At d = 1 the only trace-1 shape is ``[[1.0]]``, returned after 0
+    evaluations with no moments and no warning; only the usable rows
+    are counted.
     """
     n, d = x.shape
-    diff = np.subtract(
-        x.T, mu_hat[:, None], out=scratch(workspace, "columns", (d, n))
-    )
-    zero_rows = ~np.any(diff, axis=0)
-    if np.any(zero_rows):
-        warnings.warn(
-            f"dropping {int(np.count_nonzero(zero_rows))} rows equal to the "
-            "location estimate",
-            stacklevel=3,
+    if d == 1:
+        n_eff = int(np.count_nonzero(x[:, 0] != mu_hat[0]))
+    else:
+        diff = np.subtract(
+            x.T, mu_hat[:, None], out=scratch(workspace, "columns", (d, n))
         )
-        diff = diff[:, ~zero_rows]
-    n_eff = diff.shape[1]
+        zero_rows = ~np.any(diff, axis=0)
+        if np.any(zero_rows):
+            warnings.warn(
+                f"dropping {int(np.count_nonzero(zero_rows))} rows equal to the "
+                "location estimate",
+                stacklevel=3,
+            )
+            diff = diff[:, ~zero_rows]
+        n_eff = diff.shape[1]
     if n_eff <= d:
         raise DegenerateSample(
             f"Tyler shape needs more than d={d} usable rows, have {n_eff}"
         )
+    if d == 1:
+        return np.ones((1, 1)), 0
     iu, ju = np.triu_indices(d)
     size = iu.shape[0]
     moments = scratch(workspace, "moments", (size, n_eff))
@@ -579,7 +588,8 @@ def tyler_shape(sample, mu_hat, tol: float = SHAPE_TOL, max_iter: int = MAX_ITER
     The outer products are held once as n·d(d+1)/2 row moments, so a
     step costs two passes over them.  Rows exactly equal to ``mu_hat``
     carry no directional information and are dropped with a warning.  The
-    result is symmetric positive definite with trace ``d``.
+    result is symmetric positive definite with trace ``d``; at d = 1 it is
+    ``[[1.0]]``, returned without a step or a warning.
     """
     x = as_sample(sample)
     mv = np.asarray(mu_hat, dtype=float)
@@ -603,8 +613,8 @@ def estimate_location_scatter(
     :data:`MAX_ITER` steps (see :func:`_spatial_median_iter` and
     :func:`_tyler_iter`).  ``median_iterations`` and ``shape_iterations``
     count the Weiszfeld and Tyler map evaluations (both 0 for the
-    closed-form mean/covariance; ``median_iterations`` is 0 at d = 1,
-    where the median is the column's).  With a ``workspace``
+    closed-form mean/covariance; both are 0 at d = 1, where the median
+    is the column's and the shape is ``[[1.0]]``).  With a ``workspace``
     the fits' (d, n) and n-float scratch arrays are its slabs; the
     returned estimate never refers to them.
     """

@@ -151,7 +151,7 @@ def spectral_norms(matrices) -> np.ndarray:
         raise NonSymmetric(f"expected nonempty matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite("matrix entries must be finite")
-    asym = np.abs(a - a.mT).max(axis=(1, 2))
+    asym = np.abs(a - a.swapaxes(1, 2)).max(axis=(1, 2))
     if (asym > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2))).any():
         raise NonSymmetric(
             f"matrix is not symmetric within relative tolerance {SYMMETRY_RTOL:g}"

@@ -39,7 +39,11 @@ scatter) is copied out of it.
 
 Per replication the harness estimates the extreme value index twice — once
 with the true location/scatter and once with the configured estimator —
-and attaches the perturbation-envelope report comparing the two.  Under the
+and attaches the perturbation-envelope report on their gap.  The envelope
+measures the fit against the config's :class:`EnvelopeReference`: the true
+scatter itself for the mean/covariance and true-parameter methods, and
+for the median/Tyler fit the scatter normalized to trace d, with the
+true distances scaled by ``sqrt(trace / d)`` to match.  Under the
 true parameters a row ``mu + R * L u`` lies at scatter-metric distance R,
 so the true side reads the generating radii the sampler returns rather
 than recomputing them from the rows.  A replication that raises a
@@ -55,7 +59,6 @@ command of the CLI, runs without loading scipy.
 from __future__ import annotations
 
 import atexit
-import functools
 import itertools
 import math
 import numbers
@@ -150,7 +153,9 @@ class ExperimentConfig:
 
     The tail fraction is either derived from ``k_beta`` through
     :func:`k_schedule` or given explicitly as ``k_values`` aligned with
-    ``n_values``.
+    ``n_values``.  Construction also sets ``envelope_reference``, which
+    every replication's envelope measures its fit against; it is computed
+    once and pickled with the config to pool workers.
     """
 
     model: EllipticalModel
@@ -203,28 +208,18 @@ class ExperimentConfig:
                 raise ConfigError(f"k_beta must be a number, got {self.k_beta!r}")
             for n in self.n_values:
                 k_schedule(n, self.k_beta)
-
-    @functools.cached_property
-    def envelope_reference(self) -> EnvelopeReference:
-        """The true scatter in the form the configured estimate targets,
-        computed once per experiment rather than per replication."""
+        # Tyler's fit is scale-free and targets the trace-d scatter; the
+        # other methods compare with the truth (scale 1.0 keeps its bytes)
         model = self.model
+        scale = 1.0
         if self.estimator_method == SPATIAL_MEDIAN_TYLER:
-            # Tyler's estimator targets the scatter normalized to trace d
-            # (the estimator itself is scale-free), so the envelope must
-            # compare it against the same normalization of the truth;
-            # distances rescale accordingly.
             scale = float(np.trace(model.sigma)) / model.dim
-            return EnvelopeReference(
-                sigma_inv=model.sigma_inv * scale,
-                lambda_max=linalg.spectral_norm(model.sigma / scale),
-                distance_scale=math.sqrt(scale),
-            )
-        return EnvelopeReference(
-            sigma_inv=model.sigma_inv,
-            lambda_max=linalg.spectral_norm(model.sigma),
-            distance_scale=1.0,
+        reference = EnvelopeReference(
+            sigma_inv=model.sigma_inv * scale,
+            lambda_max=linalg.spectral_norm(model.sigma / scale),
+            distance_scale=math.sqrt(scale),
         )
+        object.__setattr__(self, "envelope_reference", reference)
 
     def k_for(self, n: int) -> int:
         """Tail fraction for sample size ``n`` under this configuration."""
@@ -361,20 +356,6 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     )
 
 
-def _run_replication_tagged(
-    config: ExperimentConfig, n: int, rep_id: int
-) -> ReplicationRecord | ReplicationFailure:
-    try:
-        return run_replication(config, n, rep_id)
-    except SepHillError as exc:
-        return ReplicationFailure(
-            rep_id=int(rep_id),
-            n=int(n),
-            k=config.k_for(n),
-            failure=f"{type(exc).__name__}: {exc}",
-        )
-
-
 def _module_of(filename: str) -> str:
     """Name of the loaded module whose source is ``filename``; failing
     that, the name ``warnings.warn_explicit`` derives from the path."""
@@ -385,11 +366,20 @@ def _module_of(filename: str) -> str:
 
 
 def _run_task(config: ExperimentConfig, n: int, rep_id: int):
-    """One replication and the warnings it raised, as
+    """One replication, or its :class:`ReplicationFailure` if it raised a
+    :class:`SepHillError`, and the warnings it raised, as
     ``(message, category, filename, lineno, module)`` tuples."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        record = _run_replication_tagged(config, n, rep_id)
+        try:
+            record = run_replication(config, n, rep_id)
+        except SepHillError as exc:
+            record = ReplicationFailure(
+                rep_id=int(rep_id),
+                n=int(n),
+                k=config.k_for(n),
+                failure=f"{type(exc).__name__}: {exc}",
+            )
     return record, [
         (w.message, w.category, w.filename, w.lineno, _module_of(w.filename))
         for w in caught
@@ -459,8 +449,6 @@ def _run_tasks(config: ExperimentConfig, ns, reps, workers: int):
         return list(map(_run_task, itertools.repeat(config), ns, reps))
     from concurrent.futures.process import BrokenProcessPool
 
-    # computed once here rather than once per task in the workers
-    config.envelope_reference
     try:
         return list(
             _process_pool(size).map(

@@ -757,6 +757,20 @@ class TestExperiment:
         assert payload["aggregates"][0]["count"] == 20
         assert payload["warnings"] == []
 
+    def test_one_dimensional_median_tyler_at_odd_n_warns_nothing(self, tmp_path):
+        # at odd n the median is a row of the sample; the d = 1 shape is
+        # [[1.0]] without a Tyler step, so no row is dropped with a warning
+        out = tmp_path / "d1_odd.json"
+        argv = [
+            "experiment", "--family", "pareto", "--alpha", "3", "--dim", "1",
+            "--n-values", "1001", "--replications", "20",
+            "--method", "median-tyler", "--seed", "3", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["total_failures"] == 0
+        assert payload["warnings"] == []
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         a = tmp_path / "serial.json"
         b = tmp_path / "threaded.json"
@@ -985,7 +999,7 @@ class TestExperiment:
         ids=["model-not-object", "n-values-scalar", "k-values-scalar", "mu-scalar"],
     )
     def test_malformed_config_field_exits_config(self, tmp_path, capsys, field, value):
-        raw = json.loads(open(self._config(tmp_path)).read())
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
         if field == "mu":
             raw["model"]["mu"] = value
         else:
@@ -1011,7 +1025,7 @@ class TestExperiment:
     def test_bad_config_number_exits_config(
         self, tmp_path, capsys, field, value
     ):
-        raw = json.loads(open(self._config(tmp_path)).read())
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
         raw[field] = value
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(raw))
@@ -1042,7 +1056,7 @@ class TestExperiment:
         assert not out.exists()
 
     def test_integral_float_config_numbers_accepted(self, tmp_path):
-        raw = json.loads(open(self._config(tmp_path)).read())
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
         raw.update(n_values=[100.0], replications=2.0, base_seed=3.0)
         cfg_path = tmp_path / "floats.json"
         cfg_path.write_text(json.dumps(raw))
@@ -1089,7 +1103,7 @@ class TestExperiment:
         assert not out.exists()
 
     def test_repeated_config_n_value_exits_config(self, tmp_path, capsys):
-        raw = json.loads(open(self._config(tmp_path)).read())
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
         raw["n_values"] = [100, 200, 100]
         cfg_path = tmp_path / "dup.json"
         cfg_path.write_text(json.dumps(raw))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -801,7 +802,8 @@ class TestAndersonMixing:
 
 
 class TestOneDimensionalMedian:
-    """At d = 1 the spatial median is the median of the column."""
+    """At d = 1 the spatial median is the median of the column, and
+    Tyler's trace-1 shape is [[1.0]]."""
 
     @pytest.mark.parametrize("n", [2000, 20000, 100000])
     def test_median_tyler_fit_on_pareto_streams(self, n):
@@ -823,6 +825,28 @@ class TestOneDimensionalMedian:
             above, below, at = ((col > m).sum(), (col < m).sum(), (col == m).sum())
             assert abs(int(above) - int(below)) <= at
             assert fit.sigma_hat[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_shape_is_one_without_a_step_or_a_warning(self, n):
+        # at odd n a row equals the median; the shape needs no rows dropped
+        model = EllipticalModel(
+            mu=np.array([0.5]), sigma=np.array([[2.0]]),
+            variate=GeneratingVariateSpec.pareto(3.0),
+        )
+        for seed in range(5):
+            x, _ = sample_elliptical(model, n, RngStream(seed, 0))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit = estimate_location_scatter(x, SPATIAL_MEDIAN_TYLER)
+            assert caught == []
+            assert fit.sigma_hat.tolist() == [[1.0]]
+            assert fit.sigma_hat_inv.tolist() == [[1.0]]
+            assert fit.shape_iterations == 0
+
+    def test_shape_needs_two_rows_off_the_location(self):
+        assert tyler_shape([[1.0], [2.0], [3.0]], [2.0]).tolist() == [[1.0]]
+        with pytest.raises(DegenerateSample, match="have 1"):
+            tyler_shape([[2.0], [2.0], [3.0]], [2.0])
 
     def test_odd_count_gives_the_middle_row(self):
         assert spatial_median([[3.0], [-1.0], [2.0], [7.0], [0.5]]).tolist() == [2.0]

@@ -156,7 +156,7 @@ class TestSpectralNorms:
         rng = np.random.default_rng(700 + d)
         for _ in range(200):
             g = rng.normal(size=(3, d, d)) * rng.uniform(1e-3, 1e3, size=(3, 1, 1))
-            stack = 0.5 * (g + g.mT)
+            stack = 0.5 * (g + g.swapaxes(1, 2))
             norms = spectral_norms(list(stack))
             assert norms.tolist() == [spectral_norm(m) for m in stack]
 

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -34,7 +35,9 @@ from sephill.estimators import (
     order_desc,
     univariate_hill,
 )
+from sephill.linalg import spectral_norm
 from sephill.montecarlo import (
+    METHODS,
     AggregateStats,
     ExperimentConfig,
     ReplicationFailure,
@@ -130,6 +133,31 @@ class TestExperimentConfig:
     def test_need_some_k_rule(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(pareto_model(), (100,), 5, base_seed=0, k_beta=None)
+
+    SIGMA = [[2.0, 0.5, 0.1], [0.5, 1.0, -0.2], [0.1, -0.2, 3.0]]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_pickled_config_carries_its_envelope_reference(self, method):
+        # pool workers receive the config pickled before any replication
+        # ran, so the reference is in the pickle, not recomputed from it
+        cfg = ExperimentConfig(
+            pareto_model(d=3, sigma=self.SIGMA), (100,), 1, base_seed=0,
+            estimator_method=method,
+        )
+        copy = pickle.loads(pickle.dumps(cfg))
+        ref, ref_copy = cfg.envelope_reference, vars(copy)["envelope_reference"]
+        assert ref_copy.sigma_inv.tobytes() == ref.sigma_inv.tobytes()
+        assert ref_copy.lambda_max == ref.lambda_max
+        assert ref_copy.distance_scale == ref.distance_scale
+
+    @pytest.mark.parametrize("method", [SAMPLE_MEAN_COV, TRUE_PARAMS])
+    def test_reference_is_the_true_scatter_bit_for_bit(self, method):
+        model = pareto_model(d=3, sigma=self.SIGMA)
+        cfg = ExperimentConfig(model, (100,), 1, base_seed=0, estimator_method=method)
+        ref = cfg.envelope_reference
+        assert ref.sigma_inv.tobytes() == model.sigma_inv.tobytes()
+        assert ref.lambda_max == spectral_norm(model.sigma)
+        assert ref.distance_scale == 1.0
 
 
 class TestRunReplication:
@@ -285,11 +313,11 @@ class TestWorkspace:
         for d in range(1, 6):
             cfg = self._config(family, d, method)
             monkeypatch.setattr(mc, "_thread_workspace", lambda: None)
-            fresh = [repr(mc._run_replication_tagged(cfg, n, rep))
+            fresh = [repr(mc._run_task(cfg, n, rep)[0])
                      for rep, n in enumerate(self.NS)]
             workspace = Workspace()
             monkeypatch.setattr(mc, "_thread_workspace", lambda: workspace)
-            reused = [repr(mc._run_replication_tagged(cfg, n, rep))
+            reused = [repr(mc._run_task(cfg, n, rep)[0])
                       for rep, n in enumerate(self.NS)]
             assert reused == fresh
 
