@@ -24,7 +24,6 @@ from .distributions import (
     EllipticalModel,
     GeneratingVariateSpec,
     RngStream,
-    quantile_u,
     sample_elliptical,
     sample_sphere,
     sample_variate,
@@ -71,7 +70,6 @@ __all__ = [
     "EllipticalModel",
     "GeneratingVariateSpec",
     "RngStream",
-    "quantile_u",
     "sample_elliptical",
     "sample_sphere",
     "sample_variate",

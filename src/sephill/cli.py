@@ -192,6 +192,14 @@ def parse_float_list(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
 
 
+def parse_mu(text: str) -> np.ndarray:
+    """The location vector given by --mu; every entry must be finite."""
+    mu = np.array(parse_float_list(text, "--mu"), dtype=float)
+    if not np.all(np.isfinite(mu)):
+        raise ConfigError(f"--mu entries must be finite, got {text!r}")
+    return mu
+
+
 def parse_int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",")]
@@ -258,7 +266,7 @@ def build_model(args, dim: int) -> EllipticalModel:
     if args.mu is None:
         mu = np.zeros(dim)
     else:
-        mu = np.array(parse_float_list(args.mu, "--mu"), dtype=float)
+        mu = parse_mu(args.mu)
         if mu.shape[0] != dim:
             raise ConfigError(
                 f"--mu has {mu.shape[0]} entries, expected --dim = {dim}"
@@ -347,7 +355,7 @@ def _location_scatter_from_args(args, data: np.ndarray):
     if (args.mu is None) != (args.sigma is None):
         raise ConfigError("--mu and --sigma must be given together or not at all")
     if args.mu is not None:
-        mu = np.array(parse_float_list(args.mu, "--mu"), dtype=float)
+        mu = parse_mu(args.mu)
         if mu.shape[0] != d:
             raise ConfigError(f"--mu has {mu.shape[0]} entries, data has {d} columns")
         sigma = load_scatter(args.sigma, d)
@@ -434,8 +442,11 @@ def cmd_verify_bounds(args) -> int:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     if args.n < 4:
         raise ConfigError(f"--n must be at least 4, got {args.n}")
-    if args.perturbation_scale < 0:
-        raise ConfigError("--perturbation-scale must be nonnegative")
+    if not 0 <= args.perturbation_scale < math.inf:
+        raise ConfigError(
+            "--perturbation-scale must be finite and nonnegative, "
+            f"got {args.perturbation_scale}"
+        )
     seed = resolve_seed(args.seed)
     variate = build_variate(args.family, args.alpha, args.nu, args.dim)
     scale = args.perturbation_scale
@@ -530,6 +541,10 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(
             f"--config {path!r} must hold a JSON object, got {type(raw).__name__}"
+        )
+    if raw.get("k_beta") is not None and raw.get("k_values") is not None:
+        raise ConfigError(
+            f"--config {path!r} gives both 'k_beta' and 'k_values'; give one"
         )
     try:
         model_raw = raw["model"]

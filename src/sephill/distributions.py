@@ -16,11 +16,7 @@ supported:
     ``exp(-x ** -alpha)`` distribution function;
 ``t-radial``
     the radial part of a d-dimensional Student-t, i.e. ``r**2 / d`` follows
-    an F(d, nu) distribution; its survival function and tail quantile go
-    through the F and inverse incomplete beta functions of
-    :mod:`scipy.special`, imported inside those two t-radial branches on
-    first use, so the Pareto and Fréchet families and all sampling (t-radial
-    radii come from numpy's ``chisquare``) never load scipy.
+    an F(d, nu) distribution, drawn as a ratio of numpy ``chisquare`` draws.
 
 Randomness is addressed by value: an :class:`RngStream` is a (seed,
 stream_id) pair mapped onto a counter-based Philox generator, so the same
@@ -146,62 +142,6 @@ class GeneratingVariateSpec:
         if self.family == PARETO:
             return 0.0
         return None
-
-    # -- distribution function -------------------------------------------
-
-    def cdf(self, x):
-        """Distribution function of the variate, vectorized."""
-        return 1.0 - self.sf(x)
-
-    def sf(self, x):
-        """Survival function ``P(R > x)``, vectorized.
-
-        Computed directly per family rather than as ``1 - cdf`` so the far
-        tail keeps full relative precision.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.family == PARETO:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = np.where(x > self.x_m, (x / self.x_m) ** -self.alpha, 1.0)
-        elif self.family == FRECHET:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = np.where(x > 0, -np.expm1(-(x ** -self.alpha)), 1.0)
-        else:
-            from scipy.special import fdtrc
-
-            s = np.where(x > 0, fdtrc(self.dim, self.nu, x * x / self.dim), 1.0)
-        if s.ndim == 0:
-            return float(s)
-        return s
-
-
-def quantile_u(spec: GeneratingVariateSpec, y):
-    """Tail quantile ``U(y)``: the value whose survival probability is 1/y.
-
-    Defined for ``y >= 1``; smaller arguments raise :class:`DomainError`.
-    The inverse is closed form for every family.  For the t-radial family
-    ``w = nu / (nu + r**2)`` follows a Beta(nu/2, d/2) law, so ``U(y)`` comes
-    from the inverse regularized incomplete beta function at ``1/y``.
-    """
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 1.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("tail quantile is defined for finite y >= 1")
-    if spec.family == PARETO:
-        out = spec.x_m * arr ** (1.0 / spec.alpha)
-    elif spec.family == FRECHET:
-        with np.errstate(divide="ignore"):
-            # -log(1 - 1/y) written as log1p(1/(y-1)) keeps precision for
-            # large y; y == 1 maps to the lower endpoint 0.
-            inner = np.where(arr > 1.0, np.log1p(1.0 / (arr - 1.0)), np.inf)
-        out = inner ** (-1.0 / spec.alpha)
-    else:
-        from scipy.special import betaincinv
-
-        w = betaincinv(0.5 * spec.nu, 0.5 * spec.dim, 1.0 / arr)
-        out = np.sqrt(spec.nu * (1.0 - w) / w)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -473,6 +473,22 @@ class TestHillplot:
         assert code == 2
         assert "k range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--k", "2"],
+            ["hillplot", "--k-min", "1", "--k-max", "3"],
+        ],
+        ids=["estimate", "hillplot"],
+    )
+    def test_non_finite_mu_names_the_flag(self, tmp_path, capsys, argv):
+        data = write_ladder_csv(tmp_path / "l.csv")
+        code = cli.main(
+            [*argv, "--data", data, "--mu", "0,nan", "--sigma", "identity"]
+        )
+        assert code == 2
+        assert "--mu" in capsys.readouterr().err
+
     def test_bad_step(self, tmp_path):
         data = write_ladder_csv(tmp_path / "l.csv")
         assert cli.main(
@@ -539,6 +555,13 @@ class TestVerifyBounds:
         assert a.read_bytes() == first
         self._run(tmp_path, "a.json", "1e-3", seed="4")
         assert a.read_bytes() != first
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_names_the_flag(self, tmp_path, capsys, scale):
+        code, out = self._run(tmp_path, "bad.json", scale)
+        assert code == 2
+        assert "--perturbation-scale" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_t_radial_family(self, tmp_path):
         out = tmp_path / "t.json"
@@ -1055,6 +1078,19 @@ class TestExperiment:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_with_k_beta_and_k_values_exits_config(self, tmp_path, capsys):
+        # k_values used to win silently while the manifest kept k_beta
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
+        raw.update(k_beta=0.5, k_values=[5])
+        cfg_path = tmp_path / "both.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "exp.json"
+        code = cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'k_beta'" in err and "'k_values'" in err
+        assert not out.exists()
+
     def test_integral_float_config_numbers_accepted(self, tmp_path):
         raw = json.loads(Path(self._config(tmp_path)).read_text())
         raw.update(n_values=[100.0], replications=2.0, base_seed=3.0)
@@ -1127,10 +1163,10 @@ class TestExperiment:
 
 class TestTopLevel:
     def test_import_leaves_out_scipy(self, tmp_path):
-        # scipy takes most of a cold start and only the t-radial law's sf
-        # and tail quantile need it, so neither the import nor a Pareto
-        # experiment may load it.  The process pool's modules load only
-        # when an experiment first runs in parallel.
+        # scipy takes most of a cold start and the package does not use
+        # it, so neither the import nor a Pareto experiment may load it.
+        # The process pool's modules load only when an experiment first
+        # runs in parallel.
         root = Path(__file__).resolve().parent.parent
         script = (
             "import sys, sephill.cli\n"

@@ -1,5 +1,6 @@
 """Run each demo end to end, so a renamed or removed public name or CLI
-option that a demo uses fails the suite."""
+option that a demo uses fails the suite.  Every run has scipy
+unimportable, since the package needs numpy only."""
 
 import os
 import shutil
@@ -15,10 +16,16 @@ CLI_TOUR = ROOT / "demos" / "05_cli_tour.sh"
 
 
 def run_demo(argv, tmp_path, **env):
+    # a sitecustomize first on the path makes `import scipy` fail in every
+    # interpreter the run starts, the tour's `python3` calls included
+    site = tmp_path / "no_scipy"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text('import sys\nsys.modules["scipy"] = None\n')
+    pythonpath = os.pathsep.join([str(site), str(ROOT / "src")])
     proc = subprocess.run(
         argv,
         cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env),
+        env=dict(os.environ, PYTHONPATH=pythonpath, **env),
         capture_output=True,
         text=True,
         timeout=300,
