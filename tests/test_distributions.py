@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from sephill.distributions import (
     EllipticalModel,
@@ -104,6 +107,150 @@ class TestVariateSpec:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             GeneratingVariateSpec(family="cauchy", alpha=1.0)
+
+
+class _Uniforms(np.random.Generator):
+    """A generator whose uniform draws are the given values, in order."""
+
+    def __init__(self, *values):
+        super().__init__(np.random.Philox(0))
+        self._values = np.array(values, dtype=float)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        out[...] = self._values
+        return out
+
+
+def t_radial_law(nu, dim):
+    """scipy's law of a t-radial radius r, through r**2 / dim ~ F(dim, nu)."""
+    return stats.f(dim, nu)
+
+
+class TestDistributionFunctions:
+    """The draws follow each family's distribution function: Pareto and
+    Fréchet through the inverse transform of chosen uniforms, t-radial
+    through the empirical distribution of its chi-square ratios."""
+
+    def test_pareto_sf(self):
+        # survival (x / x_m)**-alpha: u = 3/4 lands where it is 1/4
+        spec = GeneratingVariateSpec.pareto(2.0)
+        assert sample_variate(spec, _Uniforms(0.75)) == pytest.approx(2.0, rel=1e-15)
+        assert sample_variate(spec, _Uniforms(0.0)) == 1.0
+
+    def test_frechet_cdf(self):
+        # distribution function exp(-x**-alpha): u = e**-1 lands at 1
+        spec = GeneratingVariateSpec.frechet(1.0)
+        r = sample_variate(spec, _Uniforms(np.exp(-1.0)))
+        assert r == pytest.approx(1.0, rel=1e-15)
+        # a zero uniform is clamped, so the draw stays finite and positive
+        r0 = sample_variate(spec, _Uniforms(0.0))
+        assert np.isfinite(r0) and r0 > 0
+
+    def test_t_radial_cdf_closed_form(self):
+        # for d = 2 the radial distribution function is
+        # 1 - (1 + r^2/nu)^(-nu/2); the empirical one of 10**5 draws sits
+        # within five binomial deviations of it
+        spec = GeneratingVariateSpec.t_radial(3.0, 2)
+        n = 100_000
+        r = sample_variate(spec, RngStream(29, 0), size=n)
+        for x in (0.5, 1.0, np.sqrt(3.0), 4.0):
+            expected = 1.0 - (1.0 + x * x / 3.0) ** -1.5
+            assert expected == pytest.approx(t_radial_law(3.0, 2).cdf(x * x / 2), rel=1e-12)
+            tol = 5 * np.sqrt(expected * (1 - expected) / n)
+            assert abs(np.mean(r <= x) - expected) <= tol
+
+    def test_vectorized(self):
+        # a vector of draws is the sequence of scalar draws off one generator
+        for spec in (GeneratingVariateSpec.pareto(1.0), GeneratingVariateSpec.frechet(1.5)):
+            gen = RngStream(3, 1).generator()
+            scalars = [sample_variate(spec, gen) for _ in range(8)]
+            vector = sample_variate(spec, RngStream(3, 1), size=8)
+            np.testing.assert_array_equal(vector, scalars)
+
+
+class TestQuantileU:
+    """The Pareto and Fréchet samplers are inverse transforms: a uniform u
+    maps to the tail quantile U(y), the inverse of 1 / survival, at
+    y = 1 / (1 - u).  t-radial draws are chi-square ratios, so their tail
+    is checked against scipy's quantiles of the F law by exceedance
+    counts."""
+
+    def test_pareto_hand_values(self):
+        spec = GeneratingVariateSpec.pareto(2.0)
+        # y = 4 and y = 1
+        assert sample_variate(spec, _Uniforms(0.75)) == pytest.approx(2.0, rel=1e-15)
+        assert sample_variate(spec, _Uniforms(0.0)) == 1.0
+        # U(y) = x_m * y**(1/alpha): y = 8 gives 24 for x_m = 3, alpha = 1
+        spec3 = GeneratingVariateSpec.pareto(1.0, x_m=3.0)
+        assert sample_variate(spec3, _Uniforms(0.875)) == pytest.approx(24.0, rel=1e-15)
+
+    def test_frechet_hand_value(self):
+        # U(2) = 1 / ln 2 for alpha = 1
+        spec = GeneratingVariateSpec.frechet(1.0)
+        r = sample_variate(spec, _Uniforms(0.5))
+        assert r == pytest.approx(1.0 / np.log(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "spec, law",
+        [
+            (GeneratingVariateSpec.pareto(2.5), stats.pareto(b=2.5)),
+            (GeneratingVariateSpec.frechet(1.5), stats.invweibull(c=1.5)),
+            (GeneratingVariateSpec.t_radial(3.0, 4), t_radial_law(3.0, 4)),
+        ],
+        ids=["pareto", "frechet", "t-radial"],
+    )
+    def test_inverse_of_survival(self, spec, law):
+        ys = (1.5, 4.0, 100.0, 1e4)
+        if spec.family == "t-radial":
+            n = 200_000
+            r = sample_variate(spec, RngStream(41, 0), size=n)
+            for y in ys[:3]:
+                x = np.sqrt(spec.dim * law.isf(1.0 / y))
+                p = 1.0 / y
+                assert abs(np.mean(r > x) - p) <= 5 * np.sqrt(p * (1 - p) / n)
+            return
+        u = np.array([1.0 - 1.0 / y for y in ys])
+        r = sample_variate(spec, _Uniforms(*u), size=len(ys))
+        # 1 - u is exact for these u, so it is the tail probability hit
+        np.testing.assert_allclose(law.sf(r), 1.0 - u, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(r, law.isf(1.0 - u), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("nu", [0.7, 3.0, 12.5])
+    def test_t_radial_inverse_of_survival(self, dim, nu):
+        # a share 1/y of the draws lies beyond scipy's quantile U(y)
+        spec = GeneratingVariateSpec.t_radial(nu, dim)
+        law = t_radial_law(nu, dim)
+        n = 40_000
+        r = sample_variate(spec, RngStream(43, 5 * dim + int(nu)), size=n)
+        assert r.shape == (n,) and np.all(np.isfinite(r)) and np.all(r > 0)
+        for y in (1.5, 4.0, 1e2):
+            x = np.sqrt(dim * law.isf(1.0 / y))
+            p = 1.0 / y
+            assert abs(np.mean(r > x) - p) <= 5 * np.sqrt(p * (1 - p) / n)
+        assert isinstance(sample_variate(spec, RngStream(43, 0)), float)
+
+    def test_array_argument(self):
+        # U(y) = y for Pareto(1): the uniforms 0, 1/2, 9/10 give 1, 2, 10
+        spec = GeneratingVariateSpec.pareto(1.0)
+        r = sample_variate(spec, _Uniforms(0.0, 0.5, 0.9), size=3)
+        np.testing.assert_allclose(r, [1.0, 2.0, 10.0], rtol=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    y=st.floats(min_value=1.000001, max_value=1e8),
+    alpha=st.floats(min_value=0.2, max_value=10.0),
+)
+def test_closed_form_quantiles_invert_survival(y, alpha):
+    # the uniform 1 - 1/y lands on U(y): its closed-form survival is 1/y,
+    # taken at the y the stored uniform stands for
+    u = 1.0 - 1.0 / y
+    y_stored = 1.0 / (1.0 - u)
+    r = sample_variate(GeneratingVariateSpec.pareto(alpha), _Uniforms(u))
+    assert r**-alpha * y_stored == pytest.approx(1.0, rel=1e-9)
+    r = sample_variate(GeneratingVariateSpec.frechet(alpha), _Uniforms(u))
+    assert -np.expm1(-(r**-alpha)) * y_stored == pytest.approx(1.0, rel=1e-9)
 
 
 class TestSampleSphere:
