@@ -35,11 +35,7 @@ from .estimators import (
     hill_plot,
     mahalanobis_distances,
     order_desc,
-    sample_covariance,
-    sample_mean,
     separating_hill,
-    spatial_median,
-    tyler_shape,
     univariate_hill,
 )
 from .linalg import cholesky, spd_inverse, spectral_norm
@@ -79,11 +75,7 @@ __all__ = [
     "hill_plot",
     "mahalanobis_distances",
     "order_desc",
-    "sample_covariance",
-    "sample_mean",
     "separating_hill",
-    "spatial_median",
-    "tyler_shape",
     "univariate_hill",
     "cholesky",
     "spd_inverse",

@@ -210,7 +210,12 @@ def parse_int_list(text: str, flag: str) -> list[int]:
 def load_csv_matrix(path: str) -> np.ndarray:
     """Load a purely numeric CSV as a 2-d float array."""
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below as a ConfigError
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            arr = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"could not parse {path!r} as numeric CSV: {exc}") from None
     if arr.size == 0:
@@ -607,24 +612,24 @@ def _experiment_config_inline(args) -> montecarlo.ExperimentConfig:
     for flag, name in ((args.dim, "--dim"), (args.n_values, "--n-values"), (args.replications, "--replications")):
         if flag is None:
             raise ConfigError(f"{name} is required without --config")
+    if args.k_beta is not None and args.k_list is not None:
+        raise ConfigError("--k-beta and --k-list are both given; give one")
     model = build_model(args, args.dim)
-    method = _METHOD_NAMES.get(args.method)
-    if method is None:
-        raise ConfigError(
-            f"--method must be one of {sorted(_METHOD_NAMES)}, got {args.method!r}"
-        )
     n_values = parse_int_list(args.n_values, "--n-values")
-    k_values = (
-        parse_int_list(args.k_list, "--k-list") if args.k_list is not None else None
-    )
+    if args.k_list is None:
+        k_beta = 0.5 if args.k_beta is None else args.k_beta
+        k_values = None
+    else:
+        k_beta = None
+        k_values = tuple(parse_int_list(args.k_list, "--k-list"))
     return montecarlo.ExperimentConfig(
         model=model,
         n_values=tuple(n_values),
         replications=args.replications,
         base_seed=resolve_seed(args.seed),
-        estimator_method=method,
-        k_beta=args.k_beta if k_values is None else None,
-        k_values=tuple(k_values) if k_values is not None else None,
+        estimator_method=_METHOD_NAMES[args.method],
+        k_beta=k_beta,
+        k_values=k_values,
     )
 
 
@@ -775,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu")
     p.add_argument("--sigma", default="identity")
     p.add_argument("--n-values", help="comma-separated sample sizes")
-    p.add_argument("--k-beta", type=float, default=0.5)
+    p.add_argument("--k-beta", type=float, help="k = ceil(n**k_beta), default 0.5")
     p.add_argument("--k-list", help="explicit k per sample size")
     p.add_argument(
         "--method",

@@ -36,8 +36,8 @@ SPATIAL_MEDIAN_TYLER = "spatial_median_tyler"
 ESTIMATOR_METHODS = (SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER)
 
 #: Solver settings of the robust pair: the Weiszfeld gradient tolerance
-#: (see :func:`spatial_median`), the Tyler step tolerance (see
-#: :func:`tyler_shape`) and the iteration budget of each.
+#: (see :func:`_spatial_median_iter`), the Tyler step tolerance (see
+#: :func:`_tyler_iter`) and the iteration budget of each.
 MEDIAN_TOL = 1e-10
 SHAPE_TOL = 1e-9
 MAX_ITER = 500
@@ -250,22 +250,6 @@ def _covariance(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cov, cov_inv
 
 
-def sample_mean(sample) -> np.ndarray:
-    """Coordinate-wise mean of the rows."""
-    return _centred_columns(sample)[0]
-
-
-def sample_covariance(sample) -> np.ndarray:
-    """Sample covariance with the n-1 divisor.
-
-    The rows are centred at :func:`sample_mean` in a ``(d, n)`` copy and
-    the products are summed with einsum along the n rows, in a fixed
-    order.  Raises :class:`DegenerateSample` when there are fewer than
-    ``d + 1`` rows or the result is not positive definite.
-    """
-    return _covariance(_centred_columns(sample)[1])[0]
-
-
 class _AndersonMixer:
     """Type-II Anderson mixing for a fixed-point map on vectors of one size.
 
@@ -316,8 +300,8 @@ class _AndersonMixer:
 
 
 def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=None):
-    """Anderson-mixed Weiszfeld iteration, with the standard adjustment at
-    data points.
+    """Anderson-mixed Weiszfeld iteration from the coordinate-wise mean,
+    with the standard adjustment at data points.
 
     The map F is one Weiszfeld step.  Evaluated at an iterate it also
     measures the stopping rule there: the sum of unit vectors from the
@@ -432,22 +416,6 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=Non
             mixed = mixer.held > 1
 
 
-def spatial_median(sample, tol: float = MEDIAN_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
-    """Geometric median of the rows by Anderson-mixed Weiszfeld iteration.
-
-    Starts from the coordinate-wise mean.  Iterates that land exactly on a
-    repeated observation are handled with the usual subgradient step
-    instead of dividing by zero, and the rest of the solve takes plain
-    steps.  A mixed point that raises the sum of distances is dropped
-    (see :func:`_spatial_median_iter`).  A single column's median is
-    returned in closed form.  Raises :class:`NotConverged` (carrying the
-    last iterate) if the gradient criterion is not met within
-    ``max_iter`` Weiszfeld steps.
-    """
-    m, _ = _spatial_median_iter(as_sample(sample), tol, max_iter)
-    return m
-
-
 def _tyler_iter(
     x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int, workspace=None
 ):
@@ -478,9 +446,10 @@ def _tyler_iter(
     centred rows, the moments and ``q`` are its ``"columns"``,
     ``"moments"`` and ``"rows"`` slabs.
 
-    Each iterate is symmetric by construction (filled from one triangle),
-    so it is inverted through the pivot floor without the symmetry
-    comparison.
+    Rows exactly equal to ``mu_hat`` carry no direction and are dropped
+    with a warning.  Each iterate is symmetric by construction (filled
+    from one triangle), so it is inverted through the pivot floor without
+    the symmetry comparison.
 
     At d = 1 the only trace-1 shape is ``[[1.0]]``, returned after 0
     evaluations with no moments and no warning; only the usable rows
@@ -577,39 +546,16 @@ def _tyler_iter(
         mixed = mixer.held > 1
 
 
-def tyler_shape(sample, mu_hat, tol: float = SHAPE_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
-    """Tyler's fixed-point shape estimator around a given location.
-
-    Each step averages the outer products of the centered rows weighted by
-    the inverse of their squared distance under the current iterate, then
-    rescales to trace ``d``; Anderson mixing of the steps picks the next
-    iterate, and a mixed point that is not positive definite is dropped
-    (see :func:`_tyler_iter`).  ``max_iter`` bounds the number of steps.
-    The outer products are held once as n·d(d+1)/2 row moments, so a
-    step costs two passes over them.  Rows exactly equal to ``mu_hat``
-    carry no directional information and are dropped with a warning.  The
-    result is symmetric positive definite with trace ``d``; at d = 1 it is
-    ``[[1.0]]``, returned without a step or a warning.
-    """
-    x = as_sample(sample)
-    mv = np.asarray(mu_hat, dtype=float)
-    if mv.ndim != 1 or mv.shape[0] != x.shape[1]:
-        raise DimensionMismatch(
-            f"location has shape {mv.shape}, sample rows have length {x.shape[1]}"
-        )
-    v, _ = _tyler_iter(x, mv, tol, max_iter)
-    return v
-
-
 def estimate_location_scatter(
     sample, method: str, *, workspace=None
 ) -> LocationScatterEstimate:
     """Estimate location and scatter by the requested method.
 
     ``sample_mean_cov`` pairs the coordinate-wise mean with the sample
-    covariance; ``spatial_median_tyler`` pairs the spatial median with
-    Tyler's shape estimator, each solved by Anderson-mixed fixed-point
-    steps to :data:`MEDIAN_TOL` and :data:`SHAPE_TOL` within
+    covariance (n - 1 divisor; :class:`DegenerateSample` when there are
+    fewer than d + 1 rows or it is not positive definite);
+    ``spatial_median_tyler`` pairs the spatial median with Tyler's shape
+    estimator, each solved by Anderson-mixed fixed-point steps to :data:`MEDIAN_TOL` and :data:`SHAPE_TOL` within
     :data:`MAX_ITER` steps (see :func:`_spatial_median_iter` and
     :func:`_tyler_iter`).  ``median_iterations`` and ``shape_iterations``
     count the Weiszfeld and Tyler map evaluations (both 0 for the

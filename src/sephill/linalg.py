@@ -34,17 +34,26 @@ def check_symmetric(m) -> np.ndarray:
     exceeds :data:`SYMMETRY_RTOL` relative to the largest entry, and
     :class:`NonFinite` for NaN/inf entries.
     """
+    return _check_symmetric(m, stacked=False)
+
+
+def _check_symmetric(m, stacked: bool) -> np.ndarray:
+    """:func:`check_symmetric` of one matrix or, when ``stacked``, of each
+    matrix of a ``(count, d, d)`` stack, in one pass."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise NonSymmetric("expected a nonempty matrix, got shape (0, 0)")
-    if not np.isfinite(a).all():
+    if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2]:
+        what = "a stack of square matrices" if stacked else "a square matrix"
+        raise NonSymmetric(f"expected {what}, got shape {a.shape}")
+    if a.shape[-1] == 0:
+        what = "nonempty matrices" if stacked else "a nonempty matrix"
+        raise NonSymmetric(f"expected {what}, got shape {a.shape}")
+    # one value per matrix; a NaN or inf entry makes its matrix's largest NaN or inf
+    largest = np.abs(a).max(axis=(-2, -1))
+    if not all((largest < np.inf).flat):
         raise NonFinite("matrix entries must be finite")
-    if np.abs(a - a.T).max() > SYMMETRY_RTOL * np.abs(a).max():
-        raise NonSymmetric(
-            f"matrix is not symmetric within relative tolerance {SYMMETRY_RTOL:g}"
-        )
+    asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if any((asym > SYMMETRY_RTOL * largest).flat):
+        raise NonSymmetric(f"matrix is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
     return a
 
 
@@ -128,8 +137,7 @@ def spectral_norm(m) -> float:
     operator 2-norm.  Inputs failing the symmetry check raise
     :class:`NonSymmetric` rather than being silently symmetrized.
     """
-    a = check_symmetric(m)
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return float(_largest_abs_eigenvalues(check_symmetric(m)))
 
 
 def spectral_norms(matrices) -> np.ndarray:
@@ -138,22 +146,13 @@ def spectral_norms(matrices) -> np.ndarray:
 
     ``matrices`` is a sequence of ``d x d`` matrices or a ``(count, d,
     d)`` array.  Each matrix is validated as :func:`check_symmetric`
-    validates it, all of them in one pass: :class:`NonSymmetric` if they
-    are empty, else :class:`NonFinite` if any has a NaN/inf entry, else
-    :class:`NonSymmetric` if any is asymmetric.  LAPACK solves each
-    matrix of the stack on its own, so every norm has the bytes of a
-    separate :func:`spectral_norm` call.
+    validates it, all of them in one pass.  LAPACK solves each matrix of
+    the stack on its own, so every norm has the bytes of a separate
+    :func:`spectral_norm` call.
     """
-    a = np.asarray(matrices, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise NonSymmetric(f"expected a stack of square matrices, got shape {a.shape}")
-    if a.shape[1] == 0:
-        raise NonSymmetric(f"expected nonempty matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite("matrix entries must be finite")
-    asym = np.abs(a - a.swapaxes(1, 2)).max(axis=(1, 2))
-    if (asym > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2))).any():
-        raise NonSymmetric(
-            f"matrix is not symmetric within relative tolerance {SYMMETRY_RTOL:g}"
-        )
-    return np.abs(np.linalg.eigvalsh(a)).max(axis=1)
+    return _largest_abs_eigenvalues(_check_symmetric(matrices, stacked=True))
+
+
+def _largest_abs_eigenvalues(a: np.ndarray):
+    """Of a validated matrix, or of each matrix of a validated stack."""
+    return np.abs(np.linalg.eigvalsh(a)).max(axis=-1)

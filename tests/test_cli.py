@@ -1091,6 +1091,31 @@ class TestExperiment:
         assert "'k_beta'" in err and "'k_values'" in err
         assert not out.exists()
 
+    def test_k_beta_with_k_list_exits_config(self, tmp_path, capsys):
+        # --k-list used to win silently over a given --k-beta
+        out = tmp_path / "exp.json"
+        argv = self._inline_args(out) + ["--k-list", "5,7", "--k-beta", "0.9"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--k-beta" in err and "--k-list" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, k_beta, ks",
+        [
+            ([], 0.5, [10, 15]),
+            (["--k-beta", "0.6"], 0.6, [16, 25]),
+            (["--k-list", "5,7"], None, [5, 7]),
+        ],
+        ids=["neither", "k-beta", "k-list"],
+    )
+    def test_manifest_records_the_k_rule_used(self, tmp_path, flags, k_beta, ks):
+        out = tmp_path / "exp.json"
+        assert cli.main(self._inline_args(out) + flags) == 0
+        payload = json.loads(out.read_text())
+        assert payload["manifest"]["config"]["k_beta"] == k_beta
+        assert [a["k"] for a in payload["aggregates"]] == ks
+
     def test_integral_float_config_numbers_accepted(self, tmp_path):
         raw = json.loads(Path(self._config(tmp_path)).read_text())
         raw.update(n_values=[100.0], replications=2.0, base_seed=3.0)
@@ -1207,6 +1232,25 @@ class TestTopLevel:
         out = tmp_path / "out"
         assert cli.main([*argv, "--dim", "0", "--out", str(out)]) == 2
         assert "--dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--k", "1", "--method", "mean-cov", "--data"],
+            ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
+             "--n", "5", "--sigma"],
+        ],
+        ids=["estimate-data", "simulate-sigma"],
+    )
+    def test_empty_input_file_exits_config(self, tmp_path, capsys, argv):
+        # numpy's own no-data warning must not come before, or instead of,
+        # the error
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        out = tmp_path / "out"
+        assert cli.main([*argv, str(empty), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {str(empty)!r} contains no data rows\n"
         assert not out.exists()
 
     def test_no_subcommand_is_usage_error(self, capsys):

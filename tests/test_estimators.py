@@ -37,17 +37,33 @@ from sephill.estimators import (
     hill_plot,
     mahalanobis_distances,
     order_desc,
-    sample_covariance,
-    sample_mean,
     separating_hill,
-    spatial_median,
-    tyler_shape,
     univariate_hill,
 )
 from sephill.montecarlo import ExperimentConfig, run_replication
 
 LOG2 = np.log(2.0)
 EPS = np.finfo(float).eps
+
+
+# The robust fit's two solves, called directly so that a test can set
+# their tolerance and budget.
+def weiszfeld(x, tol=MEDIAN_TOL, max_iter=MAX_ITER):
+    """The spatial median of the rows."""
+    return estimators._spatial_median_iter(np.asarray(x, dtype=float), tol, max_iter)[0]
+
+
+def tyler(x, mu, tol=SHAPE_TOL, max_iter=MAX_ITER):
+    """Tyler's trace-d shape of the rows around ``mu``."""
+    return estimators._tyler_iter(
+        np.asarray(x, dtype=float), np.asarray(mu, dtype=float), tol, max_iter
+    )[0]
+
+
+def mean_cov(x):
+    """The mean/covariance fit's location and scatter."""
+    fit = estimate_location_scatter(x, SAMPLE_MEAN_COV)
+    return fit.mu_hat, fit.sigma_hat
 
 
 class TestUnivariateHill:
@@ -233,25 +249,24 @@ class TestSeparatingHill:
 
 class TestMoments:
     def test_mean_oracle(self):
-        np.testing.assert_allclose(
-            sample_mean([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]), [1.0, 1.0]
-        )
+        mu, _ = mean_cov([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+        np.testing.assert_allclose(mu, [1.0, 1.0])
 
     def test_covariance_oracle(self):
-        cov = sample_covariance([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+        _, cov = mean_cov([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
         np.testing.assert_allclose(cov, np.diag([4.0 / 3.0, 4.0 / 3.0]), atol=1e-15)
 
     def test_covariance_univariate(self):
-        np.testing.assert_allclose(sample_covariance([[1.0], [3.0]]), [[2.0]])
+        np.testing.assert_allclose(mean_cov([[1.0], [3.0]])[1], [[2.0]])
 
     def test_too_few_rows(self):
         with pytest.raises(DegenerateSample):
-            sample_covariance(np.ones((2, 2)))
+            estimate_location_scatter(np.ones((2, 2)), SAMPLE_MEAN_COV)
 
     def test_collinear_rows(self):
         rows = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(DegenerateSample):
-            sample_covariance(rows)
+            estimate_location_scatter(rows, SAMPLE_MEAN_COV)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_match_numpy_on_noncontiguous_input(self, d):
@@ -259,36 +274,36 @@ class TestMoments:
         base = rng.normal(loc=3.0, size=(3 * 401, 2 * d))
         x = base[::3, ::2]
         assert not x.flags.c_contiguous and not x.flags.f_contiguous
-        np.testing.assert_allclose(sample_mean(x), np.mean(x, axis=0), rtol=1e-14)
+        mu, cov = mean_cov(x)
+        np.testing.assert_allclose(mu, np.mean(x, axis=0), rtol=1e-14)
         np.testing.assert_allclose(
-            sample_covariance(x), np.atleast_2d(np.cov(x, rowvar=False)),
-            rtol=1e-13, atol=1e-15,
+            cov, np.atleast_2d(np.cov(x, rowvar=False)), rtol=1e-13, atol=1e-15
         )
 
 
 class TestSpatialMedian:
     def test_two_points_midpoint(self):
-        m = spatial_median([[0.0, 0.0], [2.0, 0.0]])
+        m = weiszfeld([[0.0, 0.0], [2.0, 0.0]])
         np.testing.assert_allclose(m, [1.0, 0.0], atol=1e-9)
 
     def test_square_center(self):
         pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-        np.testing.assert_allclose(spatial_median(pts), [0.5, 0.5], atol=1e-9)
+        np.testing.assert_allclose(weiszfeld(pts), [0.5, 0.5], atol=1e-9)
 
     def test_majority_point_wins(self):
         pts = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]]
-        np.testing.assert_allclose(spatial_median(pts), [0.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(weiszfeld(pts), [0.0, 0.0], atol=1e-8)
 
     def test_moves_off_repeated_point_it_lands_on(self):
         # the start, the mean (0, 0), is a data point, and the pull of the
         # other rows there exceeds its multiplicity, so the iterate must move
         pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-3.0, 0.0]]
-        np.testing.assert_allclose(spatial_median(pts), [1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(weiszfeld(pts), [1.0, 0.0], atol=1e-9)
 
     def test_gradient_small_at_solution(self):
         rng = np.random.default_rng(3)
         x = rng.standard_t(df=2.0, size=(200, 3))
-        m = spatial_median(x, tol=1e-12)
+        m = weiszfeld(x, tol=1e-12)
         diff = x - m
         unit = diff / np.linalg.norm(diff, axis=1)[:, None]
         assert np.linalg.norm(unit.sum(axis=0)) < 1e-6
@@ -307,7 +322,7 @@ class TestSpatialMedian:
                 unit_sum += (row - m) / np.sqrt(np.sum((row - m) ** 2))
             return np.linalg.norm(unit_sum)
 
-        assert gradient_norm(spatial_median(x, tol=tol)) <= d * tol * n
+        assert gradient_norm(weiszfeld(x, tol=tol)) <= d * tol * n
         # the starting point, the mean, is far from meeting it
         assert gradient_norm(x.mean(axis=0)) > 1e6 * d * tol * n
 
@@ -316,14 +331,14 @@ class TestSpatialMedian:
         x = rng.normal(size=(50, 2))
         shift = np.array([10.0, -3.0])
         np.testing.assert_allclose(
-            spatial_median(x + shift), spatial_median(x) + shift, atol=1e-8
+            weiszfeld(x + shift), weiszfeld(x) + shift, atol=1e-8
         )
 
     def test_not_converged_carries_last_iterate(self):
         rng = np.random.default_rng(9)
         x = rng.standard_t(df=1.5, size=(60, 2))
         with pytest.raises(NotConverged) as info:
-            spatial_median(x, tol=1e-15, max_iter=1)
+            weiszfeld(x, tol=1e-15, max_iter=1)
         err = info.value
         assert err.iterations == 1
         assert isinstance(err.last_iterate, np.ndarray)
@@ -343,7 +358,7 @@ class TestTylerShape:
 
     def test_trace_is_dimension(self):
         sample = self._heavy_sample(np.eye(3), 400, seed=21)
-        v = tyler_shape(sample, np.zeros(3))
+        v = tyler(sample, np.zeros(3))
         assert np.trace(v) == pytest.approx(3.0, abs=1e-12)
         np.testing.assert_allclose(v, v.T)
 
@@ -369,7 +384,7 @@ class TestTylerShape:
         mu = np.linspace(-1.0, 2.0, d)
         sample = self._heavy_sample(sigma, 500, seed=5, mu=mu)
         tol = 1e-9
-        v = tyler_shape(sample, mu, tol=tol)
+        v = tyler(sample, mu, tol=tol)
         diff = sample - mu
         q = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(v), diff)
         mapped = (d / diff.shape[0]) * np.einsum(
@@ -381,7 +396,7 @@ class TestTylerShape:
     def test_recovers_shape_matrix(self):
         sigma = np.array([[3.0, 1.0], [1.0, 2.0]])
         sample = self._heavy_sample(sigma, 4000, seed=13)
-        v = tyler_shape(sample, np.zeros(2))
+        v = tyler(sample, np.zeros(2))
         target = 2.0 * sigma / np.trace(sigma)
         assert np.max(np.abs(v - target)) < 0.12
 
@@ -389,16 +404,12 @@ class TestTylerShape:
         rng = np.random.default_rng(2)
         x = np.vstack([rng.normal(size=(50, 2)), np.zeros((3, 2))])
         with pytest.warns(UserWarning, match="dropping 3 rows"):
-            v = tyler_shape(x, np.zeros(2))
+            v = tyler(x, np.zeros(2))
         assert np.trace(v) == pytest.approx(2.0, abs=1e-12)
 
     def test_too_few_rows(self):
         with pytest.raises(DegenerateSample):
-            tyler_shape(np.eye(2), np.zeros(2))
-
-    def test_location_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            tyler_shape(np.ones((10, 2)), np.zeros(3))
+            tyler(np.eye(2), np.zeros(2))
 
 
 class TestEstimateLocationScatter:
@@ -406,8 +417,8 @@ class TestEstimateLocationScatter:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(100, 2))
         est = estimate_location_scatter(x, SAMPLE_MEAN_COV)
-        np.testing.assert_array_equal(est.mu_hat, sample_mean(x))
-        np.testing.assert_array_equal(est.sigma_hat, sample_covariance(x))
+        np.testing.assert_allclose(est.mu_hat, np.mean(x, axis=0), rtol=1e-14)
+        np.testing.assert_allclose(est.sigma_hat, np.cov(x, rowvar=False), rtol=1e-13)
         np.testing.assert_allclose(
             est.sigma_hat_inv @ est.sigma_hat, np.eye(2), atol=1e-10
         )
@@ -731,7 +742,7 @@ class TestAndersonMixing:
     )
     def test_tyler_drops_mixed_point_that_is_not_spd(self, monkeypatch, point, evaluated):
         x = pareto_sample(3, 1000, seed=62)
-        mu = spatial_median(x)
+        mu = weiszfeld(x)
         upper = point[np.triu_indices(3)]
         calls = self._mix_to(monkeypatch, lambda f: upper.copy())
         v, evals = estimators._tyler_iter(x, mu, SHAPE_TOL, MAX_ITER)
@@ -747,7 +758,7 @@ class TestAndersonMixing:
         t = np.linspace(-3.0, 3.0, 40)
         x = np.column_stack([t, 2.0 * t]) + np.array([1.0, -1.0])
         with pytest.raises(SingularIterate):
-            tyler_shape(x[t != 0.0], np.array([1.0, -1.0]))
+            tyler(x[t != 0.0], np.array([1.0, -1.0]))
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_budget_counts_every_map_evaluation(self, max_iter):
@@ -756,9 +767,9 @@ class TestAndersonMixing:
         x = pareto_sample(2, 500, seed=63)
         mu = np.array([-1.0, 2.0])
         with pytest.raises(NotConverged, match=f"in {max_iter} iterations") as med:
-            spatial_median(x, tol=0.0, max_iter=max_iter)
+            weiszfeld(x, tol=0.0, max_iter=max_iter)
         with pytest.raises(NotConverged, match=f"in {max_iter} iterations") as shape:
-            tyler_shape(x, mu, tol=0.0, max_iter=max_iter)
+            tyler(x, mu, tol=0.0, max_iter=max_iter)
         assert med.value.iterations == shape.value.iterations == max_iter
         last = shape.value.last_iterate
         assert np.trace(last) == pytest.approx(2.0, abs=1e-12)
@@ -844,12 +855,12 @@ class TestOneDimensionalMedian:
             assert fit.shape_iterations == 0
 
     def test_shape_needs_two_rows_off_the_location(self):
-        assert tyler_shape([[1.0], [2.0], [3.0]], [2.0]).tolist() == [[1.0]]
+        assert tyler([[1.0], [2.0], [3.0]], [2.0]).tolist() == [[1.0]]
         with pytest.raises(DegenerateSample, match="have 1"):
-            tyler_shape([[2.0], [2.0], [3.0]], [2.0])
+            tyler([[2.0], [2.0], [3.0]], [2.0])
 
     def test_odd_count_gives_the_middle_row(self):
-        assert spatial_median([[3.0], [-1.0], [2.0], [7.0], [0.5]]).tolist() == [2.0]
+        assert weiszfeld([[3.0], [-1.0], [2.0], [7.0], [0.5]]).tolist() == [2.0]
 
     def test_empty_sample(self):
         with pytest.raises(DegenerateSample):
