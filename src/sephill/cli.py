@@ -13,8 +13,7 @@ line endings and no quoting; JSON and CSV write every float in one lossless
 format, the shortest round-trip ``repr``; every output file is accompanied
 by a ``<name>.manifest.json`` sidecar recording the resolved configuration,
 and JSON payloads embed the same manifest minus the timestamp so identical
-invocations produce byte-identical primary outputs.  ``SEPHILL_SEED`` in
-the environment supplies the default seed when ``--seed`` is absent.
+invocations produce byte-identical primary outputs.
 
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numeric
 degeneracy, 5 experiment failure cap exceeded.
@@ -29,7 +28,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -41,9 +39,7 @@ from .distributions import (
     FAMILIES,
     GeneratingVariateSpec,
     RngStream,
-    elliptical_rows,
     sample_elliptical,
-    sample_sphere,
 )
 from .errors import (
     ConfigError,
@@ -139,17 +135,14 @@ def write_csv(stream, rows, header=None) -> None:
         stream.write(",".join(csv_cell(v) for v in row) + "\n")
 
 
-def _write_output(path: str, text: str) -> None:
+def _emit(path: str, text: str, manifest: dict) -> None:
+    """Write ``text`` to ``path`` ('-' is stdout) and, beside a file, the
+    ``<path>.manifest.json`` sidecar: ``manifest`` with a timestamp."""
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-
-
-def _write_manifest_sidecar(path: str, manifest: dict) -> None:
-    if path == "-":
         return
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
     stamped = dict(manifest)
     stamped["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(path + ".manifest.json", "w", newline="\n") as fh:
@@ -170,31 +163,12 @@ def build_manifest(command: str, config: dict, base_seed: int) -> dict:
 # -- input parsing helpers -------------------------------------------------
 
 
-def resolve_seed(value) -> int:
-    """--seed value, falling back to SEPHILL_SEED, then 0."""
-    if value is not None:
-        return int(value)
-    env = os.environ.get("SEPHILL_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(
-            f"SEPHILL_SEED must be an integer, got {env!r}"
-        ) from None
-
-
-def parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-
-
 def parse_mu(text: str) -> np.ndarray:
     """The location vector given by --mu; every entry must be finite."""
-    mu = np.array(parse_float_list(text, "--mu"), dtype=float)
+    try:
+        mu = np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"--mu expects comma-separated numbers, got {text!r}") from None
     if not np.all(np.isfinite(mu)):
         raise ConfigError(f"--mu entries must be finite, got {text!r}")
     return mu
@@ -223,10 +197,10 @@ def load_csv_matrix(path: str) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-def load_scatter(arg: str, dim: int) -> np.ndarray:
-    """Scatter from --sigma: 'identity' or a file of d comma-separated rows,
-    validated by :func:`_check_scatter`."""
-    if arg == "identity":
+def load_scatter(arg: str | None, dim: int) -> np.ndarray:
+    """Scatter from --sigma: 'identity' (also when absent) or a file of d
+    comma-separated rows, validated by :func:`_check_scatter`."""
+    if arg is None or arg == "identity":
         return np.eye(dim)
     return _check_scatter(load_csv_matrix(arg), dim, "--sigma file")
 
@@ -294,21 +268,8 @@ def _make_model(mu, sigma, variate, source: str) -> EllipticalModel:
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
-    seed = resolve_seed(args.seed)
     model = build_model(args, args.dim)
-    stream = RngStream(seed, 0)
-    if args.force_radii is not None:
-        radii = np.array(parse_float_list(args.force_radii, "--force-radii"))
-        if radii.shape[0] != args.n:
-            raise ConfigError(
-                f"--force-radii gives {radii.shape[0]} values for --n = {args.n}"
-            )
-        if not np.all(np.isfinite(radii) & (radii > 0)):
-            raise ConfigError("--force-radii values must be positive and finite")
-        directions = sample_sphere(model.dim, stream, size=args.n)
-        sample = elliptical_rows(model, radii, directions)
-    else:
-        sample, radii = sample_elliptical(model, args.n, stream)
+    sample, radii = sample_elliptical(model, args.n, RngStream(args.seed, 0))
 
     config = {
         "family": args.family,
@@ -322,18 +283,16 @@ def cmd_simulate(args) -> int:
         "radii_out": args.radii_out,
         "header": bool(args.header),
     }
-    manifest = build_manifest("simulate", config, seed)
+    manifest = build_manifest("simulate", config, args.seed)
 
     header = [f"x{i + 1}" for i in range(model.dim)] if args.header else None
     buf = io.StringIO()
     write_csv(buf, sample, header=header)
-    _write_output(args.out, buf.getvalue())
-    _write_manifest_sidecar(args.out, manifest)
+    _emit(args.out, buf.getvalue(), manifest)
     if args.radii_out is not None:
         rbuf = io.StringIO()
         write_csv(rbuf, ([float(r)] for r in radii))
-        _write_output(args.radii_out, rbuf.getvalue())
-        _write_manifest_sidecar(args.radii_out, manifest)
+        _emit(args.radii_out, rbuf.getvalue(), manifest)
     return EXIT_OK
 
 
@@ -374,14 +333,9 @@ def _location_scatter_from_args(args, data: np.ndarray):
         return loc, "given-params", []
     if args.method is None:
         raise ConfigError("--method is required unless --mu/--sigma are given")
-    method = _METHOD_NAMES.get(args.method)
-    if method is None or method == TRUE_PARAMS:
-        raise ConfigError(
-            f"--method must be 'mean-cov' or 'median-tyler', got {args.method!r}"
-        )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        loc = estimate_location_scatter(data, method)
+        loc = estimate_location_scatter(data, _METHOD_NAMES[args.method])
     return loc, args.method, [str(w.message) for w in caught]
 
 
@@ -409,8 +363,7 @@ def cmd_estimate(args) -> int:
         "warnings": warning_messages,
         "manifest": build_manifest("estimate", config, 0),
     }
-    _write_output(args.out, dumps_json(payload) + "\n")
-    _write_manifest_sidecar(args.out, payload["manifest"])
+    _emit(args.out, dumps_json(payload) + "\n", payload["manifest"])
     return EXIT_OK
 
 
@@ -437,8 +390,7 @@ def cmd_hillplot(args) -> int:
     }
     buf = io.StringIO()
     write_csv(buf, ([k, g] for k, g in series))
-    _write_output(args.out, buf.getvalue())
-    _write_manifest_sidecar(args.out, build_manifest("hillplot", config, 0))
+    _emit(args.out, buf.getvalue(), build_manifest("hillplot", config, 0))
     return EXIT_OK
 
 
@@ -452,7 +404,6 @@ def cmd_verify_bounds(args) -> int:
             "--perturbation-scale must be finite and nonnegative, "
             f"got {args.perturbation_scale}"
         )
-    seed = resolve_seed(args.seed)
     variate = build_variate(args.family, args.alpha, args.nu, args.dim)
     scale = args.perturbation_scale
     d, n = args.dim, args.n
@@ -467,11 +418,10 @@ def cmd_verify_bounds(args) -> int:
     bound_values = []
 
     for trial in range(args.trials):
-        gen = RngStream(seed, trial).generator()
+        gen = RngStream(args.seed, trial).generator()
         mu = gen.normal(0.0, 1.0, d)
         g = gen.normal(0.0, 1.0, (d, d))
         sigma = np.einsum("ik,jk->ij", g, g) / d + 0.5 * np.eye(d)
-        sigma = 0.5 * (sigma + sigma.T)
         model = EllipticalModel(mu=mu, sigma=sigma, variate=variate)
         sample, _ = sample_elliptical(model, n, gen)
 
@@ -480,7 +430,6 @@ def cmd_verify_bounds(args) -> int:
         # any magnitude of the scale flag
         w = gen.normal(0.0, 1.0, (d, d))
         sigma_hat_inv = sigma_inv + scale * np.einsum("ik,jk->ij", w, w) / d
-        sigma_hat_inv = 0.5 * (sigma_hat_inv + sigma_hat_inv.T)
         mu_hat = mu + scale * gen.normal(0.0, 1.0, d)
 
         coeffs = bounds.perturbation_coefficients(
@@ -530,10 +479,9 @@ def cmd_verify_bounds(args) -> int:
             "log_ratio_bound": _stats(bound_values),
             "min_epsilon_slack": min(slacks, default=None),
         },
-        "manifest": build_manifest("verify-bounds", config, seed),
+        "manifest": build_manifest("verify-bounds", config, args.seed),
     }
-    _write_output(args.out, dumps_json(payload) + "\n")
-    _write_manifest_sidecar(args.out, payload["manifest"])
+    _emit(args.out, dumps_json(payload) + "\n", payload["manifest"])
     return EXIT_OK
 
 
@@ -546,10 +494,6 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(
             f"--config {path!r} must hold a JSON object, got {type(raw).__name__}"
-        )
-    if raw.get("k_beta") is not None and raw.get("k_values") is not None:
-        raise ConfigError(
-            f"--config {path!r} gives both 'k_beta' and 'k_values'; give one"
         )
     try:
         model_raw = raw["model"]
@@ -572,9 +516,9 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
             model=model,
             n_values=_config_list(raw["n_values"], "n_values", path),
             replications=raw["replications"],
-            base_seed=raw["base_seed"] if "base_seed" in raw else resolve_seed(None),
+            base_seed=raw.get("base_seed", 0),
             estimator_method=raw.get("estimator_method", SAMPLE_MEAN_COV),
-            k_beta=raw.get("k_beta", 0.5 if "k_values" not in raw else None),
+            k_beta=raw.get("k_beta"),
             k_values=(
                 _config_list(raw["k_values"], "k_values", path)
                 if "k_values" in raw
@@ -612,24 +556,16 @@ def _experiment_config_inline(args) -> montecarlo.ExperimentConfig:
     for flag, name in ((args.dim, "--dim"), (args.n_values, "--n-values"), (args.replications, "--replications")):
         if flag is None:
             raise ConfigError(f"{name} is required without --config")
-    if args.k_beta is not None and args.k_list is not None:
-        raise ConfigError("--k-beta and --k-list are both given; give one")
-    model = build_model(args, args.dim)
-    n_values = parse_int_list(args.n_values, "--n-values")
-    if args.k_list is None:
-        k_beta = 0.5 if args.k_beta is None else args.k_beta
-        k_values = None
-    else:
-        k_beta = None
-        k_values = tuple(parse_int_list(args.k_list, "--k-list"))
     return montecarlo.ExperimentConfig(
-        model=model,
-        n_values=tuple(n_values),
+        model=build_model(args, args.dim),
+        n_values=tuple(parse_int_list(args.n_values, "--n-values")),
         replications=args.replications,
-        base_seed=resolve_seed(args.seed),
-        estimator_method=_METHOD_NAMES[args.method],
-        k_beta=k_beta,
-        k_values=k_values,
+        base_seed=0 if args.seed is None else args.seed,
+        estimator_method=_METHOD_NAMES[args.method or "mean-cov"],
+        k_beta=args.k_beta,
+        k_values=(
+            None if args.k_list is None else tuple(parse_int_list(args.k_list, "--k-list"))
+        ),
     )
 
 
@@ -654,8 +590,23 @@ def _config_as_dict(config: montecarlo.ExperimentConfig) -> dict:
     }
 
 
+#: What may go beside ``experiment --config``, by ``args`` name; the file
+#: gives every other setting (``subcommand`` and ``func`` are not flags).
+_BESIDE_CONFIG = ("subcommand", "func", "config", "workers", "out", "records_out")
+
+
 def cmd_experiment(args) -> int:
     if args.config is not None:
+        beside = [
+            "--" + name.replace("_", "-")
+            for name, value in vars(args).items()
+            if value is not None and name not in _BESIDE_CONFIG
+        ]
+        if beside:
+            raise ConfigError(
+                f"{', '.join(beside)} cannot go with --config, which gives the "
+                "whole experiment; only --workers, --out and --records-out can"
+            )
         config = _experiment_config_from_file(args.config)
     else:
         config = _experiment_config_inline(args)
@@ -676,8 +627,7 @@ def cmd_experiment(args) -> int:
         "warnings": [str(w.message) for w in caught],
         "manifest": manifest,
     }
-    _write_output(args.out, dumps_json(payload) + "\n")
-    _write_manifest_sidecar(args.out, manifest)
+    _emit(args.out, dumps_json(payload) + "\n", manifest)
     if args.records_out is not None:
         buf = io.StringIO()
         rows = []
@@ -699,8 +649,7 @@ def cmd_experiment(args) -> int:
                 ]
             rows.append(row)
         write_csv(buf, rows)
-        _write_output(args.records_out, buf.getvalue())
-        _write_manifest_sidecar(args.records_out, manifest)
+        _emit(args.records_out, buf.getvalue(), manifest)
     return EXIT_OK
 
 
@@ -727,15 +676,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", help="comma-separated location (default: origin)")
-    p.add_argument("--sigma", default="identity", help="scatter CSV file or 'identity'")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--sigma", help="scatter CSV file or 'identity' (the default)")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     p.add_argument("--radii-out", help="also write the generating radii")
     p.add_argument("--header", action="store_true", help="emit x1..xd column names")
-    p.add_argument(
-        "--force-radii",
-        help="comma-separated radii to use instead of sampling (testing aid)",
-    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate the extreme value index from CSV data")
@@ -767,28 +712,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--perturbation-scale", type=float, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_verify_bounds)
 
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    p.add_argument("--config", help="JSON experiment description")
+    # the inline flags default to None, so a flag given beside --config
+    # can be told from one that was not
+    p.add_argument(
+        "--config",
+        help="JSON experiment description; only --workers, --out and "
+        "--records-out may go with it",
+    )
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--nu", type=float)
     p.add_argument("--dim", type=int)
-    p.add_argument("--mu")
-    p.add_argument("--sigma", default="identity")
+    p.add_argument("--mu", help="comma-separated location (default: origin)")
+    p.add_argument("--sigma", help="scatter CSV file or 'identity' (the default)")
     p.add_argument("--n-values", help="comma-separated sample sizes")
     p.add_argument("--k-beta", type=float, help="k = ceil(n**k_beta), default 0.5")
     p.add_argument("--k-list", help="explicit k per sample size")
     p.add_argument(
-        "--method",
-        default="mean-cov",
-        choices=sorted(_METHOD_NAMES),
+        "--method", choices=sorted(_METHOD_NAMES), help="default mean-cov"
     )
     p.add_argument("--replications", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="-")
     p.add_argument("--records-out", help="per-replication CSV")

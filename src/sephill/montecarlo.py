@@ -153,7 +153,8 @@ class ExperimentConfig:
 
     The tail fraction is either derived from ``k_beta`` through
     :func:`k_schedule` or given explicitly as ``k_values`` aligned with
-    ``n_values``.  Construction also sets ``envelope_reference``, which
+    ``n_values``, not both; without ``k_values``, ``k_beta`` defaults to
+    0.5.  Construction also sets ``envelope_reference``, which
     every replication's envelope measures its fit against; it is computed
     once and pickled with the config to pool workers.
     """
@@ -163,7 +164,7 @@ class ExperimentConfig:
     replications: int
     base_seed: int
     estimator_method: str = SAMPLE_MEAN_COV
-    k_beta: float | None = 0.5
+    k_beta: float | None = None
     k_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -193,6 +194,11 @@ class ExperimentConfig:
             raise ConfigError("replications must be at least 1")
         object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed"))
         if self.k_values is not None:
+            if self.k_beta is not None:
+                raise ConfigError(
+                    "'k_beta' (--k-beta) and 'k_values' (--k-list) are both "
+                    "given; give one"
+                )
             if len(self.k_values) != len(self.n_values):
                 raise ConfigError(
                     "k_values must align with n_values "
@@ -203,7 +209,7 @@ class ExperimentConfig:
                     raise ConfigError(f"need 1 <= k < n, got k={k} for n={n}")
         else:
             if self.k_beta is None:
-                raise ConfigError("either k_beta or k_values must be given")
+                object.__setattr__(self, "k_beta", 0.5)
             if isinstance(self.k_beta, bool) or not isinstance(self.k_beta, numbers.Real):
                 raise ConfigError(f"k_beta must be a number, got {self.k_beta!r}")
             for n in self.n_values:

@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -76,29 +78,6 @@ class TestSerialization:
         assert cli.csv_cell("a,b\nc") == "a;b c"
 
 
-class TestSeedResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("SEPHILL_SEED", "9")
-        assert cli.resolve_seed(4) == 4
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("SEPHILL_SEED", "9")
-        assert cli.resolve_seed(None) == 9
-
-    def test_default_zero(self, monkeypatch):
-        monkeypatch.delenv("SEPHILL_SEED", raising=False)
-        assert cli.resolve_seed(None) == 0
-
-    def test_bad_env_exits_config(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("SEPHILL_SEED", "not-a-number")
-        code = cli.main(
-            ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
-             "--n", "5", "--out", str(tmp_path / "x.csv")]
-        )
-        assert code == 2
-        assert "SEPHILL_SEED" in capsys.readouterr().err
-
-
 class TestSimulate:
     def _run(self, tmp_path, name, extra=()):
         out = tmp_path / name
@@ -154,16 +133,19 @@ class TestSimulate:
         assert len(lines) == 3
         assert len(lines[0].split(",")) == 2
 
-    def test_seed_env_equivalent(self, tmp_path, monkeypatch):
-        a = self._run(tmp_path, "cli-seed.csv")
-        monkeypatch.setenv("SEPHILL_SEED", "7")
-        out = tmp_path / "env-seed.csv"
-        code = cli.main(
+    def test_seed_defaults_to_zero_whatever_the_environment(self, tmp_path, monkeypatch):
+        a = tmp_path / "zero.csv"
+        assert cli.main(
             ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
-             "--n", "30", "--out", str(out)]
-        )
-        assert code == 0
-        assert a.read_bytes() == out.read_bytes()
+             "--n", "30", "--seed", "0", "--out", str(a)]
+        ) == 0
+        monkeypatch.setenv("SEPHILL_SEED", "7")
+        b = tmp_path / "default.csv"
+        assert cli.main(
+            ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
+             "--n", "30", "--out", str(b)]
+        ) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_missing_alpha_names_the_flag(self, tmp_path, capsys):
         code = cli.main(
@@ -211,39 +193,6 @@ class TestSimulate:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
-
-    def test_forced_radii_become_distances(self, tmp_path):
-        out = tmp_path / "f.csv"
-        code = cli.main(
-            ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
-             "--n", "4", "--seed", "2", "--out", str(out),
-             "--force-radii", "8,4,2,1"]
-        )
-        assert code == 0
-        data = np.loadtxt(out, delimiter=",", ndmin=2)
-        np.testing.assert_allclose(
-            np.linalg.norm(data, axis=1), [8.0, 4.0, 2.0, 1.0], rtol=1e-12
-        )
-
-    def test_forced_radii_count_mismatch(self, tmp_path, capsys):
-        code = cli.main(
-            ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
-             "--n", "3", "--out", str(tmp_path / "x.csv"),
-             "--force-radii", "8,4"]
-        )
-        assert code == 2
-        assert "--force-radii" in capsys.readouterr().err
-
-    def test_forced_radii_must_be_finite(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        code = cli.main(
-            ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
-             "--n", "2", "--out", str(out), "--force-radii", "1,inf"]
-        )
-        assert code == 2
-        assert "--force-radii" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestEstimate:
     def test_ladder_oracle(self, tmp_path):
@@ -733,7 +682,10 @@ class TestParserReuse:
             ["experiment", "--family", "pareto", "--alpha", "3", "--dim", "2"]
         )
         second = parser.parse_args(["estimate", "--data", "x.csv"])
-        assert first.method == "mean-cov"
+        assert first.workers == 1
+        # experiment's inline defaults are applied by the inline path, so
+        # a flag given beside --config can be told from one left out
+        assert first.method is None and first.seed is None
         assert second.method is None
         assert not hasattr(second, "workers")
         assert second.func is cli.cmd_estimate
@@ -1134,13 +1086,87 @@ class TestExperiment:
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
-    def test_config_base_seed_does_not_read_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEPHILL_SEED", "abc")
-        out = tmp_path / "exp.json"
+    @pytest.mark.parametrize("base_seed", [3, None], ids=["given", "absent"])
+    def test_config_base_seed_is_the_seed(self, tmp_path, base_seed):
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
+        if base_seed is None:
+            del raw["base_seed"]
+        cfg_path = tmp_path / "seeded.json"
+        cfg_path.write_text(json.dumps(raw))
+        out, inline = tmp_path / "exp.json", tmp_path / "inline.json"
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+        seed = 0 if base_seed is None else base_seed
+        assert json.loads(out.read_text())["manifest"]["base_seed"] == seed
         assert cli.main(
-            ["experiment", "--config", self._config(tmp_path), "--out", str(out)]
+            ["experiment", "--family", "pareto", "--alpha", "5", "--dim", "2",
+             "--n-values", "100", "--replications", "2", "--seed", str(seed),
+             "--out", str(inline)]
         ) == 0
-        assert json.loads(out.read_text())["manifest"]["base_seed"] == 3
+        assert out.read_bytes() == inline.read_bytes()
+
+    #: what may go beside --config; the file gives every other setting
+    CONFIG_COMPANIONS = {"--config", "--workers", "--out", "--records-out", "-h"}
+
+    def test_every_other_flag_is_refused_beside_config(self, tmp_path, capsys):
+        parser = cli.build_parser()
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        cfg = self._config(tmp_path)
+        out, recs = tmp_path / "exp.json", tmp_path / "recs.csv"
+        checked = []
+        for action in subparsers.choices["experiment"]._actions:
+            if self.CONFIG_COMPANIONS & set(action.option_strings):
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                value = []
+            elif action.choices is not None:
+                value = [list(action.choices)[0]]
+            elif action.type in (int, float):
+                value = ["1"]
+            else:
+                value = ["x"]
+            code = cli.main(
+                ["experiment", "--config", cfg, flag, *value,
+                 "--out", str(out), "--records-out", str(recs)]
+            )
+            err = capsys.readouterr().err
+            assert code == 2, flag
+            assert flag in err and "--config" in err, err
+            assert not out.exists() and not recs.exists(), flag
+            checked.append(flag)
+        assert len(checked) == 12
+
+    def test_inline_flags_beside_a_seedless_config_exit_config(self, tmp_path, capsys):
+        # with --config these four used to be dropped without a word, and
+        # the run recorded base seed 0, sample_mean_cov and k_beta 0.5
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
+        del raw["base_seed"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "exp.json"
+        code = cli.main(
+            ["experiment", "--config", str(cfg_path), "--seed", "5",
+             "--method", "median-tyler", "--k-beta", "0.9", "--dim", "7",
+             "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        for flag in ("--seed", "--method", "--k-beta", "--dim"):
+            assert flag in err
+        assert not out.exists()
+
+    def test_null_config_k_beta_is_the_default(self, tmp_path):
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
+        raw["k_beta"] = None
+        cfg_path = tmp_path / "null.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "exp.json"
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["manifest"]["config"]["k_beta"] == 0.5
+        assert [a["k"] for a in payload["aggregates"]] == [10]
 
     def test_dimension_zero_exits_config(self, tmp_path):
         out = str(tmp_path / "exp.json")
@@ -1258,3 +1284,36 @@ class TestTopLevel:
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every ``sephill ...`` command in README's "Command line" block, with
+    its backslash continuations joined."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("sephill ")]
+
+
+@pytest.mark.parametrize(
+    "command", readme_commands(), ids=lambda command: command.split()[1]
+)
+def test_readme_command_parses(command):
+    # a flag the README shows but the parser has lost fails here
+    try:
+        cli.build_parser().parse_args(shlex.split(command)[1:])
+    except SystemExit:
+        pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_config_example_builds(tmp_path):
+    section = README.read_text().split("## Experiment configuration file", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg_path = tmp_path / "exp-config.json"
+    cfg_path.write_text(example)
+    config = cli._experiment_config_from_file(str(cfg_path))
+    assert config.k_beta is None
+    assert [config.k_for(n) for n in config.n_values] == [45, 141]

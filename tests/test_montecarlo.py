@@ -130,9 +130,22 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(pareto_model(), (100,), 5, base_seed=0, k_values=(100,))
 
-    def test_need_some_k_rule(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(pareto_model(), (100,), 5, base_seed=0, k_beta=None)
+    def test_neither_k_rule_means_k_beta_one_half(self):
+        cfg = ExperimentConfig(pareto_model(), (100,), 5, base_seed=0, k_beta=None)
+        assert cfg.k_beta == 0.5 and cfg.k_values is None
+        assert cfg.k_for(100) == 10
+
+    def test_k_values_alone_leave_k_beta_unset(self):
+        cfg = ExperimentConfig(pareto_model(), (100,), 5, base_seed=0, k_values=(7,))
+        assert cfg.k_beta is None
+        assert cfg.k_for(100) == 7
+
+    def test_both_k_rules_rejected(self):
+        # k_values used to win silently over a given k_beta
+        with pytest.raises(ConfigError, match="k_beta.*k_values"):
+            ExperimentConfig(
+                pareto_model(), (100,), 5, base_seed=0, k_beta=0.5, k_values=(7,)
+            )
 
     SIGMA = [[2.0, 0.5, 0.1], [0.5, 1.0, -0.2], [0.1, -0.2, 3.0]]
 
