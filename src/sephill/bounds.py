@@ -44,15 +44,13 @@ class PerturbationCoefficients:
 
     ``a_coef``/``b_coef``/``c_coef`` bound the perturbation of the squared
     quadratic form in the quadratic, linear and constant term; ``m_n`` is
-    their scale-adjusted maximum, and ``lambda_max`` the largest eigenvalue
-    of the true scatter it was scaled by.
+    their scale-adjusted maximum.
     """
 
     a_coef: float
     b_coef: float
     c_coef: float
     m_n: float
-    lambda_max: float
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,6 @@ def perturbation_coefficients(
         b_coef=b_coef,
         c_coef=c_coef,
         m_n=m_n,
-        lambda_max=float(lambda_max),
     )
 
 

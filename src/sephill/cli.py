@@ -57,7 +57,6 @@ from .errors import (
 from .estimators import (
     SAMPLE_MEAN_COV,
     SPATIAL_MEDIAN_TYLER,
-    TRUE_PARAMS,
     LocationScatterEstimate,
     estimate_location_scatter,
     hill_plot,
@@ -84,7 +83,6 @@ _NUMERIC_ERRORS = (
 _METHOD_NAMES = {
     "mean-cov": SAMPLE_MEAN_COV,
     "median-tyler": SPATIAL_MEDIAN_TYLER,
-    "true-params": TRUE_PARAMS,
 }
 
 
@@ -512,18 +510,17 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
             _config_array(model_raw["sigma"], "sigma", 2, path), dim, "sigma"
         )
         model = _make_model(mu, sigma, variate, "sigma")
+        # a null optional key is the key left out: ExperimentConfig holds
+        # the defaults
+        optional = ("base_seed", "estimator_method", "k_beta", "k_values")
+        given = {key: raw[key] for key in optional if raw.get(key) is not None}
+        if "k_values" in given:
+            given["k_values"] = _config_list(given["k_values"], "k_values", path)
         return montecarlo.ExperimentConfig(
             model=model,
             n_values=_config_list(raw["n_values"], "n_values", path),
             replications=raw["replications"],
-            base_seed=raw.get("base_seed", 0),
-            estimator_method=raw.get("estimator_method", SAMPLE_MEAN_COV),
-            k_beta=raw.get("k_beta"),
-            k_values=(
-                _config_list(raw["k_values"], "k_values", path)
-                if "k_values" in raw
-                else None
-            ),
+            **given,
         )
     except KeyError as exc:
         raise ConfigError(f"--config {path!r} is missing field {exc}") from None
@@ -556,16 +553,17 @@ def _experiment_config_inline(args) -> montecarlo.ExperimentConfig:
     for flag, name in ((args.dim, "--dim"), (args.n_values, "--n-values"), (args.replications, "--replications")):
         if flag is None:
             raise ConfigError(f"{name} is required without --config")
+    flags = {
+        "base_seed": args.seed,
+        "estimator_method": _METHOD_NAMES.get(args.method),
+        "k_beta": args.k_beta,
+        "k_values": None if args.k_list is None else parse_int_list(args.k_list, "--k-list"),
+    }
     return montecarlo.ExperimentConfig(
         model=build_model(args, args.dim),
         n_values=tuple(parse_int_list(args.n_values, "--n-values")),
         replications=args.replications,
-        base_seed=0 if args.seed is None else args.seed,
-        estimator_method=_METHOD_NAMES[args.method or "mean-cov"],
-        k_beta=args.k_beta,
-        k_values=(
-            None if args.k_list is None else tuple(parse_int_list(args.k_list, "--k-list"))
-        ),
+        **{key: value for key, value in flags.items() if value is not None},
     )
 
 
@@ -575,7 +573,6 @@ def _config_as_dict(config: montecarlo.ExperimentConfig) -> dict:
         "family": variate.family,
         "alpha": variate.alpha,
         "nu": variate.nu,
-        "x_m": variate.x_m if variate.family == "pareto" else None,
         "mu": config.model.mu,
         "sigma": config.model.sigma,
     }
@@ -623,6 +620,7 @@ def cmd_experiment(args) -> int:
         "estimator_method": config.estimator_method,
         "replications": config.replications,
         "aggregates": [dataclasses.asdict(agg) for agg in result.aggregates],
+        "true_aggregates": [dataclasses.asdict(a) for a in result.true_aggregates],
         "total_failures": sum(a.failures for a in result.aggregates),
         "warnings": [str(w.message) for w in caught],
         "manifest": manifest,

@@ -11,7 +11,7 @@ library's threads competing for the same cores.  Three families are
 supported:
 
 ``pareto``
-    exact power tail, survival ``(x / x_m) ** -alpha``;
+    exact power tail, survival ``x ** -alpha``;
 ``frechet``
     ``exp(-x ** -alpha)`` distribution function;
 ``t-radial``
@@ -90,14 +90,13 @@ class GeneratingVariateSpec:
     """Parameters of the positive variate driving the radius of the model.
 
     Use the class methods :meth:`pareto`, :meth:`frechet` and
-    :meth:`t_radial` rather than the raw constructor.  ``alpha``, ``x_m``
-    (Pareto) and ``nu`` must be finite positive reals and are stored as
-    floats; anything else raises :class:`DomainError`.
+    :meth:`t_radial` rather than the raw constructor.  ``alpha`` and
+    ``nu`` must be finite positive reals and are stored as floats;
+    anything else raises :class:`DomainError`.
     """
 
     family: str
     alpha: float | None = None
-    x_m: float = 1.0
     nu: float | None = None
     dim: int | None = None
 
@@ -108,16 +107,14 @@ class GeneratingVariateSpec:
             )
         if self.family in (PARETO, FRECHET):
             object.__setattr__(self, "alpha", _positive_real(self.alpha, "alpha"))
-            if self.family == PARETO:
-                object.__setattr__(self, "x_m", _positive_real(self.x_m, "x_m"))
         else:
             object.__setattr__(self, "nu", _positive_real(self.nu, "nu"))
             if self.dim is None or int(self.dim) < 1:
                 raise DomainError("t-radial family needs the ambient dimension")
 
     @classmethod
-    def pareto(cls, alpha: float, x_m: float = 1.0) -> "GeneratingVariateSpec":
-        return cls(family=PARETO, alpha=alpha, x_m=x_m)
+    def pareto(cls, alpha: float) -> "GeneratingVariateSpec":
+        return cls(family=PARETO, alpha=alpha)
 
     @classmethod
     def frechet(cls, alpha: float) -> "GeneratingVariateSpec":
@@ -253,7 +250,6 @@ def _fill_variate(spec: GeneratingVariateSpec, gen, out) -> np.ndarray:
         gen.random(out=out)
         np.subtract(1.0, out, out=out)
         out **= -1.0 / spec.alpha
-        out *= spec.x_m
     elif spec.family == FRECHET:
         gen.random(out=out)
         np.maximum(out, _TINY, out=out)

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .workspace import scratch
 
-TRUE_PARAMS = "true_params"
 SAMPLE_MEAN_COV = "sample_mean_cov"
 SPATIAL_MEDIAN_TYLER = "spatial_median_tyler"
 ESTIMATOR_METHODS = (SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER)
@@ -328,6 +327,10 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=Non
     only by an iterate that lands among them, and Weiszfeld steps can
     approach them from one side for the whole budget.
 
+    Returns ``(median, evaluations, diff)``: ``diff`` holds the ``(d, n)``
+    differences of the observations from the median, as the last
+    evaluation left them, so Tyler's fit needs no pass of its own.
+
     Each step runs on a ``(d, n)`` layout: a column-major sample, as
     :func:`~sephill.distributions.sample_elliptical` returns it, is read in
     place as contiguous columns, and any other is copied into them once.
@@ -342,10 +345,11 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=Non
     n, d = x.shape
     if n < 1:
         raise DegenerateSample("spatial median needs at least one row")
-    if d == 1:
-        return np.array([np.median(x[:, 0])]), 0
-    cols = np.ascontiguousarray(x.T)
     buf = scratch(workspace, "columns", (d, n))
+    if d == 1:
+        median = np.array([np.median(x[:, 0])])
+        return median, 0, np.subtract(x.T, median[:, None], out=buf)
+    cols = np.ascontiguousarray(x.T)
     dist_buf = scratch(workspace, "rows", (n,))
     m = cols.mean(axis=1)
     np.subtract(cols, m[:, None], out=buf)
@@ -402,7 +406,7 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=Non
     while True:
         f, objective = step(v)
         if f is None:
-            return v, evals
+            return v, evals, buf
         if mixed and not objective <= best:
             # drop the mixed point; restart from the last accepted plain step
             mixer.restart()
@@ -416,11 +420,10 @@ def _spatial_median_iter(x: np.ndarray, tol: float, max_iter: int, workspace=Non
             mixed = mixer.held > 1
 
 
-def _tyler_iter(
-    x: np.ndarray, mu_hat: np.ndarray, tol: float, max_iter: int, workspace=None
-):
+def _tyler_iter(diff: np.ndarray, tol: float, max_iter: int, workspace=None):
     """Anderson-mixed Tyler fixed-point iteration on precomputed row
-    moments.
+    moments of the ``(d, n)`` differences ``diff`` of the observations
+    from the location.
 
     The map F is one Tyler step rescaled to trace d, on the upper
     triangle of the iterate; the solve returns ``F(v)`` as soon as
@@ -435,7 +438,7 @@ def _tyler_iter(
     carries the last map output when ``max_iter`` evaluations do not meet
     the rule.
 
-    The products ``diff_i * diff_j`` (``i <= j``) of the centered rows do
+    The products ``diff_i * diff_j`` (``i <= j``) of the differences do
     not change across iterations, so they are built once as a
     ``(d(d+1)/2, n)`` array: n·d(d+1)/2 floats, 2.4 MB at n = 10^5, d = 2.
     Each step is then two einsums over that array: the squared distances
@@ -443,34 +446,26 @@ def _tyler_iter(
     terms doubled), and the upper triangle of the next iterate from the
     weights ``1/q``.  Reductions stay in einsum, so the result does not
     depend on the BLAS build or thread count.  With a ``workspace`` the
-    centred rows, the moments and ``q`` are its ``"columns"``,
-    ``"moments"`` and ``"rows"`` slabs.
+    moments and ``q`` are its ``"moments"`` and ``"rows"`` slabs.
 
-    Rows exactly equal to ``mu_hat`` carry no direction and are dropped
-    with a warning.  Each iterate is symmetric by construction (filled
-    from one triangle), so it is inverted through the pivot floor without
-    the symmetry comparison.
+    Rows exactly equal to the location (zero columns of ``diff``) carry
+    no direction and are dropped with a warning.  Each iterate is
+    symmetric by construction (filled from one triangle), so it is
+    inverted through the pivot floor without the symmetry comparison.
 
     At d = 1 the only trace-1 shape is ``[[1.0]]``, returned after 0
     evaluations with no moments and no warning; only the usable rows
     are counted.
     """
-    n, d = x.shape
-    if d == 1:
-        n_eff = int(np.count_nonzero(x[:, 0] != mu_hat[0]))
-    else:
-        diff = np.subtract(
-            x.T, mu_hat[:, None], out=scratch(workspace, "columns", (d, n))
+    d, n = diff.shape
+    zero_rows = ~np.any(diff, axis=0)
+    n_eff = n - int(np.count_nonzero(zero_rows))
+    if d > 1 and n_eff < n:
+        warnings.warn(
+            f"dropping {n - n_eff} rows equal to the location estimate",
+            stacklevel=3,
         )
-        zero_rows = ~np.any(diff, axis=0)
-        if np.any(zero_rows):
-            warnings.warn(
-                f"dropping {int(np.count_nonzero(zero_rows))} rows equal to the "
-                "location estimate",
-                stacklevel=3,
-            )
-            diff = diff[:, ~zero_rows]
-        n_eff = diff.shape[1]
+        diff = diff[:, ~zero_rows]
     if n_eff <= d:
         raise DegenerateSample(
             f"Tyler shape needs more than d={d} usable rows, have {n_eff}"
@@ -570,8 +565,8 @@ def estimate_location_scatter(
         it_med = it_shape = 0
     elif method == SPATIAL_MEDIAN_TYLER:
         x = as_sample(sample)
-        mu_hat, it_med = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER, workspace)
-        sigma_hat, it_shape = _tyler_iter(x, mu_hat, SHAPE_TOL, MAX_ITER, workspace)
+        mu_hat, it_med, diff = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER, workspace)
+        sigma_hat, it_shape = _tyler_iter(diff, SHAPE_TOL, MAX_ITER, workspace)
         sigma_hat_inv = linalg.symmetric_spd_inverse(sigma_hat)
     else:
         raise ConfigError(

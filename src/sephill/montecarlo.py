@@ -41,16 +41,17 @@ Per replication the harness estimates the extreme value index twice — once
 with the true location/scatter and once with the configured estimator —
 and attaches the perturbation-envelope report on their gap.  The envelope
 measures the fit against the config's :class:`EnvelopeReference`: the true
-scatter itself for the mean/covariance and true-parameter methods, and
-for the median/Tyler fit the scatter normalized to trace d, with the
-true distances scaled by ``sqrt(trace / d)`` to match.  Under the
-true parameters a row ``mu + R * L u`` lies at scatter-metric distance R,
-so the true side reads the generating radii the sampler returns rather
-than recomputing them from the rows.  A replication that raises a
-:class:`SepHillError` yields a :class:`ReplicationFailure` in place of its
-:class:`ReplicationRecord`.  The
-aggregates summarize the normalized errors ``sqrt(k) * (gamma_hat - gamma)``
-whose limiting law the experiments are designed to check.  Their
+scatter itself for the mean/covariance fit, and for the median/Tyler fit
+the scatter normalized to trace d, with the true distances scaled by
+``sqrt(trace / d)`` to match.  Under the true parameters a row
+``mu + R * L u`` lies at scatter-metric distance R, so the true side reads
+the generating radii the sampler returns rather than recomputing them from
+the rows.  A replication that raises a :class:`SepHillError` yields a
+:class:`ReplicationFailure` in place of its :class:`ReplicationRecord`.
+The aggregates summarize the normalized errors ``sqrt(k) * (gamma_hat -
+gamma)`` whose limiting law the experiments are designed to check, per
+sample size: ``aggregates`` for the fit, ``true_aggregates`` for the true
+location and scatter (gap 0).  Their
 Kolmogorov-Smirnov distance to the limiting normal law takes the normal
 distribution function from :func:`math.erfc`, so the harness, like every
 command of the CLI, runs without loading scipy.
@@ -66,7 +67,7 @@ import os
 import sys
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,17 +83,15 @@ from .errors import (
     TooFewValues,
 )
 from .estimators import (
+    ESTIMATOR_METHODS,
     SAMPLE_MEAN_COV,
     SPATIAL_MEDIAN_TYLER,
-    TRUE_PARAMS,
     estimate_location_scatter,
     mahalanobis_distances,
     order_desc,
     univariate_hill,
 )
 from .workspace import Workspace
-
-METHODS = (TRUE_PARAMS, SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER)
 
 #: Fraction of replications per sample size allowed to fail before the
 #: whole experiment aborts instead of reporting biased aggregates.
@@ -162,7 +161,7 @@ class ExperimentConfig:
     model: EllipticalModel
     n_values: tuple[int, ...]
     replications: int
-    base_seed: int
+    base_seed: int = 0
     estimator_method: str = SAMPLE_MEAN_COV
     k_beta: float | None = None
     k_values: tuple[int, ...] | None = None
@@ -182,10 +181,11 @@ class ExperimentConfig:
             # lose its own k; and streams are keyed by (base_seed, rep_id)
             # alone, so it would only repeat the first entry's records
             raise ConfigError(f"n_values must be distinct, got {list(self.n_values)}")
-        if self.estimator_method not in METHODS:
+        if self.estimator_method not in ESTIMATOR_METHODS:
             raise ConfigError(
-                f"unknown estimator_method {self.estimator_method!r}; "
-                f"expected one of {METHODS}"
+                f"unknown estimator_method {self.estimator_method!r}; expected "
+                f"one of {ESTIMATOR_METHODS}; the true-parameter side is in "
+                "every experiment's true_aggregates"
             )
         object.__setattr__(
             self, "replications", _integer(self.replications, "replications")
@@ -215,7 +215,7 @@ class ExperimentConfig:
             for n in self.n_values:
                 k_schedule(n, self.k_beta)
         # Tyler's fit is scale-free and targets the trace-d scatter; the
-        # other methods compare with the truth (scale 1.0 keeps its bytes)
+        # mean/covariance fit compares with the truth (scale 1.0 keeps bytes)
         model = self.model
         scale = 1.0
         if self.estimator_method == SPATIAL_MEDIAN_TYLER:
@@ -284,12 +284,14 @@ class AggregateStats:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """Records plus per-sample-size aggregates; aggregates are a pure
-    function of the records, so they can always be recomputed."""
+    """Records plus per-sample-size aggregates of the fit and of the true
+    location and scatter; both are pure functions of the records, so they
+    can always be recomputed."""
 
     config: ExperimentConfig
     records: tuple[ReplicationRecord | ReplicationFailure, ...]
     aggregates: tuple[AggregateStats, ...]
+    true_aggregates: tuple[AggregateStats, ...]
 
 
 def _thread_workspace() -> Workspace:
@@ -328,23 +330,18 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     ordered_true = order_desc(radii, top=k + 1, workspace=workspace)
     gamma_true = univariate_hill(ordered_true, k).gamma_hat
 
-    if config.estimator_method == TRUE_PARAMS:
-        gamma_est = gamma_true
-        mu_hat, sigma_hat_inv = model.mu, model.sigma_inv
-    else:
-        loc = estimate_location_scatter(
-            sample, config.estimator_method, workspace=workspace
-        )
-        mu_hat, sigma_hat_inv = loc.mu_hat, loc.sigma_hat_inv
-        dists = mahalanobis_distances(
-            sample, mu_hat, sigma_hat_inv, workspace=workspace
-        )
-        ordered_est = order_desc(dists, top=k + 1, workspace=workspace)
-        gamma_est = univariate_hill(ordered_est, k).gamma_hat
+    loc = estimate_location_scatter(
+        sample, config.estimator_method, workspace=workspace
+    )
+    dists = mahalanobis_distances(
+        sample, loc.mu_hat, loc.sigma_hat_inv, workspace=workspace
+    )
+    ordered_est = order_desc(dists, top=k + 1, workspace=workspace)
+    gamma_est = univariate_hill(ordered_est, k).gamma_hat
 
     ref = config.envelope_reference
     coeffs = bounds_mod.perturbation_coefficients(
-        model.mu, ref.sigma_inv, mu_hat, sigma_hat_inv, ref.lambda_max
+        model.mu, ref.sigma_inv, loc.mu_hat, loc.sigma_hat_inv, ref.lambda_max
     )
     report = bounds_mod.complete_bound(
         coeffs, float(ordered_true[k]) * ref.distance_scale
@@ -490,6 +487,8 @@ def aggregate_records(
         np.array([r.estimator_gap for r in ok], dtype=float)
     )
     sd = float(np.std(err, ddof=1)) if err.shape[0] >= 2 else math.nan
+    # one partition for both; bitwise what two calls give, as no error is -0.0
+    q05, q95 = np.quantile(err, [0.05, 0.95]).tolist()
     if target_mean is None:
         ks = None
     else:
@@ -502,8 +501,8 @@ def aggregate_records(
         mean_normalized_error=float(np.mean(err)),
         sd_normalized_error=sd,
         median_normalized_error=float(np.median(err)),
-        q05_normalized_error=float(np.quantile(err, 0.05)),
-        q95_normalized_error=float(np.quantile(err, 0.95)),
+        q05_normalized_error=q05,
+        q95_normalized_error=q95,
         median_abs_error=float(np.median(abs_err)),
         p95_scaled_gap=float(np.quantile(scaled_gap, 0.95)),
         target_mean=target_mean,
@@ -564,7 +563,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
             )
 
     target_mean = config.model.variate.limit_bias
-    aggregates = []
+    aggregates, true_aggregates = [], []
     for i, n in enumerate(config.n_values):
         recs = records[i * m : (i + 1) * m]
         tags = [r.failure for r in recs if isinstance(r, ReplicationFailure)]
@@ -573,11 +572,22 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
                 f"{len(tags)} of {m} replications failed at n={n} "
                 f"(cap {FAILURE_CAP_FRACTION:.0%}); first failures: {tags[:5]}"
             )
-        aggregates.append(
-            aggregate_records(recs, n, config.k_for(n), gamma, target_mean)
-        )
+        k = config.k_for(n)
+        # the true side: gamma_hat_true in place of the fitted estimate, so
+        # a gap of 0; a failure has no true side either
+        true_side = [
+            r if isinstance(r, ReplicationFailure) else replace(
+                r,
+                gamma_hat_est=r.gamma_hat_true,
+                normalized_error=math.sqrt(k) * (r.gamma_hat_true - gamma),
+                estimator_gap=0.0,
+            )
+            for r in recs
+        ]
+        aggregates.append(aggregate_records(recs, n, k, gamma, target_mean))
+        true_aggregates.append(aggregate_records(true_side, n, k, gamma, target_mean))
     return ExperimentResult(
-        config=config, records=records, aggregates=tuple(aggregates)
+        config, records, tuple(aggregates), tuple(true_aggregates)
     )
 
 

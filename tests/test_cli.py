@@ -1168,6 +1168,30 @@ class TestExperiment:
         assert payload["manifest"]["config"]["k_beta"] == 0.5
         assert [a["k"] for a in payload["aggregates"]] == [10]
 
+    @pytest.mark.parametrize(
+        "key",
+        ["base_seed", "estimator_method", "k_beta", "k_values", "model.nu"],
+    )
+    def test_null_config_key_is_the_key_left_out(self, tmp_path, key):
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
+        raw.update(estimator_method="spatial_median_tyler", k_values=[7])
+        where, name = (raw["model"], key[6:]) if key.startswith("model.") else (raw, key)
+        outputs = []
+        for tag in ("null", "absent"):
+            if tag == "null":
+                where[name] = None
+            else:
+                where.pop(name)
+            cfg_path = tmp_path / f"{tag}.json"
+            cfg_path.write_text(json.dumps(raw))
+            out, recs = tmp_path / f"{tag}.out.json", tmp_path / f"{tag}.csv"
+            assert cli.main(
+                ["experiment", "--config", str(cfg_path), "--out", str(out),
+                 "--records-out", str(recs)]
+            ) == 0
+            outputs.append((out.read_bytes(), recs.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_dimension_zero_exits_config(self, tmp_path):
         out = str(tmp_path / "exp.json")
         assert cli.main(
@@ -1204,12 +1228,72 @@ class TestExperiment:
         assert cli.main(
             ["experiment", "--family", "pareto", "--alpha", "5", "--dim", "2",
              "--n-values", "100,200", "--k-list", "7,9", "--replications", "2",
-             "--method", "true-params", "--seed", "1", "--out", str(out)]
+             "--method", "mean-cov", "--seed", "1", "--out", str(out)]
         ) == 0
         payload = json.loads(out.read_text())
         assert [a["k"] for a in payload["aggregates"]] == [7, 9]
+        assert [a["k"] for a in payload["true_aggregates"]] == [7, 9]
         # under the true parameters the estimator gap vanishes identically
-        assert payload["aggregates"][0]["p95_scaled_gap"] == 0.0
+        assert payload["true_aggregates"][0]["p95_scaled_gap"] == 0.0
+
+    #: The aggregates ``experiment`` printed for this model with the
+    #: former ``true_params`` method, which reran the true side alone.
+    TRUE_SIDE_MODEL = {"family": "pareto", "alpha": 5.0, "mu": [1.0, -1.0],
+                       "sigma": [[2.0, 0.3], [0.3, 0.5]]}
+    TRUE_SIDE_PINNED = [
+        {"n": 200, "k": 15, "count": 12, "failures": 0,
+         "mean_normalized_error": -0.020062226481154414,
+         "sd_normalized_error": 0.16275160341377587,
+         "median_normalized_error": -0.007005635523815586,
+         "q05_normalized_error": -0.23927957461576316,
+         "q95_normalized_error": 0.24140496287220645,
+         "median_abs_error": 0.017953176087043776, "p95_scaled_gap": 0.0,
+         "target_mean": 0.0, "target_sd": 0.2, "ks_stat": 0.22121175712657482},
+        {"n": 800, "k": 29, "count": 12, "failures": 0,
+         "mean_normalized_error": 0.02138841203761326,
+         "sd_normalized_error": 0.17612825210808442,
+         "median_normalized_error": 0.03137322683457919,
+         "q05_normalized_error": -0.2631935596753952,
+         "q95_normalized_error": 0.26256389533383556,
+         "median_abs_error": 0.017023046555042456, "p95_scaled_gap": 0.0,
+         "target_mean": 0.0, "target_sd": 0.2, "ks_stat": 0.16817104573362507},
+    ]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("method", ["sample_mean_cov", "spatial_median_tyler"])
+    def test_true_aggregates_are_pinned(self, tmp_path, method, workers):
+        # the true side does not depend on the fit or the worker count
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "model": self.TRUE_SIDE_MODEL, "n_values": [200, 800],
+            "replications": 12, "base_seed": 8086, "estimator_method": method,
+        }))
+        out = tmp_path / "exp.json"
+        assert cli.main(
+            ["experiment", "--config", str(cfg_path), "--workers", workers,
+             "--out", str(out)]
+        ) == 0
+        payload = json.loads(out.read_text())
+        assert payload["true_aggregates"] == self.TRUE_SIDE_PINNED
+        assert payload["aggregates"] != self.TRUE_SIDE_PINNED
+        # the new list sits right after the fitted one
+        assert list(payload)[list(payload).index("aggregates") + 1] == "true_aggregates"
+
+    def test_true_params_method_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "exp.json"
+        assert cli.main(
+            ["experiment", "--family", "pareto", "--alpha", "5", "--dim", "2",
+             "--n-values", "100", "--replications", "2",
+             "--method", "true-params", "--out", str(out)]
+        ) == 2
+        assert "true-params" in capsys.readouterr().err
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
+        raw["estimator_method"] = "true_params"
+        cfg_path = tmp_path / "true.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "true_aggregates" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTopLevel:

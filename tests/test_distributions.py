@@ -81,9 +81,8 @@ class TestVariateSpec:
             GeneratingVariateSpec.pareto,
             GeneratingVariateSpec.frechet,
             lambda v: GeneratingVariateSpec.t_radial(v, 2),
-            lambda v: GeneratingVariateSpec.pareto(2.0, x_m=v),
         ],
-        ids=["pareto-alpha", "frechet-alpha", "t-radial-nu", "pareto-x_m"],
+        ids=["pareto-alpha", "frechet-alpha", "t-radial-nu"],
     )
     def test_parameters_must_be_finite_positive_reals(self, make, value):
         with pytest.raises(DomainError):
@@ -91,11 +90,11 @@ class TestVariateSpec:
 
     def test_parameters_stored_as_floats(self):
         for spec in (
-            GeneratingVariateSpec.pareto(np.int64(3), x_m=2),
+            GeneratingVariateSpec.pareto(np.int64(3)),
             GeneratingVariateSpec(family="frechet", alpha=np.float32(0.5)),
             GeneratingVariateSpec.t_radial(4, 2),
         ):
-            for value in (spec.alpha, spec.x_m, spec.nu):
+            for value in (spec.alpha, spec.nu):
                 assert value is None or type(value) is float
 
     def test_bad_nu_and_missing_dim(self):
@@ -132,7 +131,7 @@ class TestDistributionFunctions:
     through the empirical distribution of its chi-square ratios."""
 
     def test_pareto_sf(self):
-        # survival (x / x_m)**-alpha: u = 3/4 lands where it is 1/4
+        # survival x**-alpha: u = 3/4 lands where it is 1/4
         spec = GeneratingVariateSpec.pareto(2.0)
         assert sample_variate(spec, _Uniforms(0.75)) == pytest.approx(2.0, rel=1e-15)
         assert sample_variate(spec, _Uniforms(0.0)) == 1.0
@@ -180,9 +179,6 @@ class TestQuantileU:
         # y = 4 and y = 1
         assert sample_variate(spec, _Uniforms(0.75)) == pytest.approx(2.0, rel=1e-15)
         assert sample_variate(spec, _Uniforms(0.0)) == 1.0
-        # U(y) = x_m * y**(1/alpha): y = 8 gives 24 for x_m = 3, alpha = 1
-        spec3 = GeneratingVariateSpec.pareto(1.0, x_m=3.0)
-        assert sample_variate(spec3, _Uniforms(0.875)) == pytest.approx(24.0, rel=1e-15)
 
     def test_frechet_hand_value(self):
         # U(2) = 1 / ln 2 for alpha = 1
@@ -293,9 +289,9 @@ class TestSampleVariate:
         assert np.all(r1 > 0)
 
     def test_pareto_respects_lower_endpoint(self):
-        spec = GeneratingVariateSpec.pareto(2.0, x_m=1.5)
+        spec = GeneratingVariateSpec.pareto(2.0)
         r = sample_variate(spec, RngStream(0, 0), size=5000)
-        assert np.all(r >= 1.5)
+        assert np.all(r >= 1.0)
 
     def test_scalar_draw(self):
         r = sample_variate(GeneratingVariateSpec.pareto(2.0), RngStream(8, 0))

@@ -53,11 +53,14 @@ def weiszfeld(x, tol=MEDIAN_TOL, max_iter=MAX_ITER):
     return estimators._spatial_median_iter(np.asarray(x, dtype=float), tol, max_iter)[0]
 
 
+def centred(x, mu):
+    """The ``(d, n)`` differences of the rows from ``mu``."""
+    return np.subtract(np.asarray(x, dtype=float).T, np.asarray(mu, dtype=float)[:, None])
+
+
 def tyler(x, mu, tol=SHAPE_TOL, max_iter=MAX_ITER):
     """Tyler's trace-d shape of the rows around ``mu``."""
-    return estimators._tyler_iter(
-        np.asarray(x, dtype=float), np.asarray(mu, dtype=float), tol, max_iter
-    )[0]
+    return estimators._tyler_iter(centred(x, mu), tol, max_iter)[0]
 
 
 def mean_cov(x):
@@ -343,6 +346,18 @@ class TestSpatialMedian:
         assert err.iterations == 1
         assert isinstance(err.last_iterate, np.ndarray)
         assert err.last_iterate.shape == (2,)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_returns_the_differences_from_the_median(self, d):
+        # Tyler's fit takes them in place of its own centring, so they
+        # must be the rows minus the returned median, bit for bit, in
+        # either layout
+        rng = np.random.default_rng(70 + d)
+        x = rng.standard_t(df=1.5, size=(300, d)) + np.linspace(-1.0, 2.0, d)
+        for rows in (x, np.asfortranarray(x)):
+            m, _, diff = estimators._spatial_median_iter(rows, MEDIAN_TOL, MAX_ITER)
+            assert diff.shape == (d, 300)
+            assert diff.tobytes() == centred(rows, m).tobytes()
 
 
 class TestTylerShape:
@@ -720,7 +735,7 @@ class TestAndersonMixing:
         x = pareto_sample(2, 1000, seed=61)
         # far outside the data: the objective rises
         calls = self._mix_to(monkeypatch, lambda f: f + 100.0)
-        m, evals = estimators._spatial_median_iter(x, MEDIAN_TOL, MAX_ITER)
+        m, evals, _ = estimators._spatial_median_iter(x, MEDIAN_TOL, MAX_ITER)
         m_plain, steps = plain_spatial_median(x)
         # every mixed point is dropped, so the accepted iterates are the
         # plain ones, and each plain step after the first two spends one
@@ -745,7 +760,7 @@ class TestAndersonMixing:
         mu = weiszfeld(x)
         upper = point[np.triu_indices(3)]
         calls = self._mix_to(monkeypatch, lambda f: upper.copy())
-        v, evals = estimators._tyler_iter(x, mu, SHAPE_TOL, MAX_ITER)
+        v, evals = estimators._tyler_iter(centred(x, mu), SHAPE_TOL, MAX_ITER)
         v_plain, steps = plain_tyler(x, mu)
         assert len(calls) == steps - 2 > 0
         assert evals == steps + (len(calls) if evaluated else 0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from sephill.bounds import log_ratio_bound
+from sephill.bounds import complete_bound, log_ratio_bound, perturbation_coefficients
 from sephill.distributions import (
     EllipticalModel,
     GeneratingVariateSpec,
@@ -28,16 +28,15 @@ from sephill.errors import (
     TooFewValues,
 )
 from sephill.estimators import (
+    ESTIMATOR_METHODS,
     SAMPLE_MEAN_COV,
     SPATIAL_MEDIAN_TYLER,
-    TRUE_PARAMS,
     mahalanobis_distances,
     order_desc,
     univariate_hill,
 )
 from sephill.linalg import spectral_norm
 from sephill.montecarlo import (
-    METHODS,
     AggregateStats,
     ExperimentConfig,
     ReplicationFailure,
@@ -114,11 +113,15 @@ class TestExperimentConfig:
                 pareto_model(), (100,), 5, base_seed=0, estimator_method="mle"
             )
 
-    def test_true_params_is_a_valid_method(self):
-        cfg = ExperimentConfig(
-            pareto_model(), (100,), 5, base_seed=0, estimator_method=TRUE_PARAMS
-        )
-        assert cfg.estimator_method == TRUE_PARAMS
+    def test_true_params_is_no_method(self):
+        # the true side runs in every experiment, as its true_aggregates
+        with pytest.raises(ConfigError, match="true_aggregates"):
+            ExperimentConfig(
+                pareto_model(), (100,), 5, base_seed=0, estimator_method="true_params"
+            )
+
+    def test_base_seed_defaults_to_zero(self):
+        assert ExperimentConfig(pareto_model(), (100,), 5).base_seed == 0
 
     def test_misaligned_k_values(self):
         with pytest.raises(ConfigError):
@@ -149,7 +152,7 @@ class TestExperimentConfig:
 
     SIGMA = [[2.0, 0.5, 0.1], [0.5, 1.0, -0.2], [0.1, -0.2, 3.0]]
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
     def test_pickled_config_carries_its_envelope_reference(self, method):
         # pool workers receive the config pickled before any replication
         # ran, so the reference is in the pickle, not recomputed from it
@@ -163,14 +166,26 @@ class TestExperimentConfig:
         assert ref_copy.lambda_max == ref.lambda_max
         assert ref_copy.distance_scale == ref.distance_scale
 
-    @pytest.mark.parametrize("method", [SAMPLE_MEAN_COV, TRUE_PARAMS])
-    def test_reference_is_the_true_scatter_bit_for_bit(self, method):
+    def test_reference_is_the_true_scatter_bit_for_bit(self):
         model = pareto_model(d=3, sigma=self.SIGMA)
-        cfg = ExperimentConfig(model, (100,), 1, base_seed=0, estimator_method=method)
+        cfg = ExperimentConfig(model, (100,), 1, base_seed=0)
         ref = cfg.envelope_reference
         assert ref.sigma_inv.tobytes() == model.sigma_inv.tobytes()
         assert ref.lambda_max == spectral_norm(model.sigma)
         assert ref.distance_scale == 1.0
+
+    def test_true_parameters_give_a_zero_envelope(self):
+        # measured against the mean/covariance reference, the true location
+        # and scatter themselves perturb nothing
+        model = pareto_model(d=3, sigma=self.SIGMA)
+        ref = ExperimentConfig(model, (100,), 1, base_seed=0).envelope_reference
+        coeffs = perturbation_coefficients(
+            model.mu, ref.sigma_inv, model.mu, model.sigma_inv, ref.lambda_max
+        )
+        report = complete_bound(coeffs, 1.0)
+        assert coeffs.m_n == 0.0
+        assert report.m_n == 0.0 and report.b_n == 0.0
+        assert report.preconds.pivot_ok
 
 
 class TestRunReplication:
@@ -195,14 +210,25 @@ class TestRunReplication:
         b = run_replication(cfg, 400, 1)
         assert a.gamma_hat_true != b.gamma_hat_true
 
-    def test_true_params_gap_is_zero(self):
-        cfg = self._config(method=TRUE_PARAMS)
-        rec = run_replication(cfg, 400, 2)
-        assert rec.estimator_gap == 0.0
-        assert rec.gamma_hat_est == rec.gamma_hat_true
-        assert rec.bound_report.m_n == 0.0
-        assert rec.bound_report.b_n == 0.0
-        assert rec.bound_report.preconds.pivot_ok
+    @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
+    def test_true_side_gap_is_zero(self, method):
+        # the true side summarizes gamma_hat_true with a gap of 0, whatever
+        # the fit
+        cfg = ExperimentConfig(
+            pareto_model(alpha=5.0), (400, 900), 6, base_seed=7,
+            estimator_method=method,
+        )
+        result = run_experiment(cfg)
+        for i, agg in enumerate(result.true_aggregates):
+            recs = result.records[i * 6 : (i + 1) * 6]
+            err = [math.sqrt(r.k) * (r.gamma_hat_true - 0.2) for r in recs]
+            assert agg.p95_scaled_gap == 0.0
+            assert (agg.n, agg.k, agg.count) == (recs[0].n, recs[0].k, 6)
+            assert agg.median_normalized_error == float(np.median(err))
+            assert agg.median_abs_error == float(
+                np.median([abs(r.gamma_hat_true - 0.2) for r in recs])
+            )
+            assert result.aggregates[i].p95_scaled_gap > 0.0
 
     def test_normalized_error_definition(self):
         cfg = self._config()
@@ -283,7 +309,7 @@ class TestRadiiRoute:
             variate=variate,
         )
 
-    @pytest.mark.parametrize("method", [TRUE_PARAMS, SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER])
+    @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_true_side_reads_the_radii(self, family, d, method):
@@ -303,6 +329,22 @@ class TestRadiiRoute:
             float(ordered[k]) * cfg.envelope_reference.distance_scale
         )
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_true_side_does_not_depend_on_the_fit(self, family, d):
+        # true_aggregates summarize gamma_hat_true, so every fit must
+        # report the same true side for one stream
+        model = self._model(self.FAMILIES[family](d), d)
+        true_sides = {
+            run_replication(
+                ExperimentConfig(model, (400,), 1, base_seed=17, estimator_method=m),
+                400,
+                3,
+            ).gamma_hat_true
+            for m in ESTIMATOR_METHODS
+        }
+        assert len(true_sides) == 1
+
 
 class TestWorkspace:
     """A replication reuses its thread's workspace; what it returns never
@@ -317,7 +359,7 @@ class TestWorkspace:
             model, (2000, 20000), 1, base_seed=23, estimator_method=method
         )
 
-    @pytest.mark.parametrize("method", [TRUE_PARAMS, SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER])
+    @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
     @pytest.mark.parametrize("family", sorted(TestRadiiRoute.FAMILIES))
     def test_reused_workspace_matches_fresh_arrays(self, monkeypatch, family, method):
         import sephill.montecarlo as mc
@@ -384,7 +426,7 @@ class TestWorkspace:
         assert not any(t.is_alive() for t in threads)
         assert results == [serial] * 4
 
-    @pytest.mark.parametrize("method", [TRUE_PARAMS, SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER])
+    @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
     def test_pool_workers_match_in_process_records(self, method):
         cfg = ExperimentConfig(
             pareto_model(alpha=5.0, d=3), (2000, 300), 4, base_seed=29,
@@ -394,6 +436,7 @@ class TestWorkspace:
         pooled = run_experiment(cfg, workers=2)
         assert repr(pooled.records) == repr(serial.records)
         assert pooled.aggregates == serial.aggregates
+        assert pooled.true_aggregates == serial.true_aggregates
 
 
 class TestAggregateRecords:
@@ -672,6 +715,9 @@ class TestRunExperiment:
         agg = res.aggregates[0]
         assert agg.failures == 1
         assert agg.count == 149
+        # a replication that raised has no true side either
+        true_agg = res.true_aggregates[0]
+        assert (true_agg.failures, true_agg.count) == (1, 149)
         bad = [r for r in res.records if isinstance(r, ReplicationFailure)]
         assert bad == [
             ReplicationFailure(
