@@ -34,7 +34,8 @@ python3 -m sephill verify-bounds --family pareto --alpha 3 --dim 2 \
     --out "$work/bounds.json"
 python3 - "$work/bounds.json" <<'EOF'
 import json, sys
-rep = json.load(open(sys.argv[1]))
+with open(sys.argv[1]) as fh:
+    rep = json.load(fh)
 print({k: rep[k] for k in ("trials", "applicable_count", "violations")})
 EOF
 
@@ -45,7 +46,9 @@ python3 -m sephill experiment --family pareto --alpha 4 --dim 2 \
     --seed 99 --workers 4 --out "$work/exp.json"
 python3 - "$work/exp.json" <<'EOF'
 import json, sys
-for agg in json.load(open(sys.argv[1]))["aggregates"]:
+with open(sys.argv[1]) as fh:
+    aggregates = json.load(fh)["aggregates"]
+for agg in aggregates:
     print(f"n={agg['n']:>5}  k={agg['k']:>3}  "
           f"median|err|={agg['median_abs_error']:.4f}  ks={agg['ks_stat']:.4f}")
 EOF

@@ -25,8 +25,6 @@ from .distributions import (
     GeneratingVariateSpec,
     RngStream,
     sample_elliptical,
-    sample_sphere,
-    sample_variate,
 )
 from .estimators import (
     HillEstimate,
@@ -67,8 +65,6 @@ __all__ = [
     "GeneratingVariateSpec",
     "RngStream",
     "sample_elliptical",
-    "sample_sphere",
-    "sample_variate",
     "HillEstimate",
     "LocationScatterEstimate",
     "estimate_location_scatter",

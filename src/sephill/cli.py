@@ -220,26 +220,26 @@ def _check_scatter(mat: np.ndarray, dim: int, source: str) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def build_variate(family: str, alpha, nu, dim: int) -> GeneratingVariateSpec:
+def build_variate(family: str, alpha, nu, prefix: str = "--") -> GeneratingVariateSpec:
+    """The generating variate of ``family``.  Error messages name each
+    setting as ``prefix`` and its name: ``--alpha`` for the flag,
+    ``model.alpha`` for the key of a --config file."""
     if family not in FAMILIES:
-        raise ConfigError(f"--family must be one of {FAMILIES}, got {family!r}")
+        raise ConfigError(f"{prefix}family must be one of {FAMILIES}, got {family!r}")
+    name, value = ("nu", nu) if family == "t-radial" else ("alpha", alpha)
+    if value is None:
+        raise ConfigError(f"{prefix}{name} is required for the {family} family")
+    try:
+        return GeneratingVariateSpec(family=family, **{name: value})
+    except DomainError as exc:
+        raise ConfigError(f"invalid {prefix}{name}: {exc}") from None
+
+
+def build_model(args) -> EllipticalModel:
+    dim = args.dim
     if dim < 1:
         raise ConfigError(f"--dim must be at least 1, got {dim}")
-    flag, value = ("--nu", nu) if family == "t-radial" else ("--alpha", alpha)
-    if value is None:
-        raise ConfigError(f"{flag} is required for the {family} family")
-    try:
-        if family == "pareto":
-            return GeneratingVariateSpec.pareto(alpha)
-        if family == "frechet":
-            return GeneratingVariateSpec.frechet(alpha)
-        return GeneratingVariateSpec.t_radial(nu, dim)
-    except DomainError as exc:
-        raise ConfigError(f"invalid {flag}: {exc}") from None
-
-
-def build_model(args, dim: int) -> EllipticalModel:
-    variate = build_variate(args.family, args.alpha, args.nu, dim)
+    variate = build_variate(args.family, args.alpha, args.nu)
     if args.mu is None:
         mu = np.zeros(dim)
     else:
@@ -266,7 +266,7 @@ def _make_model(mu, sigma, variate, source: str) -> EllipticalModel:
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
-    model = build_model(args, args.dim)
+    model = build_model(args)
     sample, radii = sample_elliptical(model, args.n, RngStream(args.seed, 0))
 
     config = {
@@ -402,7 +402,9 @@ def cmd_verify_bounds(args) -> int:
             "--perturbation-scale must be finite and nonnegative, "
             f"got {args.perturbation_scale}"
         )
-    variate = build_variate(args.family, args.alpha, args.nu, args.dim)
+    if args.dim < 1:
+        raise ConfigError(f"--dim must be at least 1, got {args.dim}")
+    variate = build_variate(args.family, args.alpha, args.nu)
     scale = args.perturbation_scale
     d, n = args.dim, args.n
 
@@ -503,9 +505,14 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
         family = model_raw["family"]
         mu = _config_array(model_raw["mu"], "mu", 1, path)
         dim = mu.shape[0]
-        variate = build_variate(
-            family, model_raw.get("alpha"), model_raw.get("nu"), dim
-        )
+        if dim < 1:
+            raise ConfigError(f"--config {path!r}: model.mu must not be empty")
+        try:
+            variate = build_variate(
+                family, model_raw.get("alpha"), model_raw.get("nu"), "model."
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"--config {path!r}: {exc}") from None
         sigma = _check_scatter(
             _config_array(model_raw["sigma"], "sigma", 2, path), dim, "sigma"
         )
@@ -560,7 +567,7 @@ def _experiment_config_inline(args) -> montecarlo.ExperimentConfig:
         "k_values": None if args.k_list is None else parse_int_list(args.k_list, "--k-list"),
     }
     return montecarlo.ExperimentConfig(
-        model=build_model(args, args.dim),
+        model=build_model(args),
         n_values=tuple(parse_int_list(args.n_values, "--n-values")),
         replications=args.replications,
         **{key: value for key, value in flags.items() if value is not None},

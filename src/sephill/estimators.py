@@ -126,10 +126,13 @@ def order_desc(values, top: int | None = None, *, workspace=None) -> np.ndarray:
     return largest[::-1].copy()
 
 
-def _hill_from_ordered(ordered: np.ndarray, k: int) -> float:
-    n = ordered.shape[0]
+def _check_k(k: int, n: int) -> None:
     if not 1 <= k <= n - 1:
         raise KOutOfRange(f"k must satisfy 1 <= k <= n - 1, got k={k}, n={n}")
+
+
+def _hill_from_ordered(ordered: np.ndarray, k: int) -> float:
+    _check_k(k, ordered.shape[0])
     pivot = ordered[k]
     if not pivot > 0.0:
         raise NonPositivePivot(
@@ -200,14 +203,15 @@ def separating_hill(sample, mu, sigma, k: int) -> HillEstimate:
     """Separating Hill estimator of the extreme value index.
 
     Inverts ``sigma`` once, computes the distance of every row from ``mu``
-    in that metric, sorts the distances in descending order and applies the
-    Hill average at level ``k``.
+    in that metric, orders the ``k + 1`` largest distances in descending
+    order and applies the Hill average at level ``k``.
     """
     sigma_inv = linalg.spd_inverse(sigma)
     dists = mahalanobis_distances(sample, mu, sigma_inv)
-    ordered = order_desc(dists)
-    gamma = _hill_from_ordered(ordered, int(k))
-    return HillEstimate(gamma_hat=gamma, k=int(k), n=ordered.shape[0])
+    k, n = int(k), dists.shape[0]
+    _check_k(k, n)
+    gamma = _hill_from_ordered(order_desc(dists, top=k + 1), k)
+    return HillEstimate(gamma_hat=gamma, k=k, n=n)
 
 
 def _centred_columns(sample, workspace=None) -> tuple[np.ndarray, np.ndarray]:
@@ -585,8 +589,12 @@ def hill_plot(sample, loc_scatter: LocationScatterEstimate, k_values) -> list[tu
     """Hill values across a range of k, computing the distances once.
 
     Returns ``[(k, gamma_hat), ...]`` in the order the k values were given.
+    Every k is checked against the sample size first; then only the
+    ``max(k) + 1`` largest distances are ordered.
     """
     dists = mahalanobis_distances(sample, loc_scatter.mu_hat, loc_scatter.sigma_hat_inv)
     ks = [int(k) for k in k_values]
-    ordered = order_desc(dists)
+    for k in ks:
+        _check_k(k, dists.shape[0])
+    ordered = order_desc(dists, top=max(ks, default=0) + 1)
     return [(k, _hill_from_ordered(ordered, k)) for k in ks]

@@ -526,7 +526,7 @@ class TestVerifyBounds:
 def per_pivot_verify_bounds(family, alpha, nu, dim, n, scale, trials, seed, out):
     """The verify-bounds JSON as the per-pivot sweep wrote it: each trial
     calls both verifiers at each pivot and folds their reports one by one."""
-    variate = cli.build_variate(family, alpha, nu, dim)
+    variate = cli.build_variate(family, alpha, nu)
     d = dim
     applicable_count = 0
     violations = 0
@@ -893,6 +893,19 @@ class TestExperiment:
         assert "synthetic failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_draw_names_the_overflow_in_the_failure(self, tmp_path, capsys):
+        # the failure tag used to read "NonFinite: distances must be finite"
+        out = tmp_path / "exp.json"
+        code = cli.main(
+            ["experiment", "--family", "pareto", "--alpha", "1e-300", "--dim", "2",
+             "--n-values", "50", "--replications", "2", "--method", "mean-cov",
+             "--out", str(out)]
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "DomainError: the pareto draw with alpha=1e-300 overflows the float range" in err
+        assert not out.exists()
+
     def test_missing_required_inline_flag(self, tmp_path, capsys):
         code = cli.main(
             ["experiment", "--family", "pareto", "--alpha", "5", "--dim", "2",
@@ -1008,26 +1021,57 @@ class TestExperiment:
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "model, flag",
+        "model, key",
         [
-            ({"alpha": "x"}, "--alpha"),
-            ({"alpha": [5.0]}, "--alpha"),
-            ({"alpha": True}, "--alpha"),
-            ({"alpha": math.inf}, "--alpha"),
-            ({"family": "t-radial", "nu": [3]}, "--nu"),
-            ({"family": "t-radial", "nu": "3"}, "--nu"),
-            ({"family": "t-radial", "nu": math.nan}, "--nu"),
+            ({"alpha": "x"}, "model.alpha"),
+            ({"alpha": [5.0]}, "model.alpha"),
+            ({"alpha": True}, "model.alpha"),
+            ({"alpha": math.inf}, "model.alpha"),
+            ({"family": "t-radial", "nu": [3]}, "model.nu"),
+            ({"family": "t-radial", "nu": "3"}, "model.nu"),
+            ({"family": "t-radial", "nu": math.nan}, "model.nu"),
         ],
         ids=["alpha-string", "alpha-list", "alpha-bool", "alpha-inf",
              "nu-list", "nu-string", "nu-nan"],
     )
     def test_bad_config_variate_parameter_exits_config(
-        self, tmp_path, capsys, model, flag
+        self, tmp_path, capsys, model, key
     ):
         cfg = self._config(tmp_path, **model)
         out = tmp_path / "exp.json"
         assert cli.main(["experiment", "--config", cfg, "--out", str(out)]) == 2
-        assert flag in capsys.readouterr().err
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"alpha": None}, "model.alpha is required for the pareto family"),
+            (
+                {"alpha": "2"},
+                "invalid model.alpha: alpha must be a finite positive real, got '2'",
+            ),
+            (
+                {"family": ["pareto"]},
+                "model.family must be one of ('pareto', 'frechet', 't-radial'), "
+                "got ['pareto']",
+            ),
+            ({"mu": [], "sigma": []}, "model.mu must not be empty"),
+        ],
+        ids=["alpha-left-out", "alpha-string", "family-list", "mu-empty"],
+    )
+    def test_config_errors_name_the_file_keys(self, tmp_path, capsys, model, message):
+        # each of these used to name a flag that cannot go with --config;
+        # a key updated to None is left out of the file
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
+        raw["model"].update(model)
+        raw["model"] = {k: v for k, v in raw["model"].items() if v is not None}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "exp.json"
+        argv = ["experiment", "--config", str(cfg_path), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --config {str(cfg_path)!r}: {message}\n"
         assert not out.exists()
 
     def test_config_with_k_beta_and_k_values_exits_config(self, tmp_path, capsys):
@@ -1342,6 +1386,28 @@ class TestTopLevel:
         out = tmp_path / "out"
         assert cli.main([*argv, "--dim", "0", "--out", str(out)]) == 2
         assert "--dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "3"],
+            ["verify-bounds", "--n", "20", "--trials", "1", "--perturbation-scale", "0.1"],
+        ],
+        ids=["simulate", "verify-bounds"],
+    )
+    def test_overflowing_draw_exits_config(self, tmp_path, capsys, argv):
+        # simulate used to write inf rows after numpy's overflow warning,
+        # and verify-bounds to report "sample entries must be finite"
+        out = tmp_path / "out"
+        code = cli.main(
+            [*argv, "--family", "pareto", "--alpha", "1e-300", "--dim", "2",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the pareto draw with alpha=1e-300 overflows the float range\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Run each demo end to end, so a renamed or removed public name or CLI
 option that a demo uses fails the suite.  Every run has scipy
-unimportable, since the package needs numpy only."""
+unimportable, since the package needs numpy only, and turns every warning
+into an error, as ``filterwarnings = ["error"]`` does in-process."""
 
 import os
 import shutil
@@ -25,7 +26,7 @@ def run_demo(argv, tmp_path, **env):
     proc = subprocess.run(
         argv,
         cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=pythonpath, **env),
+        env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONWARNINGS="error", **env),
         capture_output=True,
         text=True,
         timeout=300,

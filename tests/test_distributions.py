@@ -8,10 +8,7 @@ from sephill.distributions import (
     EllipticalModel,
     GeneratingVariateSpec,
     RngStream,
-    elliptical_rows,
     sample_elliptical,
-    sample_sphere,
-    sample_variate,
 )
 from sephill import linalg
 from sephill.errors import (
@@ -25,6 +22,7 @@ from sephill.estimators import mahalanobis_distances
 from sephill.linalg import cholesky, spd_inverse
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 
 class TestRngStream:
@@ -55,12 +53,12 @@ class TestVariateSpec:
     def test_gamma(self):
         assert GeneratingVariateSpec.pareto(4.0).gamma == 0.25
         assert GeneratingVariateSpec.frechet(2.0).gamma == 0.5
-        assert GeneratingVariateSpec.t_radial(3.0, 2).gamma == pytest.approx(1 / 3)
+        assert GeneratingVariateSpec.t_radial(3.0).gamma == pytest.approx(1 / 3)
 
     def test_limit_bias_certified_only_for_exact_power_tail(self):
         assert GeneratingVariateSpec.pareto(2.0).limit_bias == 0.0
         assert GeneratingVariateSpec.frechet(2.0).limit_bias is None
-        assert GeneratingVariateSpec.t_radial(2.0, 3).limit_bias is None
+        assert GeneratingVariateSpec.t_radial(2.0).limit_bias is None
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_bad_alpha(self, alpha):
@@ -80,7 +78,7 @@ class TestVariateSpec:
         [
             GeneratingVariateSpec.pareto,
             GeneratingVariateSpec.frechet,
-            lambda v: GeneratingVariateSpec.t_radial(v, 2),
+            GeneratingVariateSpec.t_radial,
         ],
         ids=["pareto-alpha", "frechet-alpha", "t-radial-nu"],
     )
@@ -92,16 +90,14 @@ class TestVariateSpec:
         for spec in (
             GeneratingVariateSpec.pareto(np.int64(3)),
             GeneratingVariateSpec(family="frechet", alpha=np.float32(0.5)),
-            GeneratingVariateSpec.t_radial(4, 2),
+            GeneratingVariateSpec.t_radial(4),
         ):
             for value in (spec.alpha, spec.nu):
                 assert value is None or type(value) is float
 
-    def test_bad_nu_and_missing_dim(self):
+    def test_bad_nu(self):
         with pytest.raises(DomainError):
-            GeneratingVariateSpec.t_radial(0.0, 2)
-        with pytest.raises(DomainError):
-            GeneratingVariateSpec(family="t-radial", nu=2.0)
+            GeneratingVariateSpec.t_radial(0.0)
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
@@ -109,15 +105,25 @@ class TestVariateSpec:
 
 
 class _Uniforms(np.random.Generator):
-    """A generator whose uniform draws are the given values, in order."""
+    """A generator whose uniform draws are the given values, in order (one
+    value stands for all), and whose other draws are those of
+    ``stream``."""
 
-    def __init__(self, *values):
-        super().__init__(np.random.Philox(0))
+    def __init__(self, *values, stream=RngStream(0, 0)):
+        super().__init__(stream.generator().bit_generator)
         self._values = np.array(values, dtype=float)
 
     def random(self, size=None, dtype=np.float64, out=None):
         out[...] = self._values
         return out
+
+
+def draw_radii(spec, rng, n=1, dim=2):
+    """The radii ``sample_elliptical`` draws off ``rng`` for a ``dim``-
+    dimensional model driven by ``spec``: the first draws of the stream,
+    so they are what a sampler of the variate alone would give."""
+    model = EllipticalModel(mu=np.zeros(dim), sigma=np.eye(dim), variate=spec)
+    return sample_elliptical(model, n, rng)[1]
 
 
 def t_radial_law(nu, dim):
@@ -133,38 +139,30 @@ class TestDistributionFunctions:
     def test_pareto_sf(self):
         # survival x**-alpha: u = 3/4 lands where it is 1/4
         spec = GeneratingVariateSpec.pareto(2.0)
-        assert sample_variate(spec, _Uniforms(0.75)) == pytest.approx(2.0, rel=1e-15)
-        assert sample_variate(spec, _Uniforms(0.0)) == 1.0
+        assert draw_radii(spec, _Uniforms(0.75))[0] == pytest.approx(2.0, rel=1e-15)
+        assert draw_radii(spec, _Uniforms(0.0))[0] == 1.0
 
     def test_frechet_cdf(self):
         # distribution function exp(-x**-alpha): u = e**-1 lands at 1
         spec = GeneratingVariateSpec.frechet(1.0)
-        r = sample_variate(spec, _Uniforms(np.exp(-1.0)))
+        r = draw_radii(spec, _Uniforms(np.exp(-1.0)))[0]
         assert r == pytest.approx(1.0, rel=1e-15)
         # a zero uniform is clamped, so the draw stays finite and positive
-        r0 = sample_variate(spec, _Uniforms(0.0))
+        r0 = draw_radii(spec, _Uniforms(0.0))[0]
         assert np.isfinite(r0) and r0 > 0
 
     def test_t_radial_cdf_closed_form(self):
         # for d = 2 the radial distribution function is
         # 1 - (1 + r^2/nu)^(-nu/2); the empirical one of 10**5 draws sits
         # within five binomial deviations of it
-        spec = GeneratingVariateSpec.t_radial(3.0, 2)
+        spec = GeneratingVariateSpec.t_radial(3.0)
         n = 100_000
-        r = sample_variate(spec, RngStream(29, 0), size=n)
+        r = draw_radii(spec, RngStream(29, 0), n, dim=2)
         for x in (0.5, 1.0, np.sqrt(3.0), 4.0):
             expected = 1.0 - (1.0 + x * x / 3.0) ** -1.5
             assert expected == pytest.approx(t_radial_law(3.0, 2).cdf(x * x / 2), rel=1e-12)
             tol = 5 * np.sqrt(expected * (1 - expected) / n)
             assert abs(np.mean(r <= x) - expected) <= tol
-
-    def test_vectorized(self):
-        # a vector of draws is the sequence of scalar draws off one generator
-        for spec in (GeneratingVariateSpec.pareto(1.0), GeneratingVariateSpec.frechet(1.5)):
-            gen = RngStream(3, 1).generator()
-            scalars = [sample_variate(spec, gen) for _ in range(8)]
-            vector = sample_variate(spec, RngStream(3, 1), size=8)
-            np.testing.assert_array_equal(vector, scalars)
 
 
 class TestQuantileU:
@@ -177,13 +175,13 @@ class TestQuantileU:
     def test_pareto_hand_values(self):
         spec = GeneratingVariateSpec.pareto(2.0)
         # y = 4 and y = 1
-        assert sample_variate(spec, _Uniforms(0.75)) == pytest.approx(2.0, rel=1e-15)
-        assert sample_variate(spec, _Uniforms(0.0)) == 1.0
+        assert draw_radii(spec, _Uniforms(0.75))[0] == pytest.approx(2.0, rel=1e-15)
+        assert draw_radii(spec, _Uniforms(0.0))[0] == 1.0
 
     def test_frechet_hand_value(self):
         # U(2) = 1 / ln 2 for alpha = 1
         spec = GeneratingVariateSpec.frechet(1.0)
-        r = sample_variate(spec, _Uniforms(0.5))
+        r = draw_radii(spec, _Uniforms(0.5))[0]
         assert r == pytest.approx(1.0 / np.log(2.0), rel=1e-14)
 
     @pytest.mark.parametrize(
@@ -191,7 +189,7 @@ class TestQuantileU:
         [
             (GeneratingVariateSpec.pareto(2.5), stats.pareto(b=2.5)),
             (GeneratingVariateSpec.frechet(1.5), stats.invweibull(c=1.5)),
-            (GeneratingVariateSpec.t_radial(3.0, 4), t_radial_law(3.0, 4)),
+            (GeneratingVariateSpec.t_radial(3.0), t_radial_law(3.0, 4)),
         ],
         ids=["pareto", "frechet", "t-radial"],
     )
@@ -199,14 +197,15 @@ class TestQuantileU:
         ys = (1.5, 4.0, 100.0, 1e4)
         if spec.family == "t-radial":
             n = 200_000
-            r = sample_variate(spec, RngStream(41, 0), size=n)
+            dim = law.args[0]  # the law is F(dim, nu)
+            r = draw_radii(spec, RngStream(41, 0), n, dim=dim)
             for y in ys[:3]:
-                x = np.sqrt(spec.dim * law.isf(1.0 / y))
+                x = np.sqrt(dim * law.isf(1.0 / y))
                 p = 1.0 / y
                 assert abs(np.mean(r > x) - p) <= 5 * np.sqrt(p * (1 - p) / n)
             return
         u = np.array([1.0 - 1.0 / y for y in ys])
-        r = sample_variate(spec, _Uniforms(*u), size=len(ys))
+        r = draw_radii(spec, _Uniforms(*u), len(ys))
         # 1 - u is exact for these u, so it is the tail probability hit
         np.testing.assert_allclose(law.sf(r), 1.0 - u, rtol=1e-9, atol=0)
         np.testing.assert_allclose(r, law.isf(1.0 - u), rtol=1e-9, atol=0)
@@ -215,21 +214,20 @@ class TestQuantileU:
     @pytest.mark.parametrize("nu", [0.7, 3.0, 12.5])
     def test_t_radial_inverse_of_survival(self, dim, nu):
         # a share 1/y of the draws lies beyond scipy's quantile U(y)
-        spec = GeneratingVariateSpec.t_radial(nu, dim)
+        spec = GeneratingVariateSpec.t_radial(nu)
         law = t_radial_law(nu, dim)
         n = 40_000
-        r = sample_variate(spec, RngStream(43, 5 * dim + int(nu)), size=n)
+        r = draw_radii(spec, RngStream(43, 5 * dim + int(nu)), n, dim=dim)
         assert r.shape == (n,) and np.all(np.isfinite(r)) and np.all(r > 0)
         for y in (1.5, 4.0, 1e2):
             x = np.sqrt(dim * law.isf(1.0 / y))
             p = 1.0 / y
             assert abs(np.mean(r > x) - p) <= 5 * np.sqrt(p * (1 - p) / n)
-        assert isinstance(sample_variate(spec, RngStream(43, 0)), float)
 
     def test_array_argument(self):
         # U(y) = y for Pareto(1): the uniforms 0, 1/2, 9/10 give 1, 2, 10
         spec = GeneratingVariateSpec.pareto(1.0)
-        r = sample_variate(spec, _Uniforms(0.0, 0.5, 0.9), size=3)
+        r = draw_radii(spec, _Uniforms(0.0, 0.5, 0.9), 3)
         np.testing.assert_allclose(r, [1.0, 2.0, 10.0], rtol=1e-15)
 
 
@@ -243,65 +241,65 @@ def test_closed_form_quantiles_invert_survival(y, alpha):
     # taken at the y the stored uniform stands for
     u = 1.0 - 1.0 / y
     y_stored = 1.0 / (1.0 - u)
-    r = sample_variate(GeneratingVariateSpec.pareto(alpha), _Uniforms(u))
+    r = draw_radii(GeneratingVariateSpec.pareto(alpha), _Uniforms(u))[0]
     assert r**-alpha * y_stored == pytest.approx(1.0, rel=1e-9)
-    r = sample_variate(GeneratingVariateSpec.frechet(alpha), _Uniforms(u))
+    r = draw_radii(GeneratingVariateSpec.frechet(alpha), _Uniforms(u))[0]
     assert -np.expm1(-(r**-alpha)) * y_stored == pytest.approx(1.0, rel=1e-9)
 
 
-class TestSampleSphere:
+def unit_rows(d, n, gen):
+    """``sample_elliptical``'s rows at mu = 0 and sigma = I, drawn off
+    ``gen``, whose uniforms are 0: every Pareto radius is then exactly 1.0,
+    so each row is its unit direction, bit for bit."""
+    model = EllipticalModel(
+        mu=np.zeros(d), sigma=np.eye(d), variate=GeneratingVariateSpec.pareto(1.0)
+    )
+    sample, r = sample_elliptical(model, n, gen)
+    assert np.all(r == 1.0)
+    return sample
+
+
+class TestDirections:
     def test_unit_norms(self):
-        u = sample_sphere(3, RngStream(1, 0), size=500)
+        u = unit_rows(3, 500, _Uniforms(0.0, stream=RngStream(1, 0)))
         np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
 
-    def test_single_draw_shape(self):
-        u = sample_sphere(4, RngStream(1, 0))
-        assert u.shape == (4,)
-
     def test_deterministic(self):
-        a = sample_sphere(2, RngStream(9, 1), size=10)
-        b = sample_sphere(2, RngStream(9, 1), size=10)
+        a = unit_rows(2, 10, _Uniforms(0.0, stream=RngStream(9, 1)))
+        b = unit_rows(2, 10, _Uniforms(0.0, stream=RngStream(9, 1)))
         np.testing.assert_array_equal(a, b)
 
-    def test_bad_dim(self):
-        with pytest.raises(DimensionMismatch):
-            sample_sphere(0, RngStream(1, 0))
-
     def test_mean_near_zero(self):
-        u = sample_sphere(2, RngStream(3, 0), size=20000)
+        u = unit_rows(2, 20000, _Uniforms(0.0, stream=RngStream(3, 0)))
         assert np.abs(u.mean(axis=0)).max() < 0.02
 
 
-class TestSampleVariate:
+class TestRadii:
     @pytest.mark.parametrize(
         "spec",
         [
             GeneratingVariateSpec.pareto(2.0),
             GeneratingVariateSpec.frechet(1.0),
-            GeneratingVariateSpec.t_radial(3.0, 2),
+            GeneratingVariateSpec.t_radial(3.0),
         ],
         ids=["pareto", "frechet", "t-radial"],
     )
     def test_positive_and_deterministic(self, spec):
-        r1 = sample_variate(spec, RngStream(4, 2), size=2000)
-        r2 = sample_variate(spec, RngStream(4, 2), size=2000)
+        r1 = draw_radii(spec, RngStream(4, 2), 2000)
+        r2 = draw_radii(spec, RngStream(4, 2), 2000)
         np.testing.assert_array_equal(r1, r2)
         assert np.all(r1 > 0)
 
     def test_pareto_respects_lower_endpoint(self):
         spec = GeneratingVariateSpec.pareto(2.0)
-        r = sample_variate(spec, RngStream(0, 0), size=5000)
+        r = draw_radii(spec, RngStream(0, 0), 5000)
         assert np.all(r >= 1.0)
-
-    def test_scalar_draw(self):
-        r = sample_variate(GeneratingVariateSpec.pareto(2.0), RngStream(8, 0))
-        assert isinstance(r, float) and r >= 1.0
 
     def test_median_matches_quantile(self):
         # the empirical median of many draws should sit near the Fréchet(2)
         # median, exp(-x**-2) = 1/2 at x = (ln 2)**(-1/2)
         spec = GeneratingVariateSpec.frechet(2.0)
-        r = sample_variate(spec, RngStream(17, 0), size=40000)
+        r = draw_radii(spec, RngStream(17, 0), 40000)
         med = np.median(r)
         assert med == pytest.approx(np.log(2.0) ** -0.5, rel=0.02)
 
@@ -344,14 +342,6 @@ class TestEllipticalModel:
                 mu=np.zeros(0),
                 sigma=np.eye(0),
                 variate=GeneratingVariateSpec.pareto(3.0),
-            )
-
-    def test_t_radial_dim_must_match(self):
-        with pytest.raises(DimensionMismatch):
-            EllipticalModel(
-                mu=np.zeros(2),
-                sigma=np.eye(2),
-                variate=GeneratingVariateSpec.t_radial(3.0, 5),
             )
 
     def test_scatter_validated_and_factored_once(self, monkeypatch):
@@ -419,11 +409,11 @@ class TestSampleElliptical:
         # radii first, then directions, off a single generator
         model = self._model()
         stream = RngStream(42, 3)
-        sample, radii = sample_elliptical(model, 50, stream)
+        sample, r = sample_elliptical(model, 50, stream)
         gen = stream.generator()
-        r2 = sample_variate(model.variate, gen, size=50)
-        u2 = sample_sphere(3, gen, size=50)
-        np.testing.assert_array_equal(radii, r2)
+        r2 = plain_radii(model, gen, 50)
+        u2 = row_major_sphere(3, gen, 50)
+        np.testing.assert_array_equal(r, r2)
         # coordinate j is sum_{k <= j} L[j, k] * u[:, k], summed in
         # increasing k, times r, plus mu[j]
         lower = model.lambda_chol
@@ -446,14 +436,13 @@ class TestSampleElliptical:
             variate=GeneratingVariateSpec.pareto(3.0),
         )
         stream = RngStream(9, d)
+        rows, r = sample_elliptical(model, 4000, stream)
         gen = stream.generator()
-        radii = sample_variate(model.variate, gen, size=4000)
-        u = sample_sphere(d, gen, size=4000)
-        rows = elliptical_rows(model, radii, u)
-        reference = model.mu + radii[:, None] * (u @ model.lambda_chol.T)
+        np.testing.assert_array_equal(r, plain_radii(model, gen, 4000))
+        u = row_major_sphere(d, gen, 4000)
+        reference = model.mu + r[:, None] * (u @ model.lambda_chol.T)
         tol = 4 * d * np.finfo(float).eps * np.max(np.abs(reference))
         assert np.max(np.abs(rows - reference)) <= tol
-        np.testing.assert_array_equal(rows, sample_elliptical(model, 4000, stream)[0])
 
     def test_bit_identical_reruns(self):
         model = self._model()
@@ -465,6 +454,55 @@ class TestSampleElliptical:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             sample_elliptical(self._model(), 0, RngStream(1, 0))
+
+    @pytest.mark.parametrize("family", ["pareto", "frechet", "t-radial"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_radii_are_the_first_draws(self, family, d):
+        # the t-radial numerator has d degrees of freedom: the model's d
+        model = random_model(d, family)
+        _, r = sample_elliptical(model, 500, RngStream(12, d))
+        np.testing.assert_array_equal(r, plain_radii(model, RngStream(12, d).generator(), 500))
+
+    @pytest.mark.parametrize(
+        "spec, setting",
+        [
+            (GeneratingVariateSpec.pareto(1e-300), "alpha=1e-300"),
+            (GeneratingVariateSpec.pareto(5e-324), "alpha=5e-324"),
+            (GeneratingVariateSpec.frechet(1e-300), "alpha=1e-300"),
+        ],
+        ids=["pareto", "pareto-exponent-beyond-float", "frechet"],
+    )
+    def test_overflowing_radius_is_a_domain_error(self, spec, setting):
+        # a uniform of 1/2 puts 2**(1/alpha) or (1/ln 2)**(1/alpha) beyond
+        # the float range; under the suite's filterwarnings = error an
+        # overflow warning would fail this test as surely as inf rows would
+        with pytest.raises(DomainError, match=f"{spec.family} draw with {setting} overflows"):
+            draw_radii(spec, _Uniforms(0.5), 3)
+
+    def test_overflowing_row_is_a_domain_error(self):
+        # a radius of 0.1**-280 = 1e280 fits a float; times a factor of
+        # 1e50 it does not
+        model = EllipticalModel(
+            mu=np.zeros(1), sigma=np.array([[1e100]]),
+            variate=GeneratingVariateSpec.pareto(1 / 280),
+        )
+        with pytest.raises(DomainError, match="pareto draw with alpha=.* overflows"):
+            sample_elliptical(model, 1, _Uniforms(0.9))
+
+
+def plain_radii(model, gen, n):
+    """The model's generating variate by plain numpy transforms of ``gen``'s
+    draws: Pareto and Fréchet invert the distribution function at
+    uniforms, t-radial takes a ratio of chi-squares, each clamped to the
+    smallest normal float."""
+    spec = model.variate
+    if spec.family == "pareto":
+        return (1.0 - gen.random(n)) ** (-1.0 / spec.alpha)
+    if spec.family == "frechet":
+        return (-np.log(np.maximum(gen.random(n), TINY))) ** (-1.0 / spec.alpha)
+    num = np.maximum(gen.chisquare(model.dim, n), TINY)
+    den = np.maximum(gen.chisquare(spec.nu, n), TINY)
+    return np.sqrt(num * spec.nu / den)
 
 
 def row_major_sphere(dim, gen, size):
@@ -483,7 +521,7 @@ def row_major_elliptical(model, n, stream):
     """Radii then directions off one generator, each output coordinate
     written into column ``j`` of an ``(n, d)`` array."""
     gen = stream.generator()
-    radii = sample_variate(model.variate, gen, size=n)
+    radii = plain_radii(model, gen, n)
     u = row_major_sphere(model.dim, gen, n)
     lower = model.lambda_chol
     out = np.empty((n, model.dim))
@@ -500,18 +538,22 @@ def row_major_elliptical(model, n, stream):
 def random_model(d, family):
     rng = np.random.default_rng(100 + d)
     a = rng.normal(size=(d, d))
-    variate = (
-        GeneratingVariateSpec.pareto(2.5)
-        if family == "pareto"
-        else GeneratingVariateSpec.t_radial(3.0, d)
-    )
+    variate = {
+        "pareto": GeneratingVariateSpec.pareto(2.5),
+        "frechet": GeneratingVariateSpec.frechet(1.5),
+        "t-radial": GeneratingVariateSpec.t_radial(3.0),
+    }[family]
     return EllipticalModel(
         mu=rng.normal(size=d), sigma=a @ a.T + d * np.eye(d), variate=variate
     )
 
 
-class _ZeroRowGenerator(np.random.Generator):
-    """A generator whose standard normal draws have an all-zero row 1."""
+class _ZeroRowGenerator(_Uniforms):
+    """A generator whose uniforms are 0 and whose standard normal draws
+    have an all-zero row 1."""
+
+    def __init__(self, stream):
+        super().__init__(0.0, stream=stream)
 
     def standard_normal(self, size=None, dtype=np.float64, out=None):
         g = super().standard_normal(size)
@@ -528,7 +570,7 @@ class TestColumnMajorSample:
     @pytest.mark.parametrize("seed", [0, 31])
     def test_sphere_bytes_match_row_major(self, d, n, seed):
         stream = RngStream(seed, d)
-        u = sample_sphere(d, stream, size=n)
+        u = unit_rows(d, n, _Uniforms(0.0, stream=stream))
         np.testing.assert_array_equal(u, row_major_sphere(d, stream.generator(), n))
         assert u.T.flags.c_contiguous
 
@@ -552,7 +594,7 @@ class TestColumnMajorSample:
         # while the sampler sums the coordinates in order
         model = random_model(d, "pareto")
         stream = RngStream(5, d)
-        u = sample_sphere(d, stream, size=2000)
+        u = unit_rows(d, 2000, _Uniforms(0.0, stream=stream))
         np.testing.assert_array_max_ulp(u, row_major_sphere(d, stream.generator(), 2000), maxulp=4)
         sample, radii = sample_elliptical(model, 2000, stream)
         ref, ref_radii = row_major_elliptical(model, 2000, stream)
@@ -563,18 +605,17 @@ class TestColumnMajorSample:
         assert np.all(np.abs(sample - ref) <= 4 * (d + 2) * EPS * scale)
         assert sample.T.flags.c_contiguous
 
-    def test_elliptical_rows_output_is_column_major(self):
-        model = random_model(3, "pareto")
-        rows = elliptical_rows(model, np.ones(5), np.eye(3)[[0, 1, 2, 0, 1]])
-        assert rows.shape == (5, 3)
-        assert rows.T.flags.c_contiguous
+    def test_output_is_column_major(self):
+        sample, _ = sample_elliptical(random_model(3, "pareto"), 5, RngStream(0, 0))
+        assert sample.shape == (5, 3)
+        assert sample.T.flags.c_contiguous
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_zero_vector_pinned_to_first_axis(self, d):
-        u = sample_sphere(d, _ZeroRowGenerator(np.random.Philox(8)), size=4)
+        u = unit_rows(d, 4, _ZeroRowGenerator(RngStream(8, 0)))
         expected = np.zeros(d)
         expected[0] = 1.0
         np.testing.assert_array_equal(u[1], expected)
-        ref = row_major_sphere(d, _ZeroRowGenerator(np.random.Philox(8)), 4)
+        ref = row_major_sphere(d, _ZeroRowGenerator(RngStream(8, 0)), 4)
         np.testing.assert_array_equal(u, ref)
         np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-15)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -366,7 +367,7 @@ class TestTylerShape:
         model = EllipticalModel(
             mu=np.zeros(d) if mu is None else mu,
             sigma=sigma,
-            variate=GeneratingVariateSpec.t_radial(1.0, d),
+            variate=GeneratingVariateSpec.t_radial(1.0),
         )
         sample, _ = sample_elliptical(model, n, RngStream(seed, 0))
         return sample
@@ -530,6 +531,62 @@ class TestHillPlot:
         for k, gamma in rows:
             direct = separating_hill(sample, model.mu, model.sigma, k=k).gamma_hat
             assert gamma == pytest.approx(direct, rel=1e-12, abs=1e-13)
+
+
+class TestTopOrdering:
+    """hill_plot and separating_hill order only the max(k) + 1 largest
+    distances, with the bytes of a full sort; k is checked against the
+    sample's n first."""
+
+    @staticmethod
+    def _tied_sample():
+        # rows on the axes at radii 1..6, each radius four times over
+        radii = np.repeat(np.arange(6.0, 0.0, -1.0), 4)
+        signs = np.tile([1.0, -1.0], 12)
+        sample = np.zeros((24, 2))
+        sample[0::2, 0] = radii[0::2] * signs[0::2]
+        sample[1::2, 1] = radii[1::2] * signs[1::2]
+        return sample
+
+    @staticmethod
+    def _fit():
+        from sephill.estimators import LocationScatterEstimate
+
+        return LocationScatterEstimate(
+            mu_hat=np.zeros(2), sigma_hat=np.eye(2), sigma_hat_inv=np.eye(2)
+        )
+
+    def _full_sort_hill(self, k):
+        ordered = order_desc(
+            mahalanobis_distances(self._tied_sample(), np.zeros(2), np.eye(2))
+        )
+        return estimators._hill_from_ordered(ordered, k)
+
+    def test_tied_distances_keep_the_full_sort_bytes(self, monkeypatch):
+        tops = []
+        real = estimators.order_desc
+
+        def spy(values, top=None, **kwargs):
+            tops.append(top)
+            return real(values, top, **kwargs)
+
+        monkeypatch.setattr(estimators, "order_desc", spy)
+        sample, ks = self._tied_sample(), [3, 4, 9, 12]
+        rows = hill_plot(sample, self._fit(), ks)
+        hill = [separating_hill(sample, np.zeros(2), np.eye(2), k).gamma_hat for k in ks]
+        monkeypatch.undo()
+        assert tops == [13] + [k + 1 for k in ks]
+        expected = [self._full_sort_hill(k) for k in ks]
+        assert [g for _, g in rows] == hill == expected
+        assert np.array(hill).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 24])
+    def test_k_out_of_range_names_the_sample_size(self, k):
+        message = f"k must satisfy 1 <= k <= n - 1, got k={k}, n=24"
+        with pytest.raises(KOutOfRange, match=re.escape(message)):
+            hill_plot(self._tied_sample(), self._fit(), [2, k])
+        with pytest.raises(KOutOfRange, match=re.escape(message)):
+            separating_hill(self._tied_sample(), np.zeros(2), np.eye(2), k)
 
 
 # The Weiszfeld and Tyler loops without acceleration, one plain map step

@@ -295,9 +295,9 @@ class TestRadiiRoute:
     """The true side of a replication is Hill on the generating radii."""
 
     FAMILIES = {
-        "pareto": lambda d: GeneratingVariateSpec.pareto(5.0),
-        "frechet": lambda d: GeneratingVariateSpec.frechet(5.0),
-        "t-radial": lambda d: GeneratingVariateSpec.t_radial(5.0, d),
+        "pareto": GeneratingVariateSpec.pareto(5.0),
+        "frechet": GeneratingVariateSpec.frechet(5.0),
+        "t-radial": GeneratingVariateSpec.t_radial(5.0),
     }
 
     @staticmethod
@@ -313,7 +313,7 @@ class TestRadiiRoute:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_true_side_reads_the_radii(self, family, d, method):
-        model = self._model(self.FAMILIES[family](d), d)
+        model = self._model(self.FAMILIES[family], d)
         n, rep = 400, 3
         cfg = ExperimentConfig(model, (n,), 1, base_seed=17, estimator_method=method)
         rec = run_replication(cfg, n, rep)
@@ -334,7 +334,7 @@ class TestRadiiRoute:
     def test_true_side_does_not_depend_on_the_fit(self, family, d):
         # true_aggregates summarize gamma_hat_true, so every fit must
         # report the same true side for one stream
-        model = self._model(self.FAMILIES[family](d), d)
+        model = self._model(self.FAMILIES[family], d)
         true_sides = {
             run_replication(
                 ExperimentConfig(model, (400,), 1, base_seed=17, estimator_method=m),
@@ -354,7 +354,7 @@ class TestWorkspace:
 
     @staticmethod
     def _config(family, d, method):
-        model = TestRadiiRoute._model(TestRadiiRoute.FAMILIES[family](d), d)
+        model = TestRadiiRoute._model(TestRadiiRoute.FAMILIES[family], d)
         return ExperimentConfig(
             model, (2000, 20000), 1, base_seed=23, estimator_method=method
         )
