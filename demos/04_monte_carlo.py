@@ -6,15 +6,15 @@ normal with standard deviation gamma.  The harness is deterministic: the
 same seed always reproduces the same records, whatever the worker count.
 """
 
+import math
+
 import numpy as np
 
 from sephill import (
     EllipticalModel,
     GeneratingVariateSpec,
     ExperimentConfig,
-    ReplicationRecord,
     ks_threshold,
-    normality_diagnostics,
     run_experiment,
 )
 
@@ -38,15 +38,17 @@ for agg in result.aggregates:
         f"{agg.ks_stat:.4f}"
     )
 
+# the z-scores standardize the last aggregate's mean and sd of the
+# normalized errors against the limit law, by target_sd / sqrt(M) and
+# target_sd / sqrt(2 M), with M the replications that succeeded
 final = result.aggregates[-1]
-errors = np.array(
-    [
-        r.normalized_error
-        for r in result.records
-        if r.n == final.n and isinstance(r, ReplicationRecord)
-    ]
+m = final.count
+z_mean = (final.mean_normalized_error - final.target_mean) / (
+    final.target_sd / math.sqrt(m)
 )
-diag = normality_diagnostics(errors, target_mean=0.0, target_sd=gamma)
+z_sd = (final.sd_normalized_error - final.target_sd) / (
+    final.target_sd / math.sqrt(2.0 * m)
+)
 print(f"\nat n = {final.n}: z-scores for mean/sd = "
-      f"{diag.z_mean:+.2f} / {diag.z_sd:+.2f}; "
+      f"{z_mean:+.2f} / {z_sd:+.2f}; "
       f"KS {final.ks_stat:.4f} vs 1% threshold {ks_threshold(200, 0.01):.4f}")

@@ -45,7 +45,6 @@ from .montecarlo import (
     k_schedule,
     ks_statistic,
     ks_threshold,
-    normality_diagnostics,
     run_experiment,
     run_replication,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "k_schedule",
     "ks_statistic",
     "ks_threshold",
-    "normality_diagnostics",
     "run_experiment",
     "run_replication",
 ]

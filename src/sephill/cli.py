@@ -220,26 +220,26 @@ def _check_scatter(mat: np.ndarray, dim: int, source: str) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def build_variate(family: str, alpha, nu, prefix: str = "--") -> GeneratingVariateSpec:
-    """The generating variate of ``family``.  Error messages name each
-    setting as ``prefix`` and its name: ``--alpha`` for the flag,
-    ``model.alpha`` for the key of a --config file."""
+def build_variate(family: str, alpha, prefix: str = "--") -> GeneratingVariateSpec:
+    """The generating variate of ``family`` with tail index ``alpha``.
+    Error messages name each setting as ``prefix`` and its name:
+    ``--alpha`` for the flag, ``model.alpha`` for the key of a --config
+    file."""
     if family not in FAMILIES:
         raise ConfigError(f"{prefix}family must be one of {FAMILIES}, got {family!r}")
-    name, value = ("nu", nu) if family == "t-radial" else ("alpha", alpha)
-    if value is None:
-        raise ConfigError(f"{prefix}{name} is required for the {family} family")
+    if alpha is None:
+        raise ConfigError(f"{prefix}alpha is required for the {family} family")
     try:
-        return GeneratingVariateSpec(family=family, **{name: value})
+        return GeneratingVariateSpec(family=family, alpha=alpha)
     except DomainError as exc:
-        raise ConfigError(f"invalid {prefix}{name}: {exc}") from None
+        raise ConfigError(f"invalid {prefix}alpha: {exc}") from None
 
 
 def build_model(args) -> EllipticalModel:
     dim = args.dim
     if dim < 1:
         raise ConfigError(f"--dim must be at least 1, got {dim}")
-    variate = build_variate(args.family, args.alpha, args.nu)
+    variate = build_variate(args.family, args.alpha)
     if args.mu is None:
         mu = np.zeros(dim)
     else:
@@ -272,7 +272,6 @@ def cmd_simulate(args) -> int:
     config = {
         "family": args.family,
         "alpha": args.alpha,
-        "nu": args.nu,
         "dim": args.dim,
         "n": args.n,
         "mu": model.mu,
@@ -298,14 +297,6 @@ def _check_k_range(ks: list[int], n: int) -> None:
     for k in ks:
         if not 1 <= k <= n - 1:
             raise ConfigError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
-
-
-def _parse_k_values(args, n: int) -> list[int]:
-    if (args.k is None) == (args.k_list is None):
-        raise ConfigError("exactly one of --k and --k-list is required")
-    ks = [args.k] if args.k is not None else parse_int_list(args.k_list, "--k-list")
-    _check_k_range(ks, n)
-    return ks
 
 
 def _location_scatter_from_args(args, data: np.ndarray):
@@ -340,7 +331,8 @@ def _location_scatter_from_args(args, data: np.ndarray):
 def cmd_estimate(args) -> int:
     data = load_csv_matrix(args.data)
     n, d = data.shape
-    ks = _parse_k_values(args, n)
+    ks = parse_int_list(args.k, "--k")
+    _check_k_range(ks, n)
     loc, method_name, warning_messages = _location_scatter_from_args(args, data)
     estimates = hill_plot(data, loc, ks)
     config = {
@@ -404,7 +396,7 @@ def cmd_verify_bounds(args) -> int:
         )
     if args.dim < 1:
         raise ConfigError(f"--dim must be at least 1, got {args.dim}")
-    variate = build_variate(args.family, args.alpha, args.nu)
+    variate = build_variate(args.family, args.alpha)
     scale = args.perturbation_scale
     d, n = args.dim, args.n
 
@@ -465,7 +457,6 @@ def cmd_verify_bounds(args) -> int:
         "dim": d,
         "family": args.family,
         "alpha": args.alpha,
-        "nu": args.nu,
         "perturbation_scale": scale,
         "out": args.out,
     }
@@ -485,6 +476,14 @@ def cmd_verify_bounds(args) -> int:
     return EXIT_OK
 
 
+#: The keys a --config file may hold, at its top level and in its model.
+_CONFIG_KEYS = (
+    "model", "n_values", "replications", "base_seed", "estimator_method",
+    "k_beta", "k_values",
+)
+_MODEL_KEYS = ("family", "alpha", "mu", "sigma")
+
+
 def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
     try:
         with open(path) as fh:
@@ -494,6 +493,15 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(
             f"--config {path!r} must hold a JSON object, got {type(raw).__name__}"
+        )
+    # a key the reader does not know would otherwise be dropped unread
+    unknown = [key for key in raw if key not in _CONFIG_KEYS]
+    if isinstance(raw.get("model"), dict):
+        unknown += [f"model.{key}" for key in raw["model"] if key not in _MODEL_KEYS]
+    if unknown:
+        plural = "s" if len(unknown) > 1 else ""
+        raise ConfigError(
+            f"--config {path!r}: unknown key{plural} {', '.join(unknown)}"
         )
     try:
         model_raw = raw["model"]
@@ -508,15 +516,14 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
         if dim < 1:
             raise ConfigError(f"--config {path!r}: model.mu must not be empty")
         try:
-            variate = build_variate(
-                family, model_raw.get("alpha"), model_raw.get("nu"), "model."
-            )
+            variate = build_variate(family, model_raw.get("alpha"), "model.")
         except ConfigError as exc:
             raise ConfigError(f"--config {path!r}: {exc}") from None
+        source = f"--config {path!r}: model.sigma"
         sigma = _check_scatter(
-            _config_array(model_raw["sigma"], "sigma", 2, path), dim, "sigma"
+            _config_array(model_raw["sigma"], "sigma", 2, path), dim, source
         )
-        model = _make_model(mu, sigma, variate, "sigma")
+        model = _make_model(mu, sigma, variate, source)
         # a null optional key is the key left out: ExperimentConfig holds
         # the defaults
         optional = ("base_seed", "estimator_method", "k_beta", "k_values")
@@ -579,7 +586,6 @@ def _config_as_dict(config: montecarlo.ExperimentConfig) -> dict:
     model = {
         "family": variate.family,
         "alpha": variate.alpha,
-        "nu": variate.nu,
         "mu": config.model.mu,
         "sigma": config.model.sigma,
     }
@@ -663,8 +669,9 @@ def cmd_experiment(args) -> int:
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--alpha", type=float, help="tail index for pareto/frechet")
-    p.add_argument("--nu", type=float, help="degrees of freedom for t-radial")
+    p.add_argument(
+        "--alpha", type=float, help="tail index (for t-radial, the degrees of freedom)"
+    )
 
 
 @functools.cache
@@ -690,8 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate the extreme value index from CSV data")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--k-list", help="comma-separated k values")
+    p.add_argument("--k", required=True, help="one k or comma-separated k values")
     p.add_argument("--method", choices=["mean-cov", "median-tyler"])
     p.add_argument("--mu", help="known location (with --sigma): skip estimation")
     p.add_argument("--sigma", help="known scatter file or 'identity' (with --mu)")
@@ -731,7 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--nu", type=float)
     p.add_argument("--dim", type=int)
     p.add_argument("--mu", help="comma-separated location (default: origin)")
     p.add_argument("--sigma", help="scatter CSV file or 'identity' (the default)")

@@ -16,8 +16,9 @@ Three families are supported:
     ``exp(-x ** -alpha)`` distribution function;
 ``t-radial``
     the radial part of a d-dimensional Student-t, i.e. ``r**2 / d`` follows
-    an F(d, nu) distribution, drawn as a ratio of numpy ``chisquare`` draws;
-    d is the dimension of the model the variate drives.
+    an F(d, alpha) distribution, drawn as a ratio of numpy ``chisquare``
+    draws; d is the dimension of the model the variate drives, and alpha,
+    the tail index, is the t's degrees of freedom.
 
 Randomness is addressed by value: an :class:`RngStream` is a (seed,
 stream_id) pair mapped onto a counter-based Philox generator, so the same
@@ -83,24 +84,21 @@ class GeneratingVariateSpec:
     """Parameters of the positive variate driving the radius of the model.
 
     Use the class methods :meth:`pareto`, :meth:`frechet` and
-    :meth:`t_radial` rather than the raw constructor.  ``alpha`` and
-    ``nu`` must be finite positive reals and are stored as floats;
-    anything else raises :class:`DomainError`.
+    :meth:`t_radial` rather than the raw constructor.  ``alpha`` is the
+    tail index of every family (for t-radial, the degrees of freedom); it
+    must be a finite positive real and is stored as a float; anything else
+    raises :class:`DomainError`.
     """
 
     family: str
-    alpha: float | None = None
-    nu: float | None = None
+    alpha: float
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.family in (PARETO, FRECHET):
-            object.__setattr__(self, "alpha", _positive_real(self.alpha, "alpha"))
-        else:
-            object.__setattr__(self, "nu", _positive_real(self.nu, "nu"))
+        object.__setattr__(self, "alpha", _positive_real(self.alpha, "alpha"))
 
     @classmethod
     def pareto(cls, alpha: float) -> "GeneratingVariateSpec":
@@ -111,14 +109,12 @@ class GeneratingVariateSpec:
         return cls(family=FRECHET, alpha=alpha)
 
     @classmethod
-    def t_radial(cls, nu: float) -> "GeneratingVariateSpec":
-        return cls(family=T_RADIAL, nu=nu)
+    def t_radial(cls, alpha: float) -> "GeneratingVariateSpec":
+        return cls(family=T_RADIAL, alpha=alpha)
 
     @property
     def gamma(self) -> float:
         """Extreme value index of the family (always positive)."""
-        if self.family == T_RADIAL:
-            return 1.0 / self.nu
         return 1.0 / self.alpha
 
     @property
@@ -190,8 +186,8 @@ def _fill_variate(model: EllipticalModel, gen, out) -> np.ndarray:
     else:
         n = out.shape[0]
         num = np.maximum(gen.chisquare(model.dim, n), _TINY)
-        den = np.maximum(gen.chisquare(spec.nu, n), _TINY)
-        np.divide(num * spec.nu, den, out=out)
+        den = np.maximum(gen.chisquare(spec.alpha, n), _TINY)
+        np.divide(num * spec.alpha, den, out=out)
         np.sqrt(out, out=out)
     return out
 
@@ -267,8 +263,7 @@ def sample_elliptical(model: EllipticalModel, n: int, rng, *, workspace=None):
                 col += model.mu[j]
     except FloatingPointError:
         spec = model.variate
-        setting = f"nu={spec.nu!r}" if spec.family == T_RADIAL else f"alpha={spec.alpha!r}"
         raise DomainError(
-            f"the {spec.family} draw with {setting} overflows the float range"
+            f"the {spec.family} draw with alpha={spec.alpha!r} overflows the float range"
         ) from None
     return rows.T, radii

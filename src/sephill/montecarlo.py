@@ -617,32 +617,3 @@ def ks_threshold(n: int, level: float) -> float:
         raise DomainError("level must lie strictly between 0 and 1")
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
 
-
-@dataclass(frozen=True)
-class NormalityDiagnostics:
-    """Standardized moment checks and KS distance against a target normal."""
-
-    z_mean: float
-    z_sd: float
-    ks_stat: float
-
-
-def normality_diagnostics(values, target_mean: float, target_sd: float) -> NormalityDiagnostics:
-    """Compare a sample against the normal law N(target_mean, target_sd**2).
-
-    ``z_mean`` standardizes the sample mean by ``target_sd / sqrt(M)``;
-    ``z_sd`` standardizes the sample standard deviation by
-    ``target_sd / sqrt(2 M)``.  Requires at least 30 values.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 30:
-        raise TooFewValues("normality diagnostics need at least 30 values")
-    if not target_sd > 0:
-        raise DomainError("target_sd must be positive")
-    m = arr.shape[0]
-    z_mean = (float(np.mean(arr)) - target_mean) / (target_sd / math.sqrt(m))
-    z_sd = (float(np.std(arr, ddof=1)) - target_sd) / (
-        target_sd / math.sqrt(2.0 * m)
-    )
-    ks = ks_statistic(arr, lambda x: _normal_cdf((x - target_mean) / target_sd))
-    return NormalityDiagnostics(z_mean=z_mean, z_sd=z_sd, ks_stat=ks)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -163,24 +164,24 @@ class TestSimulate:
         assert code == 2
         assert "--alpha" in capsys.readouterr().err
 
-    def test_t_radial_needs_nu(self, tmp_path, capsys):
+    def test_t_radial_needs_alpha(self, tmp_path, capsys):
         code = cli.main(
             ["simulate", "--family", "t-radial", "--dim", "2", "--n", "5",
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
-        assert "--nu" in capsys.readouterr().err
+        assert "--alpha is required for the t-radial family" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "family, flag, value",
         [
             ("pareto", "--alpha", "inf"),
             ("frechet", "--alpha", "nan"),
-            ("t-radial", "--nu", "inf"),
-            ("t-radial", "--nu", "-inf"),
+            ("t-radial", "--alpha", "inf"),
+            ("t-radial", "--alpha", "-inf"),
         ],
-        ids=["pareto-alpha-inf", "frechet-alpha-nan", "t-radial-nu-inf",
-             "t-radial-nu-minus-inf"],
+        ids=["pareto-alpha-inf", "frechet-alpha-nan", "t-radial-alpha-inf",
+             "t-radial-alpha-minus-inf"],
     )
     def test_nonfinite_variate_parameter_rejected(
         self, tmp_path, capsys, family, flag, value
@@ -233,7 +234,7 @@ class TestEstimate:
         data = write_ladder_csv(tmp_path / "ladder.csv")
         out = tmp_path / "est.json"
         assert cli.main(
-            ["estimate", "--data", data, "--k-list", "1,3", "--mu", "0,0",
+            ["estimate", "--data", data, "--k", "1,3", "--mu", "0,0",
              "--sigma", "identity", "--out", str(out)]
         ) == 0
         est = json.loads(out.read_text())["estimates"]
@@ -292,12 +293,22 @@ class TestEstimate:
         assert code == 2
         assert "--sigma" in capsys.readouterr().err
 
-    def test_both_k_flags(self, tmp_path):
+    def test_k_list_flag_is_gone(self, tmp_path):
+        # --k takes the list; a second flag for the same setting is unknown
         data = write_ladder_csv(tmp_path / "l.csv")
         assert cli.main(
-            ["estimate", "--data", data, "--k", "1", "--k-list", "1,2",
+            ["estimate", "--data", data, "--k-list", "1,2",
              "--mu", "0,0", "--sigma", "identity"]
         ) == 2
+
+    def test_bad_k_list_names_the_flag(self, tmp_path, capsys):
+        data = write_ladder_csv(tmp_path / "l.csv")
+        code = cli.main(
+            ["estimate", "--data", data, "--k", "1,x", "--mu", "0,0",
+             "--sigma", "identity"]
+        )
+        assert code == 2
+        assert "--k expects comma-separated integers" in capsys.readouterr().err
 
     def test_no_k_flag(self, tmp_path):
         data = write_ladder_csv(tmp_path / "l.csv")
@@ -515,7 +526,7 @@ class TestVerifyBounds:
     def test_t_radial_family(self, tmp_path):
         out = tmp_path / "t.json"
         code = cli.main(
-            ["verify-bounds", "--family", "t-radial", "--nu", "3",
+            ["verify-bounds", "--family", "t-radial", "--alpha", "3",
              "--trials", "2", "--n", "40", "--dim", "3",
              "--perturbation-scale", "1e-4", "--seed", "1", "--out", str(out)]
         )
@@ -523,10 +534,10 @@ class TestVerifyBounds:
         assert json.loads(out.read_text())["violations"] == 0
 
 
-def per_pivot_verify_bounds(family, alpha, nu, dim, n, scale, trials, seed, out):
+def per_pivot_verify_bounds(family, alpha, dim, n, scale, trials, seed, out):
     """The verify-bounds JSON as the per-pivot sweep wrote it: each trial
     calls both verifiers at each pivot and folds their reports one by one."""
-    variate = cli.build_variate(family, alpha, nu)
+    variate = cli.build_variate(family, alpha)
     d = dim
     applicable_count = 0
     violations = 0
@@ -580,7 +591,7 @@ def per_pivot_verify_bounds(family, alpha, nu, dim, n, scale, trials, seed, out)
 
     config = {
         "trials": trials, "n": n, "dim": d, "family": family, "alpha": alpha,
-        "nu": nu, "perturbation_scale": scale, "out": out,
+        "perturbation_scale": scale, "out": out,
     }
     payload = {
         "trials": trials,
@@ -601,26 +612,22 @@ class TestVerifyBoundsOnePass:
     """verify-bounds checks every pivot in one validated pass per trial; its
     JSON is byte for byte that of the per-pivot sweep above."""
 
-    FAMILIES = {
-        "pareto": (["--alpha", "3"], 3.0, None),
-        "t-radial": (["--nu", "3"], None, 3.0),
-        "frechet": (["--alpha", "2"], 2.0, None),
-    }
+    FAMILIES = {"pareto": 3.0, "t-radial": 3.0, "frechet": 2.0}
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("scale", ["0", "1e-3", "1e6"])
     def test_json_bytes_match_per_pivot_sweep(self, tmp_path, dim, family, scale):
-        shape, alpha, nu = self.FAMILIES[family]
+        alpha = self.FAMILIES[family]
         out = tmp_path / "vb.json"
         code = cli.main(
-            ["verify-bounds", "--family", family, *shape, "--trials", "4",
+            ["verify-bounds", "--family", family, "--alpha", repr(alpha), "--trials", "4",
              "--n", "120", "--dim", str(dim), "--perturbation-scale", scale,
              "--seed", "11", "--out", str(out)]
         )
         assert code == 0
         expected = per_pivot_verify_bounds(
-            family, alpha, nu, dim, 120, float(scale), 4, 11, str(out)
+            family, alpha, dim, 120, float(scale), 4, 11, str(out)
         )
         assert out.read_text() == expected
 
@@ -635,7 +642,7 @@ class TestVerifyBoundsOnePass:
         payload = json.loads(out.read_text())
         assert 0 < payload["applicable_count"] < 6 * 12
         assert out.read_text() == per_pivot_verify_bounds(
-            "pareto", 3.0, None, 2, 300, 0.05, 12, 5, str(out)
+            "pareto", 3.0, 2, 300, 0.05, 12, 5, str(out)
         )
 
 
@@ -681,7 +688,7 @@ class TestParserReuse:
         first = parser.parse_args(
             ["experiment", "--family", "pareto", "--alpha", "3", "--dim", "2"]
         )
-        second = parser.parse_args(["estimate", "--data", "x.csv"])
+        second = parser.parse_args(["estimate", "--data", "x.csv", "--k", "5"])
         assert first.workers == 1
         # experiment's inline defaults are applied by the inline path, so
         # a flag given beside --config can be told from one left out
@@ -959,8 +966,9 @@ class TestExperiment:
     def test_nonfinite_sigma_rejected_before_symmetry(self, tmp_path, capsys, via, entry):
         sigma = [[1.0, entry], [entry, 1.0]]
         if via == "config":
-            argv = ["experiment", "--config", self._config(tmp_path, sigma=sigma)]
-            source = "sigma"
+            cfg = self._config(tmp_path, sigma=sigma)
+            argv = ["experiment", "--config", cfg]
+            source = f"--config {cfg!r}: model.sigma"
         else:
             sigma_csv = tmp_path / "sigma.csv"
             sigma_csv.write_text("\n".join(",".join(map(str, r)) for r in sigma) + "\n")
@@ -1027,12 +1035,12 @@ class TestExperiment:
             ({"alpha": [5.0]}, "model.alpha"),
             ({"alpha": True}, "model.alpha"),
             ({"alpha": math.inf}, "model.alpha"),
-            ({"family": "t-radial", "nu": [3]}, "model.nu"),
-            ({"family": "t-radial", "nu": "3"}, "model.nu"),
-            ({"family": "t-radial", "nu": math.nan}, "model.nu"),
+            ({"family": "t-radial", "alpha": [3]}, "model.alpha"),
+            ({"family": "t-radial", "alpha": "3"}, "model.alpha"),
+            ({"family": "t-radial", "alpha": math.nan}, "model.alpha"),
         ],
         ids=["alpha-string", "alpha-list", "alpha-bool", "alpha-inf",
-             "nu-list", "nu-string", "nu-nan"],
+             "t-radial-alpha-list", "t-radial-alpha-string", "t-radial-alpha-nan"],
     )
     def test_bad_config_variate_parameter_exits_config(
         self, tmp_path, capsys, model, key
@@ -1072,6 +1080,52 @@ class TestExperiment:
         argv = ["experiment", "--config", str(cfg_path), "--out", str(out)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: --config {str(cfg_path)!r}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "top, model, named",
+        [
+            ({"k_value": [5]}, {}, "k_value"),
+            ({}, {"nu": 4}, "model.nu"),
+            ({}, {"nu": None}, "model.nu"),
+            ({"seed": 3}, {"dim": 2}, "keys seed, model.dim"),
+        ],
+        ids=["top-level-typo", "model-nu", "model-nu-null", "two-keys"],
+    )
+    def test_unknown_config_key_exits_config(self, tmp_path, capsys, top, model, named):
+        # each of these used to be dropped unread: a k_value typo ran with
+        # k_beta 0.5, and a model's nu beside its alpha was never drawn
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
+        raw.update(top)
+        raw["model"].update(model)
+        cfg_path = tmp_path / "unknown.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "exp.json"
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {str(cfg_path)!r}: unknown key")
+        assert err.endswith(f" {named}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            ([[1.0, math.inf], [math.inf, 1.0]], "model.sigma entries must be finite"),
+            ([[1.0, 2.0], [2.0, 1.0]], "model.sigma is not positive definite: "),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+             "model.sigma has shape (2, 3), expected (2, 2)"),
+            ([[1.0, 0.5], [0.0, 1.0]], "model.sigma is not symmetric within 1e-9"),
+        ],
+        ids=["nonfinite", "indefinite", "wrong-shape", "asymmetric"],
+    )
+    def test_config_scatter_errors_name_the_file(self, tmp_path, capsys, sigma, message):
+        # these read a bare "sigma ..." while every other config error
+        # names the file and the key
+        cfg = self._config(tmp_path, sigma=sigma)
+        out = tmp_path / "exp.json"
+        assert cli.main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {cfg!r}: {message}")
         assert not out.exists()
 
     def test_config_with_k_beta_and_k_values_exits_config(self, tmp_path, capsys):
@@ -1180,7 +1234,7 @@ class TestExperiment:
             assert flag in err and "--config" in err, err
             assert not out.exists() and not recs.exists(), flag
             checked.append(flag)
-        assert len(checked) == 12
+        assert len(checked) == 11
 
     def test_inline_flags_beside_a_seedless_config_exit_config(self, tmp_path, capsys):
         # with --config these four used to be dropped without a word, and
@@ -1214,18 +1268,17 @@ class TestExperiment:
 
     @pytest.mark.parametrize(
         "key",
-        ["base_seed", "estimator_method", "k_beta", "k_values", "model.nu"],
+        ["base_seed", "estimator_method", "k_beta", "k_values"],
     )
     def test_null_config_key_is_the_key_left_out(self, tmp_path, key):
         raw = json.loads(Path(self._config(tmp_path)).read_text())
         raw.update(estimator_method="spatial_median_tyler", k_values=[7])
-        where, name = (raw["model"], key[6:]) if key.startswith("model.") else (raw, key)
         outputs = []
         for tag in ("null", "absent"):
             if tag == "null":
-                where[name] = None
+                raw[key] = None
             else:
-                where.pop(name)
+                raw.pop(key)
             cfg_path = tmp_path / f"{tag}.json"
             cfg_path.write_text(json.dumps(raw))
             out, recs = tmp_path / f"{tag}.out.json", tmp_path / f"{tag}.csv"
@@ -1369,6 +1422,25 @@ class TestTopLevel:
         assert proc.stdout.splitlines() == ["[]", "0 []"]
         assert json.loads(out.read_text())["aggregates"][0]["ks_stat"] is not None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--dim", "2", "--n", "5"],
+            ["verify-bounds", "--dim", "2", "--n", "20", "--trials", "1",
+             "--perturbation-scale", "0.1"],
+            ["experiment", "--dim", "2", "--n-values", "100", "--replications", "2"],
+        ],
+        ids=["simulate", "verify-bounds", "experiment"],
+    )
+    def test_nu_flag_is_gone(self, tmp_path, capsys, argv):
+        # alpha is the tail index of every family, t-radial's degrees of
+        # freedom included; a --nu beside --alpha used to be dropped unread
+        out = tmp_path / "out"
+        argv = [*argv, "--family", "t-radial", "--nu", "3", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "unrecognized arguments: --nu 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0
         assert "sephill" in capsys.readouterr().out
@@ -1377,7 +1449,7 @@ class TestTopLevel:
         "argv",
         [
             ["simulate", "--family", "pareto", "--alpha", "3", "--n", "5"],
-            ["verify-bounds", "--family", "t-radial", "--nu", "3", "--n", "20",
+            ["verify-bounds", "--family", "t-radial", "--alpha", "3", "--n", "20",
              "--trials", "1", "--perturbation-scale", "0.1"],
         ],
         ids=["simulate", "verify-bounds"],
@@ -1467,3 +1539,14 @@ def test_readme_config_example_builds(tmp_path):
     config = cli._experiment_config_from_file(str(cfg_path))
     assert config.k_beta is None
     assert [config.k_for(n) for n in config.n_values] == [45, 141]
+
+
+def test_readme_config_keys_match_the_reader():
+    # README lists one bullet per top-level key and, indented under
+    # model, one per model key
+    section = README.read_text().split("## Experiment configuration file", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    top = re.findall(r"^- `(\w+)`", section, flags=re.M)
+    model = re.findall(r"^  - `(\w+)`", section, flags=re.M)
+    assert tuple(top) == cli._CONFIG_KEYS
+    assert tuple(model) == cli._MODEL_KEYS

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,7 +83,7 @@ class TestVariateSpec:
             GeneratingVariateSpec.frechet,
             GeneratingVariateSpec.t_radial,
         ],
-        ids=["pareto-alpha", "frechet-alpha", "t-radial-nu"],
+        ids=["pareto-alpha", "frechet-alpha", "t-radial-alpha"],
     )
     def test_parameters_must_be_finite_positive_reals(self, make, value):
         with pytest.raises(DomainError):
@@ -92,12 +95,20 @@ class TestVariateSpec:
             GeneratingVariateSpec(family="frechet", alpha=np.float32(0.5)),
             GeneratingVariateSpec.t_radial(4),
         ):
-            for value in (spec.alpha, spec.nu):
-                assert value is None or type(value) is float
+            assert type(spec.alpha) is float
 
-    def test_bad_nu(self):
+    def test_bad_t_radial_alpha(self):
         with pytest.raises(DomainError):
             GeneratingVariateSpec.t_radial(0.0)
+
+    def test_one_tail_parameter_for_every_family(self):
+        # t_radial's positional argument, the degrees of freedom, is its alpha
+        assert [f.name for f in dataclasses.fields(GeneratingVariateSpec)] == [
+            "family", "alpha",
+        ]
+        spec = GeneratingVariateSpec.t_radial(4.0)
+        assert spec == GeneratingVariateSpec(family="t-radial", alpha=4.0)
+        assert spec.gamma == 0.25
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
@@ -479,6 +490,14 @@ class TestSampleElliptical:
         with pytest.raises(DomainError, match=f"{spec.family} draw with {setting} overflows"):
             draw_radii(spec, _Uniforms(0.5), 3)
 
+    def test_overflowing_t_radial_radius_names_alpha(self):
+        # alpha = 1e308 times a chi-square on 50 degrees of freedom, far
+        # above 1.8, is beyond the float range
+        spec = GeneratingVariateSpec.t_radial(1e308)
+        match = re.escape("t-radial draw with alpha=1e+308 overflows")
+        with pytest.raises(DomainError, match=match):
+            draw_radii(spec, RngStream(3, 0), 3, dim=50)
+
     def test_overflowing_row_is_a_domain_error(self):
         # a radius of 0.1**-280 = 1e280 fits a float; times a factor of
         # 1e50 it does not
@@ -501,8 +520,8 @@ def plain_radii(model, gen, n):
     if spec.family == "frechet":
         return (-np.log(np.maximum(gen.random(n), TINY))) ** (-1.0 / spec.alpha)
     num = np.maximum(gen.chisquare(model.dim, n), TINY)
-    den = np.maximum(gen.chisquare(spec.nu, n), TINY)
-    return np.sqrt(num * spec.nu / den)
+    den = np.maximum(gen.chisquare(spec.alpha, n), TINY)
+    return np.sqrt(num * spec.alpha / den)
 
 
 def row_major_sphere(dim, gen, size):

@@ -46,7 +46,6 @@ from sephill.montecarlo import (
     k_schedule,
     ks_statistic,
     ks_threshold,
-    normality_diagnostics,
     run_experiment,
     run_replication,
 )
@@ -778,28 +777,3 @@ class TestKolmogorovSmirnov:
         tail = np.linspace(-37.0, 0.0, 3701)
         np.testing.assert_allclose(_normal_cdf(tail), ndtr(tail), rtol=1e-12)
 
-
-class TestNormalityDiagnostics:
-    def test_constant_sample_oracle(self):
-        m = 64
-        tm, tsd = 0.5, 2.0
-        diag = normality_diagnostics(np.full(m, tm + tsd), tm, tsd)
-        assert diag.z_mean == pytest.approx(math.sqrt(m), rel=1e-12)
-        assert diag.z_sd == pytest.approx(-math.sqrt(2 * m), rel=1e-12)
-
-    def test_seeded_self_consistency(self):
-        gen = np.random.default_rng(99)
-        m = 4000
-        x = gen.normal(loc=1.0, scale=2.0, size=m)
-        diag = normality_diagnostics(x, 1.0, 2.0)
-        assert abs(diag.z_mean) < 4.0
-        assert abs(diag.z_sd) < 4.0
-        assert diag.ks_stat * math.sqrt(m) < 1.95
-
-    def test_too_few(self):
-        with pytest.raises(TooFewValues):
-            normality_diagnostics(np.ones(29), 0.0, 1.0)
-
-    def test_bad_sd(self):
-        with pytest.raises(DomainError):
-            normality_diagnostics(np.ones(50), 0.0, 0.0)
