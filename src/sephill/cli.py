@@ -42,6 +42,7 @@ from .distributions import (
     sample_elliptical,
 )
 from .errors import (
+    BetaOutOfRange,
     ConfigError,
     DegenerateSample,
     DomainError,
@@ -424,8 +425,11 @@ def cmd_verify_bounds(args) -> int:
         sigma_hat_inv = sigma_inv + scale * np.einsum("ik,jk->ij", w, w) / d
         mu_hat = mu + scale * gen.normal(0.0, 1.0, d)
 
+        # the truth translated to the origin, as the experiment harness
+        # measures it; no scale is matched (c = 1 there), since the
+        # perturbed inverse is drawn around sigma_inv itself
         coeffs = bounds.perturbation_coefficients(
-            mu, sigma_inv, mu_hat, sigma_hat_inv, linalg.spectral_norm(sigma)
+            np.zeros(d), sigma_inv, mu_hat - mu, sigma_hat_inv, model.lambda_max
         )
         true_ordered = order_desc(mahalanobis_distances(sample, mu, sigma_inv))
         est_ordered = order_desc(
@@ -476,90 +480,91 @@ def cmd_verify_bounds(args) -> int:
     return EXIT_OK
 
 
-#: The keys a --config file may hold, at its top level and in its model.
+#: The keys a --config file may hold, at its top level and in its model,
+#: and those it must hold (:func:`build_variate` names a missing alpha).
 _CONFIG_KEYS = (
     "model", "n_values", "replications", "base_seed", "estimator_method",
     "k_beta", "k_values",
 )
 _MODEL_KEYS = ("family", "alpha", "mu", "sigma")
+_CONFIG_REQUIRED = ("model", "n_values", "replications")
+_MODEL_REQUIRED = ("family", "mu", "sigma")
 
 
 def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
+    """The experiment a --config file describes.  Every error in the file
+    is a :class:`ConfigError` that names the file once, as ``--config
+    '<path>': ``, and the key at fault as ``model.sigma`` or
+    ``n_values``."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
+        return _experiment_config_from_json(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"could not parse --config {path!r}: {exc}") from None
+        message = f"could not parse as JSON: {exc}"
+    except (ConfigError, BetaOutOfRange) as exc:
+        message = str(exc)
+    raise ConfigError(f"--config {path!r}: {message}") from None
+
+
+def _experiment_config_from_json(raw) -> montecarlo.ExperimentConfig:
     if not isinstance(raw, dict):
-        raise ConfigError(
-            f"--config {path!r} must hold a JSON object, got {type(raw).__name__}"
-        )
+        raise ConfigError(f"must hold a JSON object, got {type(raw).__name__}")
+    model_raw = raw.get("model", {})
+    if not isinstance(model_raw, dict):
+        raise ConfigError(f"model must be a JSON object, got {type(model_raw).__name__}")
     # a key the reader does not know would otherwise be dropped unread
     unknown = [key for key in raw if key not in _CONFIG_KEYS]
-    if isinstance(raw.get("model"), dict):
-        unknown += [f"model.{key}" for key in raw["model"] if key not in _MODEL_KEYS]
-    if unknown:
-        plural = "s" if len(unknown) > 1 else ""
-        raise ConfigError(
-            f"--config {path!r}: unknown key{plural} {', '.join(unknown)}"
-        )
-    try:
-        model_raw = raw["model"]
-        if not isinstance(model_raw, dict):
-            raise ConfigError(
-                f"--config {path!r}: 'model' must be a JSON object, "
-                f"got {type(model_raw).__name__}"
-            )
-        family = model_raw["family"]
-        mu = _config_array(model_raw["mu"], "mu", 1, path)
-        dim = mu.shape[0]
-        if dim < 1:
-            raise ConfigError(f"--config {path!r}: model.mu must not be empty")
-        try:
-            variate = build_variate(family, model_raw.get("alpha"), "model.")
-        except ConfigError as exc:
-            raise ConfigError(f"--config {path!r}: {exc}") from None
-        source = f"--config {path!r}: model.sigma"
-        sigma = _check_scatter(
-            _config_array(model_raw["sigma"], "sigma", 2, path), dim, source
-        )
-        model = _make_model(mu, sigma, variate, source)
-        # a null optional key is the key left out: ExperimentConfig holds
-        # the defaults
-        optional = ("base_seed", "estimator_method", "k_beta", "k_values")
-        given = {key: raw[key] for key in optional if raw.get(key) is not None}
-        if "k_values" in given:
-            given["k_values"] = _config_list(given["k_values"], "k_values", path)
-        return montecarlo.ExperimentConfig(
-            model=model,
-            n_values=_config_list(raw["n_values"], "n_values", path),
-            replications=raw["replications"],
-            **given,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"--config {path!r} is missing field {exc}") from None
+    unknown += [f"model.{key}" for key in model_raw if key not in _MODEL_KEYS]
+    missing = [key for key in _CONFIG_REQUIRED if key not in raw]
+    if "model" in raw:
+        missing += [f"model.{key}" for key in _MODEL_REQUIRED if key not in model_raw]
+    for what, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ConfigError(f"{what} key{'s' * (len(keys) > 1)} {', '.join(keys)}")
+    mu = _config_array(model_raw["mu"], "model.mu", 1)
+    dim = mu.shape[0]
+    if dim < 1:
+        raise ConfigError("model.mu must not be empty")
+    variate = build_variate(model_raw["family"], model_raw.get("alpha"), "model.")
+    sigma = _check_scatter(
+        _config_array(model_raw["sigma"], "model.sigma", 2), dim, "model.sigma"
+    )
+    model = _make_model(mu, sigma, variate, "model.sigma")
+    # a null optional key is the key left out: ExperimentConfig holds the
+    # defaults
+    optional = [key for key in _CONFIG_KEYS if key not in _CONFIG_REQUIRED]
+    given = {key: raw[key] for key in optional if raw.get(key) is not None}
+    if "k_values" in given:
+        given["k_values"] = _config_list(given["k_values"], "k_values")
+    return montecarlo.ExperimentConfig(
+        model=model,
+        n_values=_config_list(raw["n_values"], "n_values"),
+        replications=raw["replications"],
+        **given,
+    )
 
 
-def _config_array(value, field: str, ndim: int, path: str) -> np.ndarray:
-    """A numeric field of a --config file as a float array with ``ndim``
-    axes; a ragged, non-numeric or wrongly nested value is a configuration
-    error."""
+def _config_array(value, key: str, ndim: int) -> np.ndarray:
+    """A numeric key of a --config file as a float array with ``ndim``
+    axes and finite entries; a ragged, non-numeric, non-finite or wrongly
+    nested value is a configuration error."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != ndim:
         expected = "a list of numbers" if ndim == 1 else "a list of equal-length rows"
-        raise ConfigError(f"--config {path!r}: {field!r} must be {expected}")
+        raise ConfigError(f"{key} must be {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} entries must be finite")
     return arr
 
 
-def _config_list(value, field: str, path: str) -> tuple:
-    """A list field of a --config file as a tuple."""
+def _config_list(value, key: str) -> tuple:
+    """A list key of a --config file as a tuple."""
     if not isinstance(value, list):
-        raise ConfigError(
-            f"--config {path!r}: {field!r} must be a list, got {type(value).__name__}"
-        )
+        raise ConfigError(f"{key} must be a list, got {type(value).__name__}")
     return tuple(value)
 
 

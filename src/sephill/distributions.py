@@ -132,8 +132,9 @@ class EllipticalModel:
     """Location ``mu``, scatter ``sigma`` and a generating variate family.
 
     The scatter is validated and factored once at construction: its lower
-    Cholesky factor is cached as ``lambda_chol``, and the inverse of the
-    scatter, formed from that factor, as ``sigma_inv``.
+    Cholesky factor is cached as ``lambda_chol``, the inverse of the
+    scatter, formed from that factor, as ``sigma_inv``, and its largest
+    eigenvalue as ``lambda_max``; all three are pickled with the model.
     """
 
     mu: np.ndarray
@@ -149,7 +150,8 @@ class EllipticalModel:
         if not np.all(np.isfinite(mu)):
             raise NonFinite("mu entries must be finite")
         # validates sigma (shape, finite, symmetric) and factors it once;
-        # the inverse is formed from the same factor
+        # the inverse is formed from the same factor, and the largest
+        # eigenvalue is spectral_norm's without a second validation
         chol = linalg.cholesky(self.sigma)
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape[0] != mu.shape[0]:
@@ -160,6 +162,7 @@ class EllipticalModel:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "lambda_chol", chol)
         object.__setattr__(self, "sigma_inv", linalg._inverse_from_factor(chol))
+        object.__setattr__(self, "lambda_max", float(linalg._largest_abs_eigenvalues(sigma)))
 
     @property
     def dim(self) -> int:

@@ -39,14 +39,16 @@ scatter) is copied out of it.
 
 Per replication the harness estimates the extreme value index twice — once
 with the true location/scatter and once with the configured estimator —
-and attaches the perturbation-envelope report on their gap.  The envelope
-measures the fit against the config's :class:`EnvelopeReference`: the true
-scatter itself for the mean/covariance fit, and for the median/Tyler fit
-the scatter normalized to trace d, with the true distances scaled by
-``sqrt(trace / d)`` to match.  Under the true parameters a row
-``mu + R * L u`` lies at scatter-metric distance R, so the true side reads
-the generating radii the sampler returns rather than recomputing them from
-the rows.  A replication that raises a :class:`SepHillError` yields a
+and attaches the perturbation-envelope report on their gap.  Hill reads
+only distance ratios, so the envelope measures every fit in its own frame:
+the truth translated to the origin (0 against ``mu_hat - mu``) and scaled
+to the fit's size by ``c = tr(sigma_hat) / tr(sigma)`` (``sigma_inv / c``,
+``c * lambda_max``, pivot ``R_(k+1) / sqrt(c)``).  Its bound b_n shrinks
+like the fit's error, so ``sqrt(k) * b_n`` falls only like ``sqrt(k / n)``
+and does not by itself show the gap negligible at the tested sizes.
+Under the true parameters a row ``mu + R * L u`` lies at scatter-metric
+distance R, so the true side reads the generating radii the sampler
+returns rather than recomputing them from the rows.  A replication that raises a :class:`SepHillError` yields a
 :class:`ReplicationFailure` in place of its :class:`ReplicationRecord`.
 The aggregates summarize the normalized errors ``sqrt(k) * (gamma_hat -
 gamma)`` whose limiting law the experiments are designed to check, per
@@ -72,7 +74,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import linalg
 from .distributions import EllipticalModel, RngStream, sample_elliptical
 from .errors import (
     BetaOutOfRange,
@@ -85,7 +86,6 @@ from .errors import (
 from .estimators import (
     ESTIMATOR_METHODS,
     SAMPLE_MEAN_COV,
-    SPATIAL_MEDIAN_TYLER,
     estimate_location_scatter,
     mahalanobis_distances,
     order_desc,
@@ -137,25 +137,13 @@ def _integer(value, field: str) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class EnvelopeReference:
-    """The true scatter's inverse and largest eigenvalue, and the factor
-    that maps true distances into the same normalization."""
-
-    sigma_inv: np.ndarray
-    lambda_max: float
-    distance_scale: float
-
-
-@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Full description of one experiment.
 
     The tail fraction is either derived from ``k_beta`` through
     :func:`k_schedule` or given explicitly as ``k_values`` aligned with
     ``n_values``, not both; without ``k_values``, ``k_beta`` defaults to
-    0.5.  Construction also sets ``envelope_reference``, which
-    every replication's envelope measures its fit against; it is computed
-    once and pickled with the config to pool workers.
+    0.5.
     """
 
     model: EllipticalModel
@@ -214,18 +202,6 @@ class ExperimentConfig:
                 raise ConfigError(f"k_beta must be a number, got {self.k_beta!r}")
             for n in self.n_values:
                 k_schedule(n, self.k_beta)
-        # Tyler's fit is scale-free and targets the trace-d scatter; the
-        # mean/covariance fit compares with the truth (scale 1.0 keeps bytes)
-        model = self.model
-        scale = 1.0
-        if self.estimator_method == SPATIAL_MEDIAN_TYLER:
-            scale = float(np.trace(model.sigma)) / model.dim
-        reference = EnvelopeReference(
-            sigma_inv=model.sigma_inv * scale,
-            lambda_max=linalg.spectral_norm(model.sigma / scale),
-            distance_scale=math.sqrt(scale),
-        )
-        object.__setattr__(self, "envelope_reference", reference)
 
     def k_for(self, n: int) -> int:
         """Tail fraction for sample size ``n`` under this configuration."""
@@ -309,8 +285,8 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     the index twice.  Under the true parameters the distances are the
     generating radii the sampler returns, so the true side orders those;
     under the configured method they are computed from the fitted
-    location/scatter.  The (k+1)-th largest radius is the pivot of the
-    perturbation report.  Only the k+1 largest values are ordered, since
+    location/scatter.  The (k+1)-th largest radius, over ``sqrt(c)`` in
+    the fit's frame, is the pivot of the perturbation report.  Only the k+1 largest values are ordered, since
     Hill and the pivot read no others.  Estimator errors propagate to the
     caller.
 
@@ -339,13 +315,14 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     ordered_est = order_desc(dists, top=k + 1, workspace=workspace)
     gamma_est = univariate_hill(ordered_est, k).gamma_hat
 
-    ref = config.envelope_reference
+    # the truth in the fit's frame: translated to the origin and scaled by
+    # c to the fit's size, which moves no distance ratio Hill reads
+    c = float(np.trace(loc.sigma_hat)) / float(np.trace(model.sigma))
     coeffs = bounds_mod.perturbation_coefficients(
-        model.mu, ref.sigma_inv, loc.mu_hat, loc.sigma_hat_inv, ref.lambda_max
+        np.zeros(model.dim), model.sigma_inv / c, loc.mu_hat - model.mu,
+        loc.sigma_hat_inv, c * model.lambda_max,
     )
-    report = bounds_mod.complete_bound(
-        coeffs, float(ordered_true[k]) * ref.distance_scale
-    )
+    report = bounds_mod.complete_bound(coeffs, float(ordered_true[k]) / math.sqrt(c))
 
     return ReplicationRecord(
         rep_id=int(rep_id),

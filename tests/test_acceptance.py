@@ -143,7 +143,8 @@ def test_criterion_3_perturbation_lemmas_hold_on_random_trials():
     assert applicable > 0.9 * checks
 
 
-def test_criterion_4_consistency_under_robust_estimation():
+@pytest.fixture(scope="module")
+def robust_experiment():
     model = EllipticalModel(
         mu=np.array([0.5, -1.0]),
         sigma=np.array([[1.5, 0.4], [0.4, 0.8]]),
@@ -156,7 +157,11 @@ def test_criterion_4_consistency_under_robust_estimation():
         base_seed=20260401,
         estimator_method=SPATIAL_MEDIAN_TYLER,
     )
-    result = run_experiment(config, workers=8)
+    return run_experiment(config, workers=8)
+
+
+def test_criterion_4_consistency_under_robust_estimation(robust_experiment):
+    result = robust_experiment
     medians = [agg.median_abs_error for agg in result.aggregates]
     assert all(agg.failures == 0 for agg in result.aggregates)
     assert medians[0] > medians[1] > medians[2]
@@ -215,6 +220,30 @@ def test_criterion_6_estimated_vs_true_gap_negligible(
     assert large.n == 10**5 and large.k == 316 and large.count == 200
     assert small.p95_scaled_gap > mid.p95_scaled_gap > large.p95_scaled_gap
     assert large.p95_scaled_gap < 0.05
+
+
+# The envelope b_n bounds |gamma_hat(estimated) - gamma_hat(true)| where it
+# applies: a_n <= 1/2 and the pivot test.  Pilots (seeds 1-5; 200
+# replications of the headline model at n = 2*10^4, k = 141, and 100 of the
+# criterion-4 model at n = 10^5, k = 317): every replication applied, none
+# had |gap| > b_n, and the p95 of a_n read 0.122-0.134 and 0.079-0.086
+# (largest single a_n 0.184 and 0.142).  Measured against the true scatter
+# itself, which the mean/covariance fit does not estimate, the headline
+# model applies in none of its replications, so the test tells the frames
+# apart.
+def test_envelope_applies_in_the_headline_and_robust_models(
+    normality_experiment, robust_experiment
+):
+    for result, n, count in (
+        (normality_experiment, 20000, 500),
+        (robust_experiment, 10**5, 100),
+    ):
+        records = [rec for rec in result.records if rec.n == n]
+        reports = [rec.bound_report for rec in records]
+        assert len(reports) == count
+        assert all(r.preconds.a_le_half and r.preconds.pivot_ok for r in reports)
+        assert all(abs(rec.estimator_gap) <= rec.bound_report.b_n for rec in records)
+        assert np.quantile([r.a_n for r in reports], 0.95) <= 0.25
 
 
 def test_criterion_7_worker_count_invariant_output(tmp_path):

@@ -558,8 +558,9 @@ def per_pivot_verify_bounds(family, alpha, dim, n, scale, trials, seed, out):
         sigma_hat_inv = sigma_inv + scale * np.einsum("ik,jk->ij", w, w) / d
         sigma_hat_inv = 0.5 * (sigma_hat_inv + sigma_hat_inv.T)
         mu_hat = mu + scale * gen.normal(0.0, 1.0, d)
+        # the truth translated to the origin, as verify-bounds measures it
         coeffs = bounds.perturbation_coefficients(
-            mu, sigma_inv, mu_hat, sigma_hat_inv, linalg.spectral_norm(sigma)
+            np.zeros(d), sigma_inv, mu_hat - mu, sigma_hat_inv, linalg.spectral_norm(sigma)
         )
         true_ordered = order_desc(mahalanobis_distances(sample, mu, sigma_inv))
         est_ordered = order_desc(mahalanobis_distances(sample, mu_hat, sigma_hat_inv))
@@ -985,16 +986,18 @@ class TestExperiment:
         assert err == f"error: {source} entries must be finite\n"
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, key",
         [
-            ("model", [1]),
-            ("n_values", 100),
-            ("k_values", 100),
-            ("mu", 3.0),
+            ("model", [1], "model"),
+            ("n_values", 100, "n_values"),
+            ("k_values", 100, "k_values"),
+            ("mu", 3.0, "model.mu"),
         ],
         ids=["model-not-object", "n-values-scalar", "k-values-scalar", "mu-scalar"],
     )
-    def test_malformed_config_field_exits_config(self, tmp_path, capsys, field, value):
+    def test_malformed_config_field_exits_config(
+        self, tmp_path, capsys, field, value, key
+    ):
         raw = json.loads(Path(self._config(tmp_path)).read_text())
         if field == "mu":
             raw["model"]["mu"] = value
@@ -1003,7 +1006,7 @@ class TestExperiment:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(raw))
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
-        assert repr(field) in capsys.readouterr().err
+        assert f"--config {str(cfg_path)!r}: {key} must be " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1126,6 +1129,50 @@ class TestExperiment:
         assert cli.main(["experiment", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: --config {cfg!r}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw["model"].pop("family"), "missing key model.family"),
+            (lambda raw: raw.pop("n_values"), "missing key n_values"),
+            (
+                lambda raw: raw["model"].update(sigma=[[1.0, 0.0], [0.0]]),
+                "model.sigma must be a list of equal-length rows",
+            ),
+            (
+                lambda raw: raw["model"].update(mu=[math.inf, 0.0]),
+                "model.mu entries must be finite",
+            ),
+            (
+                lambda raw: raw.update(replications=True),
+                "replications must be an integer, got True",
+            ),
+            (
+                lambda raw: raw.update(n_values=[100, 100]),
+                "n_values must be distinct, got [100, 100]",
+            ),
+            (
+                lambda raw: raw.update(k_beta=1.5),
+                "beta must lie strictly between 0 and 1, got 1.5",
+            ),
+        ],
+        ids=["missing-family", "missing-n-values", "ragged-sigma", "nonfinite-mu",
+             "replications-bool", "repeated-n", "k-beta-out-of-range"],
+    )
+    def test_every_config_error_names_the_file_once(
+        self, tmp_path, capsys, edit, message
+    ):
+        # the reader, the model and ExperimentConfig raise these without
+        # the file; the reader adds it to each, once
+        raw = json.loads(Path(self._config(tmp_path)).read_text())
+        edit(raw)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "exp.json"
+        argv = ["experiment", "--config", str(cfg_path), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --config {str(cfg_path)!r}: {message}\n"
         assert not out.exists()
 
     def test_config_with_k_beta_and_k_values_exits_config(self, tmp_path, capsys):

@@ -22,7 +22,7 @@ from sephill.errors import (
     NotPositiveDefinite,
 )
 from sephill.estimators import mahalanobis_distances
-from sephill.linalg import cholesky, spd_inverse
+from sephill.linalg import cholesky, spd_inverse, spectral_norm
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -374,6 +374,7 @@ class TestEllipticalModel:
         monkeypatch.undo()
         assert m.sigma_inv.tobytes() == spd_inverse(m.sigma).tobytes()
         assert m.lambda_chol.tobytes() == cholesky(m.sigma).tobytes()
+        assert m.lambda_max == spectral_norm(m.sigma)
 
     @pytest.mark.parametrize(
         "sigma, error",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pickle
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from sephill.bounds import complete_bound, log_ratio_bound, perturbation_coefficients
+from sephill.bounds import check_envelopes, log_ratio_bound
 from sephill.distributions import (
     EllipticalModel,
     GeneratingVariateSpec,
@@ -31,6 +32,8 @@ from sephill.estimators import (
     ESTIMATOR_METHODS,
     SAMPLE_MEAN_COV,
     SPATIAL_MEDIAN_TYLER,
+    LocationScatterEstimate,
+    estimate_location_scatter,
     mahalanobis_distances,
     order_desc,
     univariate_hill,
@@ -152,39 +155,28 @@ class TestExperimentConfig:
     SIGMA = [[2.0, 0.5, 0.1], [0.5, 1.0, -0.2], [0.1, -0.2, 3.0]]
 
     @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
-    def test_pickled_config_carries_its_envelope_reference(self, method):
+    def test_pickled_config_carries_the_models_lambda_max(self, method):
         # pool workers receive the config pickled before any replication
-        # ran, so the reference is in the pickle, not recomputed from it
+        # ran, so the model's factor, inverse and largest eigenvalue are in
+        # the pickle, not recomputed from it; the config itself holds no
+        # envelope state
         cfg = ExperimentConfig(
             pareto_model(d=3, sigma=self.SIGMA), (100,), 1, base_seed=0,
             estimator_method=method,
         )
         copy = pickle.loads(pickle.dumps(cfg))
-        ref, ref_copy = cfg.envelope_reference, vars(copy)["envelope_reference"]
-        assert ref_copy.sigma_inv.tobytes() == ref.sigma_inv.tobytes()
-        assert ref_copy.lambda_max == ref.lambda_max
-        assert ref_copy.distance_scale == ref.distance_scale
+        cached = vars(copy.model)
+        assert cached["lambda_max"] == cfg.model.lambda_max
+        assert cached["sigma_inv"].tobytes() == cfg.model.sigma_inv.tobytes()
+        assert cached["lambda_chol"].tobytes() == cfg.model.lambda_chol.tobytes()
+        assert set(vars(copy)) == {f.name for f in dataclasses.fields(cfg)}
 
-    def test_reference_is_the_true_scatter_bit_for_bit(self):
+    def test_lambda_max_is_the_spectral_norm_of_sigma(self):
         model = pareto_model(d=3, sigma=self.SIGMA)
-        cfg = ExperimentConfig(model, (100,), 1, base_seed=0)
-        ref = cfg.envelope_reference
-        assert ref.sigma_inv.tobytes() == model.sigma_inv.tobytes()
-        assert ref.lambda_max == spectral_norm(model.sigma)
-        assert ref.distance_scale == 1.0
-
-    def test_true_parameters_give_a_zero_envelope(self):
-        # measured against the mean/covariance reference, the true location
-        # and scatter themselves perturb nothing
-        model = pareto_model(d=3, sigma=self.SIGMA)
-        ref = ExperimentConfig(model, (100,), 1, base_seed=0).envelope_reference
-        coeffs = perturbation_coefficients(
-            model.mu, ref.sigma_inv, model.mu, model.sigma_inv, ref.lambda_max
+        assert model.lambda_max == spectral_norm(model.sigma)
+        assert model.lambda_max == pytest.approx(
+            float(np.linalg.eigvalsh(model.sigma).max()), rel=1e-12
         )
-        report = complete_bound(coeffs, 1.0)
-        assert coeffs.m_n == 0.0
-        assert report.m_n == 0.0 and report.b_n == 0.0
-        assert report.preconds.pivot_ok
 
 
 class TestRunReplication:
@@ -266,28 +258,117 @@ class TestRunReplication:
                 assert abs(rec.estimator_gap) <= rec.bound_report.b_n + 1e-12
         assert checked == 2  # the setup is meant to make the flags hold
 
-    def test_tyler_reference_normalization(self):
-        # the Tyler report compares against the trace-normalized scatter, so
-        # scaling the scatter leaves the reference inverse and its
-        # eigenvalue untouched; only the location terms move (the spatial
-        # median scales with the data)
+    SIGMA = TestExperimentConfig.SIGMA
+
+    @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
+    def test_envelope_measures_the_fit_in_its_own_frame(self, monkeypatch, method):
+        # one formula for every fit: the truth translated to the origin and
+        # scaled by c = tr(sigma_hat) / tr(sigma) to the fit's size
+        import sephill.montecarlo as mc
+
+        model = pareto_model(alpha=4.0, d=3, mu=[1.0, -2.0, 0.5], sigma=self.SIGMA)
+        cfg = ExperimentConfig(model, (500,), 1, base_seed=5, estimator_method=method)
+        seen = []
+        real = mc.bounds_mod.perturbation_coefficients
+        monkeypatch.setattr(
+            mc.bounds_mod, "perturbation_coefficients",
+            lambda *args: seen.append(args) or real(*args),
+        )
+        run_replication(cfg, 500, 2)
+        sample, _ = sample_elliptical(model, 500, RngStream(5, 2))
+        fit = estimate_location_scatter(sample, method)
+        c = float(np.trace(fit.sigma_hat)) / float(np.trace(model.sigma))
+        ((mu, sigma_inv, mu_hat, sigma_hat_inv, lambda_max),) = seen
+        assert mu.tobytes() == np.zeros(3).tobytes()
+        assert sigma_inv.tobytes() == (model.sigma_inv / c).tobytes()
+        assert mu_hat.tobytes() == (fit.mu_hat - model.mu).tobytes()
+        assert sigma_hat_inv.tobytes() == fit.sigma_hat_inv.tobytes()
+        assert lambda_max == c * model.lambda_max
+
+    def test_truth_at_any_scale_gives_a_zero_envelope(self, monkeypatch):
+        # a fit that returns the true location and four times the true
+        # scatter perturbs nothing in its own frame; its pivot is R / 2
+        import sephill.montecarlo as mc
+
+        model = pareto_model(d=3, mu=[1.0, 2.0, 3.0], sigma=self.SIGMA)
+        truth = LocationScatterEstimate(
+            mu_hat=model.mu, sigma_hat=4.0 * model.sigma,
+            sigma_hat_inv=model.sigma_inv / 4.0,
+        )
+        monkeypatch.setattr(mc, "estimate_location_scatter", lambda *a, **kw: truth)
+        cfg = ExperimentConfig(model, (400,), 1, base_seed=0)
+        rec = run_replication(cfg, 400, 0)
+        _, radii = sample_elliptical(model, 400, RngStream(0, 0))
+        report = rec.bound_report
+        assert report.m_n == 0.0 and report.b_n == 0.0
+        assert report.preconds.pivot_ok and report.preconds.a_le_half
+        assert report.r_pivot == float(order_desc(radii, top=rec.k + 1)[rec.k]) / 2.0
+
+    def test_mean_cov_report_does_not_move_with_the_scale(self):
+        # scaling the scatter by 4 doubles the rows (mu = 0) and scales the
+        # fitted scatter by 4: the fit's distances, c and so the whole
+        # report stay where they were
         base = pareto_model(alpha=4.0, d=2, sigma=[[2.0, 0.5], [0.5, 1.0]])
         scaled = pareto_model(alpha=4.0, d=2, sigma=[[8.0, 2.0], [2.0, 4.0]])
-        cfg_a = ExperimentConfig(
-            base, (500,), 1, base_seed=3, estimator_method=SPATIAL_MEDIAN_TYLER
+        ra, rb = (
+            run_replication(ExperimentConfig(m, (500,), 1, base_seed=3), 500, 0)
+            for m in (base, scaled)
         )
-        cfg_b = ExperimentConfig(
-            scaled, (500,), 1, base_seed=3, estimator_method=SPATIAL_MEDIAN_TYLER
-        )
-        ref_a, ref_b = cfg_a.envelope_reference, cfg_b.envelope_reference
-        np.testing.assert_allclose(ref_a.sigma_inv, ref_b.sigma_inv, rtol=1e-12)
-        assert ref_a.lambda_max == pytest.approx(ref_b.lambda_max, rel=1e-12)
-        ra = run_replication(cfg_a, 500, 0)
-        rb = run_replication(cfg_b, 500, 0)
-        # with mu = 0 the location estimate doubles, and with it the envelope
-        assert rb.bound_report.m_n == pytest.approx(
-            2.0 * ra.bound_report.m_n, rel=1e-9
-        )
+        assert rb.bound_report.r_pivot == pytest.approx(ra.bound_report.r_pivot, rel=1e-12)
+        assert rb.bound_report.m_n == pytest.approx(ra.bound_report.m_n, rel=1e-9)
+        assert rb.bound_report.b_n == pytest.approx(ra.bound_report.b_n, rel=1e-9)
+
+    def test_tyler_frame_is_the_trace_d_scatter(self):
+        # Tyler's shape has trace d, so c is d / tr(sigma) up to rounding:
+        # scaling the scatter by 4 doubles the distances of that frame,
+        # and with them the pivot
+        for sigma in ([[2.0, 0.5], [0.5, 1.0]], [[8.0, 2.0], [2.0, 4.0]]):
+            model = pareto_model(alpha=4.0, d=2, sigma=sigma)
+            cfg = ExperimentConfig(
+                model, (500,), 1, base_seed=3, estimator_method=SPATIAL_MEDIAN_TYLER
+            )
+            rec = run_replication(cfg, 500, 0)
+            _, radii = sample_elliptical(model, 500, RngStream(3, 0))
+            pivot = float(order_desc(radii, top=rec.k + 1)[rec.k])
+            assert rec.bound_report.r_pivot == pytest.approx(
+                pivot * math.sqrt(np.trace(model.sigma) / 2), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
+    def test_envelope_lemmas_hold_on_the_fits(self, method):
+        # both lemmas behind b_n, checked on the pair the report stands
+        # for: the radii in the fit's frame, R / sqrt(c), against the
+        # fitted distances, with the report's own m_n
+        if method == SAMPLE_MEAN_COV:  # the headline model
+            model = pareto_model(
+                alpha=5.0, d=3, mu=[1.0, 2.0, 3.0],
+                sigma=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]],
+            )
+        else:  # the criterion-4 model
+            model = pareto_model(
+                alpha=2.0, d=2, mu=[0.5, -1.0], sigma=[[1.5, 0.4], [0.4, 0.8]]
+            )
+        n, reps = 2000, 20
+        cfg = ExperimentConfig(model, (n,), reps, base_seed=31, estimator_method=method)
+        applicable = 0
+        for rep in range(reps):
+            rec = run_replication(cfg, n, rep)
+            sample, radii = sample_elliptical(model, n, RngStream(31, rep))
+            fit = estimate_location_scatter(sample, method)
+            c = float(np.trace(fit.sigma_hat)) / float(np.trace(model.sigma))
+            true_d = order_desc(radii) / math.sqrt(c)
+            est_d = order_desc(
+                mahalanobis_distances(sample, fit.mu_hat, fit.sigma_hat_inv)
+            )
+            assert true_d[rec.k] == rec.bound_report.r_pivot
+            sweep = check_envelopes(
+                true_d, est_d, rec.bound_report.m_n, [1, rec.k + 1, n // 10]
+            )
+            assert sweep.violations == 0
+            applicable += sweep.applicable
+        # pilots on seeds 1-5, 100 replications each: 596-600 of 600 checks
+        # applied, with no violation
+        assert applicable >= 0.9 * 2 * 3 * reps
 
 
 class TestRadiiRoute:
@@ -324,9 +405,9 @@ class TestRadiiRoute:
             order_desc(mahalanobis_distances(sample, model.mu, model.sigma_inv)), k
         ).gamma_hat
         assert abs(rec.gamma_hat_true - recomputed) <= 1e-13
-        assert rec.bound_report.r_pivot == (
-            float(ordered[k]) * cfg.envelope_reference.distance_scale
-        )
+        fit = estimate_location_scatter(sample, method)
+        c = float(np.trace(fit.sigma_hat)) / float(np.trace(model.sigma))
+        assert rec.bound_report.r_pivot == float(ordered[k]) / math.sqrt(c)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
