@@ -23,9 +23,9 @@ python3 -m sephill estimate --data "$work/sample.csv" --k 44 \
     --method median-tyler --out -
 
 echo
-echo "== hillplot: the estimate across a k sweep =="
-python3 -m sephill hillplot --data "$work/sample.csv" \
-    --k-min 20 --k-max 200 --k-step 40 --method mean-cov --out -
+echo "== estimate over a k list: the series of a Hill plot =="
+python3 -m sephill estimate --data "$work/sample.csv" \
+    --k 20,40,60,80,100,120,140,160,180,200 --method mean-cov --out -
 
 echo
 echo "== verify-bounds: randomized envelope trials =="

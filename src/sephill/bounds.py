@@ -29,16 +29,6 @@ from .estimators import check_ordered
 
 
 @dataclass(frozen=True)
-class PreconditionFlags:
-    """Which of the envelope's applicability conditions hold."""
-
-    m_lt_one: bool
-    pivot_ok: bool
-    a_lt_one: bool
-    a_le_half: bool
-
-
-@dataclass(frozen=True)
 class PerturbationCoefficients:
     """Envelope coefficients of one location/scatter estimate.
 
@@ -59,15 +49,14 @@ class PerturbationBound:
 
     ``a_n`` bounds the relative movement of distance ratios and ``b_n``
     the movement of their logarithms (capped at log 2 once ``a_n``
-    exceeds one half); ``preconds`` records which applicability
-    conditions hold.
+    exceeds one half).  ``a_n`` alone says whether the envelope applies
+    (see :func:`log_ratio_bound`).
     """
 
     m_n: float
     r_pivot: float
     a_n: float
     b_n: float
-    preconds: PreconditionFlags
 
 
 def pivot_threshold(m_n: float) -> float:
@@ -78,16 +67,23 @@ def pivot_threshold(m_n: float) -> float:
 
 
 def perturbation_coefficients(
-    mu, sigma_inv, mu_hat, sigma_hat_inv, lambda_max: float
+    sigma_inv, sigma_hat_inv, location_error, lambda_max: float
 ) -> PerturbationCoefficients:
     """Envelope coefficients for a location/scatter estimate.
 
+    The true location is the origin: Hill reads only distance ratios,
+    which no translation moves, so the estimate enters through its
+    location error ``mu_hat - mu`` alone.  With ``e`` its norm,
+    ``a = ||sigma_inv - sigma_hat_inv||``, ``b = e a + (||sigma_hat_inv|| +
+    ||sigma_inv||) e``, ``c = e ||sigma_hat_inv|| e`` and ``m_n =
+    max(lambda_max a, sqrt(lambda_max) b, c)``.
+
     Parameters
     ----------
-    mu, mu_hat : array_like
-        True and estimated location.
     sigma_inv, sigma_hat_inv : array_like
-        Inverses of the true and estimated scatter (symmetric).
+        Inverses of the true and estimated scatter (symmetric, d×d).
+    location_error : array_like
+        ``mu_hat - mu``, a vector of length d.
     lambda_max : float
         Largest eigenvalue of the true scatter; must be positive.
 
@@ -102,13 +98,10 @@ def perturbation_coefficients(
         As :func:`linalg.spectral_norm` would raise on ``sigma_inv -
         sigma_hat_inv``, ``sigma_hat_inv`` or ``sigma_inv``.
     """
-    mu = np.asarray(mu, dtype=float)
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    if mu.ndim != 1 or mu.shape != mu_hat.shape:
-        raise DimensionMismatch(
-            f"locations must be vectors of equal length, got {mu.shape} and {mu_hat.shape}"
-        )
-    d = mu.shape[0]
+    err = np.asarray(location_error, dtype=float)
+    if err.ndim != 1:
+        raise DimensionMismatch(f"location_error must be a vector, got shape {err.shape}")
+    d = err.shape[0]
     si = np.asarray(sigma_inv, dtype=float)
     shi = np.asarray(sigma_hat_inv, dtype=float)
     if si.shape != (d, d) or shi.shape != (d, d):
@@ -117,17 +110,11 @@ def perturbation_coefficients(
         )
     if not (np.isfinite(lambda_max) and lambda_max > 0):
         raise DomainError("lambda_max must be a positive real")
-    norm_mu = float(np.linalg.norm(mu))
-    norm_mu_hat = float(np.linalg.norm(mu_hat))
-    mu_gap = float(np.linalg.norm(mu - mu_hat))
+    e = float(np.linalg.norm(err))
     a_coef, norm_shi, norm_si = linalg.spectral_norms((si - shi, shi, si)).tolist()
-    b_coef = (norm_mu_hat + norm_mu) * a_coef + (norm_shi + norm_si) * mu_gap
-    c_coef = norm_mu**2 * a_coef + (norm_mu + norm_mu_hat) * norm_shi * mu_gap
-    m_n = max(
-        lambda_max * a_coef,
-        math.sqrt(lambda_max) * (2.0 * norm_mu * a_coef + b_coef),
-        a_coef * norm_mu**2 + b_coef * norm_mu + c_coef,
-    )
+    b_coef = e * a_coef + (norm_shi + norm_si) * e
+    c_coef = e * norm_shi * e
+    m_n = max(lambda_max * a_coef, math.sqrt(lambda_max) * b_coef, c_coef)
     return PerturbationCoefficients(
         a_coef=a_coef,
         b_coef=b_coef,
@@ -147,8 +134,13 @@ def log_ratio_bound(m_n: float, r_pivot: float) -> PerturbationBound:
     """Log-ratio envelope for a given pivot distance.
 
     Computes ``a_n = m_n * (1 + 1/r + 1/r**2)`` and the capped log bound
-    ``b_n`` (``log(1/(1-a_n))`` while ``a_n <= 1/2``, ``log 2`` beyond),
-    together with the four applicability flags.
+    ``b_n`` (``log(1/(1-a_n))`` while ``a_n <= 1/2``, ``log 2`` beyond).
+
+    ``a_n`` carries every applicability condition.  ``a_n < 1`` means
+    ``m_n < r**2 / (r**2 + r + 1)``, which is at most ``2r / (1 + 2r)``,
+    that is the pivot test ``r > m_n / (2 (1 - m_n))``, and the pivot test
+    already needs ``m_n < 1``.  So the log-ratio lemma applies iff ``a_n <
+    1``, and the harness's envelope applies iff ``a_n <= 1/2``.
     """
     if not r_pivot > 0:
         raise DomainError("r_pivot must be strictly positive")
@@ -160,15 +152,7 @@ def log_ratio_bound(m_n: float, r_pivot: float) -> PerturbationBound:
         b_n = -math.log1p(-a_n)
     else:
         b_n = math.log(2.0)
-    flags = PreconditionFlags(
-        m_lt_one=m_n < 1.0,
-        pivot_ok=m_n < 1.0 and r_pivot > pivot_threshold(m_n),
-        a_lt_one=a_n < 1.0,
-        a_le_half=a_n <= 0.5,
-    )
-    return PerturbationBound(
-        m_n=m_n, r_pivot=r_pivot, a_n=a_n, b_n=b_n, preconds=flags
-    )
+    return PerturbationBound(m_n=m_n, r_pivot=r_pivot, a_n=a_n, b_n=b_n)
 
 
 def complete_bound(coefficients: PerturbationCoefficients, r_pivot: float) -> PerturbationBound:
@@ -250,9 +234,7 @@ def _epsilon_at(t_sq: np.ndarray, e_sq: np.ndarray, m_n: float, l: int) -> Epsil
 
 def _log_ratio_at(t: np.ndarray, e: np.ndarray, m_n: float, l: int) -> LogRatioReport:
     pivot_part = log_ratio_bound(m_n, float(t[l - 1]))
-    flags = pivot_part.preconds
-    applicable = flags.m_lt_one and flags.pivot_ok and flags.a_lt_one
-    if not applicable:
+    if not pivot_part.a_n < 1.0:
         return LogRatioReport(
             applicable=False, violations=0, max_ratio_gap=math.nan, bound=math.nan
         )

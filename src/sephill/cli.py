@@ -4,7 +4,6 @@ Subcommands::
 
     sephill simulate       draw synthetic elliptical data to CSV
     sephill estimate       estimate the extreme value index from a CSV
-    sephill hillplot       emit (k, gamma_hat) series for plotting
     sephill verify-bounds  randomized checks of the perturbation envelopes
     sephill experiment     run a full Monte Carlo experiment
 
@@ -358,33 +357,6 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def cmd_hillplot(args) -> int:
-    data = load_csv_matrix(args.data)
-    n, _ = data.shape
-    if args.k_step < 1:
-        raise ConfigError(f"--k-step must be at least 1, got {args.k_step}")
-    ks = list(range(args.k_min, args.k_max + 1, args.k_step))
-    if not ks:
-        raise ConfigError(
-            f"empty k range: --k-min {args.k_min} > --k-max {args.k_max}"
-        )
-    _check_k_range(ks, n)
-    loc, method_name, _ = _location_scatter_from_args(args, data)
-    series = hill_plot(data, loc, ks)
-    config = {
-        "data": args.data,
-        "k_min": args.k_min,
-        "k_max": args.k_max,
-        "k_step": args.k_step,
-        "method": method_name,
-        "out": args.out,
-    }
-    buf = io.StringIO()
-    write_csv(buf, ([k, g] for k, g in series))
-    _emit(args.out, buf.getvalue(), build_manifest("hillplot", config, 0))
-    return EXIT_OK
-
-
 def cmd_verify_bounds(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
@@ -429,7 +401,7 @@ def cmd_verify_bounds(args) -> int:
         # measures it; no scale is matched (c = 1 there), since the
         # perturbed inverse is drawn around sigma_inv itself
         coeffs = bounds.perturbation_coefficients(
-            np.zeros(d), sigma_inv, mu_hat - mu, sigma_hat_inv, model.lambda_max
+            sigma_inv, sigma_hat_inv, mu_hat - mu, model.lambda_max
         )
         true_ordered = order_desc(mahalanobis_distances(sample, mu, sigma_inv))
         est_ordered = order_desc(
@@ -708,17 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", help="known scatter file or 'identity' (with --mu)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("hillplot", help="emit (k, gamma_hat) pairs over a k range")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k-min", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--k-step", type=int, default=1)
-    p.add_argument("--method", choices=["mean-cov", "median-tyler"])
-    p.add_argument("--mu")
-    p.add_argument("--sigma")
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_hillplot)
 
     p = sub.add_parser(
         "verify-bounds", help="randomized verification of the perturbation envelopes"

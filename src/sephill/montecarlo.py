@@ -41,14 +41,15 @@ Per replication the harness estimates the extreme value index twice — once
 with the true location/scatter and once with the configured estimator —
 and attaches the perturbation-envelope report on their gap.  Hill reads
 only distance ratios, so the envelope measures every fit in its own frame:
-the truth translated to the origin (0 against ``mu_hat - mu``) and scaled
-to the fit's size by ``c = tr(sigma_hat) / tr(sigma)`` (``sigma_inv / c``,
-``c * lambda_max``, pivot ``R_(k+1) / sqrt(c)``).  Its bound b_n shrinks
-like the fit's error, so ``sqrt(k) * b_n`` falls only like ``sqrt(k / n)``
-and does not by itself show the gap negligible at the tested sizes.
-Under the true parameters a row ``mu + R * L u`` lies at scatter-metric
-distance R, so the true side reads the generating radii the sampler
-returns rather than recomputing them from the rows.  A replication that raises a :class:`SepHillError` yields a
+the truth translated to the origin (the location error ``mu_hat - mu``)
+and scaled to the fit's size by ``c = tr(sigma_hat) / tr(sigma)``
+(``sigma_inv / c``, ``c * lambda_max``, pivot ``R_(k+1) / sqrt(c)``).
+Its bound b_n shrinks like the fit's error, so ``sqrt(k) * b_n`` falls
+only like ``sqrt(k / n)`` and does not by itself show the gap negligible
+at the tested sizes.  Under the true parameters a row ``mu + R * L u``
+lies at scatter-metric distance R, so the true side reads the generating
+radii the sampler returns rather than recomputing them from the rows.  A
+replication that raises a :class:`SepHillError` yields a
 :class:`ReplicationFailure` in place of its :class:`ReplicationRecord`.
 The aggregates summarize the normalized errors ``sqrt(k) * (gamma_hat -
 gamma)`` whose limiting law the experiments are designed to check, per
@@ -286,9 +287,10 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     generating radii the sampler returns, so the true side orders those;
     under the configured method they are computed from the fitted
     location/scatter.  The (k+1)-th largest radius, over ``sqrt(c)`` in
-    the fit's frame, is the pivot of the perturbation report.  Only the k+1 largest values are ordered, since
-    Hill and the pivot read no others.  Estimator errors propagate to the
-    caller.
+    the fit's frame, is the pivot of the perturbation report, whose
+    location term is the fit's error ``mu_hat - mu``.  Only the k+1
+    largest values are ordered, since Hill and the pivot read no others.
+    Estimator errors propagate to the caller.
 
     The sample, the radii, the distances and every (d, n) or n-float
     temporary of the stages live in the calling thread's workspace (see
@@ -319,8 +321,8 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     # c to the fit's size, which moves no distance ratio Hill reads
     c = float(np.trace(loc.sigma_hat)) / float(np.trace(model.sigma))
     coeffs = bounds_mod.perturbation_coefficients(
-        np.zeros(model.dim), model.sigma_inv / c, loc.mu_hat - model.mu,
-        loc.sigma_hat_inv, c * model.lambda_max,
+        model.sigma_inv / c, loc.sigma_hat_inv, loc.mu_hat - model.mu,
+        c * model.lambda_max,
     )
     report = bounds_mod.complete_bound(coeffs, float(ordered_true[k]) / math.sqrt(c))
 

@@ -28,34 +28,33 @@ from sephill.errors import (
 from sephill.linalg import spd_inverse, spectral_norm
 
 
-def coeffs(mu, sigma_inv, mu_hat, sigma_hat_inv, lam):
+def coeffs(sigma_inv, sigma_hat_inv, location_error, lam):
     return perturbation_coefficients(
-        np.asarray(mu, float),
         np.asarray(sigma_inv, float),
-        np.asarray(mu_hat, float),
         np.asarray(sigma_hat_inv, float),
+        np.asarray(location_error, float),
         lam,
     )
 
 
 class TestPerturbationCoefficients:
     def test_zero_perturbation(self):
-        b = coeffs([0.0, 0.0], np.eye(2), [0.0, 0.0], np.eye(2), 1.0)
+        b = coeffs(np.eye(2), np.eye(2), [0.0, 0.0], 1.0)
         assert b.a_coef == 0.0
         assert b.b_coef == 0.0
         assert b.c_coef == 0.0
         assert b.m_n == 0.0
 
     def test_pure_location_shift(self):
-        # mu = 0, identity scatter known exactly, location off by (0.1, 0)
-        b = coeffs([0.0, 0.0], np.eye(2), [0.1, 0.0], np.eye(2), 1.0)
+        # identity scatter known exactly, location off by (0.1, 0)
+        b = coeffs(np.eye(2), np.eye(2), [0.1, 0.0], 1.0)
         assert b.a_coef == 0.0
         assert b.b_coef == pytest.approx(0.2, rel=1e-14)
         assert b.c_coef == pytest.approx(0.01, rel=1e-14)
         assert b.m_n == pytest.approx(0.2, rel=1e-14)
 
     def test_pure_scatter_shrink(self):
-        b = coeffs([0.0, 0.0], np.eye(2), [0.0, 0.0], 0.9 * np.eye(2), 1.0)
+        b = coeffs(np.eye(2), 0.9 * np.eye(2), [0.0, 0.0], 1.0)
         assert b.a_coef == pytest.approx(0.1, rel=1e-12)
         assert b.b_coef == 0.0
         assert b.c_coef == 0.0
@@ -65,8 +64,7 @@ class TestPerturbationCoefficients:
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = int(rng.integers(1, 5))
-            mu = rng.normal(size=d)
-            mu_hat = mu + 0.1 * rng.normal(size=d)
+            err = 0.1 * rng.normal(size=d)
             a = rng.normal(size=(d, d))
             sigma = a @ a.T + np.eye(d)
             e = 0.05 * rng.normal(size=(d, d))
@@ -74,20 +72,13 @@ class TestPerturbationCoefficients:
             si = spd_inverse(sigma)
             shi = spd_inverse(sigma_hat)
             lam = spectral_norm(sigma)
-            b = coeffs(mu, si, mu_hat, shi, lam)
+            b = coeffs(si, shi, err, lam)
 
+            e = np.linalg.norm(err)
             a_n = spectral_norm(si - shi)
-            b_n = (np.linalg.norm(mu_hat) + np.linalg.norm(mu)) * a_n + (
-                spectral_norm(shi) + spectral_norm(si)
-            ) * np.linalg.norm(mu - mu_hat)
-            c_n = np.linalg.norm(mu) ** 2 * a_n + (
-                np.linalg.norm(mu) + np.linalg.norm(mu_hat)
-            ) * spectral_norm(shi) * np.linalg.norm(mu - mu_hat)
-            m_n = max(
-                lam * a_n,
-                np.sqrt(lam) * (2 * np.linalg.norm(mu) * a_n + b_n),
-                a_n * np.linalg.norm(mu) ** 2 + b_n * np.linalg.norm(mu) + c_n,
-            )
+            b_n = e * a_n + (spectral_norm(shi) + spectral_norm(si)) * e
+            c_n = e * spectral_norm(shi) * e
+            m_n = max(lam * a_n, np.sqrt(lam) * b_n, c_n)
             assert b.a_coef == pytest.approx(a_n, rel=1e-10, abs=1e-14)
             assert b.b_coef == pytest.approx(b_n, rel=1e-10, abs=1e-14)
             assert b.c_coef == pytest.approx(c_n, rel=1e-10, abs=1e-14)
@@ -98,7 +89,6 @@ class TestPerturbationCoefficients:
         rng = np.random.default_rng(42)
         for _ in range(200):
             d = int(rng.integers(1, 4))
-            mu = rng.normal(size=d)
             a = rng.normal(size=(d, d))
             sigma = a @ a.T + np.eye(d)
             si = spd_inverse(sigma)
@@ -106,17 +96,22 @@ class TestPerturbationCoefficients:
             dm = rng.normal(size=d)
             w = rng.normal(size=(d, d))
             bump = w @ w.T / d
-            small = coeffs(mu, si, mu + 0.01 * dm, si + 0.01 * bump, lam)
-            large = coeffs(mu, si, mu + 0.1 * dm, si + 0.1 * bump, lam)
+            small = coeffs(si, si + 0.01 * bump, 0.01 * dm, lam)
+            large = coeffs(si, si + 0.1 * bump, 0.1 * dm, lam)
             assert small.m_n <= large.m_n + 1e-15
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(DomainError):
-            coeffs([0.0], np.eye(1), [0.0], np.eye(1), 0.0)
+            coeffs(np.eye(1), np.eye(1), [0.0], 0.0)
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            coeffs([0.0, 0.0], np.eye(2), [0.0], np.eye(1), 1.0)
+            coeffs(np.eye(2), np.eye(1), [0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("err", [0.0, [[0.0, 0.0]]])
+    def test_location_error_must_be_a_vector(self, err):
+        with pytest.raises(DimensionMismatch, match="location_error must be a vector"):
+            coeffs(np.eye(2), np.eye(2), err, 1.0)
 
     @pytest.mark.parametrize(
         "si, shi, error",
@@ -133,7 +128,7 @@ class TestPerturbationCoefficients:
     def test_rejects_what_the_spectral_norms_reject(self, si, shi, error):
         d = np.shape(si)[0]
         with pytest.raises(error):
-            coeffs(np.zeros(d), si, np.zeros(d), shi, 1.0)
+            coeffs(si, shi, np.zeros(d), 1.0)
 
 
 class TestDeltaPoly:
@@ -167,40 +162,39 @@ class TestLogRatioBound:
         assert b.a_n == pytest.approx(0.111, rel=1e-12)
         assert b.b_n == pytest.approx(-np.log1p(-0.111), rel=1e-12)
         assert b.b_n == pytest.approx(0.11765804346823247, rel=1e-12)
-        assert b.preconds.m_lt_one
-        assert b.preconds.pivot_ok
-        assert b.preconds.a_lt_one
-        assert b.preconds.a_le_half
+        assert b.a_n <= 0.5
+        assert b.r_pivot > pivot_threshold(b.m_n)
 
     def test_cap_when_a_large(self):
         b = log_ratio_bound(0.6, 1.0)
         assert b.a_n == pytest.approx(1.8, rel=1e-12)
         assert b.b_n == pytest.approx(np.log(2.0), rel=1e-15)
-        assert not b.preconds.a_lt_one
-        assert not b.preconds.a_le_half
+        assert not b.a_n < 1.0
 
     def test_cap_between_half_and_one(self):
         b = log_ratio_bound(0.3, 1.0)
         assert b.a_n == pytest.approx(0.9, rel=1e-12)
-        assert b.preconds.a_lt_one
-        assert not b.preconds.a_le_half
+        assert 0.5 < b.a_n < 1.0
         assert b.b_n == pytest.approx(np.log(2.0), rel=1e-15)
 
     def test_zero_perturbation_any_pivot(self):
         b = log_ratio_bound(0.0, 1e-9)
         assert b.b_n == 0.0
-        assert b.preconds.pivot_ok
+        assert b.a_n == 0.0
+        assert b.r_pivot > pivot_threshold(b.m_n)
 
     def test_pivot_must_clear_threshold(self):
-        # threshold for m = 0.2 is 0.125
+        # threshold for m = 0.2 is 0.125; below it a_n is far above one
         ok = log_ratio_bound(0.2, 0.2)
-        assert ok.preconds.pivot_ok
+        assert ok.r_pivot > pivot_threshold(ok.m_n)
         bad = log_ratio_bound(0.2, 0.1)
-        assert not bad.preconds.pivot_ok
+        assert not bad.r_pivot > pivot_threshold(bad.m_n)
+        assert bad.a_n >= 1.0
 
-    def test_m_at_least_one_flagged(self):
+    def test_m_at_least_one_never_applies(self):
         b = log_ratio_bound(1.0, 10.0)
-        assert not b.preconds.m_lt_one
+        assert pivot_threshold(b.m_n) == np.inf
+        assert not b.a_n < 1.0
 
     def test_a_decreases_in_pivot(self):
         pivots = np.linspace(0.5, 50.0, 40)
@@ -217,8 +211,43 @@ class TestLogRatioBound:
 
 class TestCompleteBound:
     def test_is_log_ratio_bound_of_m_n(self):
-        c = coeffs([0.0, 0.0], np.eye(2), [0.1, 0.0], np.eye(2), 1.0)
+        c = coeffs(np.eye(2), np.eye(2), [0.1, 0.0], 1.0)
         assert complete_bound(c, 10.0) == log_ratio_bound(c.m_n, 10.0)
+
+
+def collapse_grid():
+    """(m_n, r) pairs on a log grid, plus pairs within 1e-15 relative of
+    a_n = 1 and of a_n = 1/2 on either side."""
+    m_grid = np.geomspace(1e-12, 1.6, 300)
+    r_grid = np.geomspace(1e-6, 1e12, 300)
+    pairs = [(float(m), float(r)) for m in m_grid for r in r_grid]
+    for r in r_grid:
+        r = float(r)
+        for target in (1.0, 0.5):
+            m_star = target / (1.0 + 1.0 / r + 1.0 / (r * r))
+            for rel in (-1e-15, -3e-16, 0.0, 3e-16, 1e-15):
+                pairs.append((m_star * (1.0 + rel), r))
+                pairs.append((m_star, r * (1.0 + rel)))
+    return pairs
+
+
+def test_a_n_carries_every_applicability_condition():
+    """``a_n < 1`` implies ``m_n < 1`` and the pivot test.
+
+    ``a_n = m (1 + 1/r + 1/r**2) < 1`` means ``m < r**2 / (r**2 + r + 1)``.
+    That is at most ``2r / (1 + 2r)``, since ``r**2 (1 + 2r) <= 2r (r**2 + r
+    + 1)`` reads ``0 <= r**2 + 2r``; and ``m < 2r / (1 + 2r)`` is the pivot
+    test ``r > m / (2 (1 - m))``, which already needs ``m < 1``.  So the
+    log-ratio lemma applies iff ``a_n < 1``, and the harness's envelope
+    (``a_n <= 1/2`` and the pivot test) iff ``a_n <= 1/2``.
+    """
+    applies = 0
+    for m, r in collapse_grid():
+        b = log_ratio_bound(m, r)
+        if b.a_n < 1.0:
+            applies += 1
+            assert m < 1.0 and r > pivot_threshold(m), (m, r)
+    assert applies > 10**4
 
 
 @pytest.mark.parametrize("record", [PerturbationCoefficients, PerturbationBound])
@@ -384,7 +413,7 @@ class TestRandomizedLemmaTrials:
         e_sq = np.sort(np.einsum("ni,ij,nj->n", diff_e, sigma_hat_inv, diff_e))[::-1]
 
         c = perturbation_coefficients(
-            mu, sigma_inv, mu_hat, sigma_hat_inv, spectral_norm(sigma)
+            sigma_inv, sigma_hat_inv, mu_hat - mu, spectral_norm(sigma)
         )
         return t_sq, e_sq, c.m_n
 

@@ -287,6 +287,14 @@ class TestEstimate:
         else:
             assert payload["median_iterations"] == payload["shape_iterations"] == 0
 
+    def test_non_finite_mu_names_the_flag(self, tmp_path, capsys):
+        data = write_ladder_csv(tmp_path / "l.csv")
+        code = cli.main(
+            ["estimate", "--k", "2", "--data", data, "--mu", "0,nan", "--sigma", "identity"]
+        )
+        assert code == 2
+        assert "--mu" in capsys.readouterr().err
+
     def test_mu_without_sigma(self, tmp_path, capsys):
         data = write_ladder_csv(tmp_path / "l.csv")
         code = cli.main(["estimate", "--data", data, "--k", "1", "--mu", "0,0"])
@@ -394,77 +402,41 @@ class TestEstimate:
         assert "positive definite" in capsys.readouterr().err
 
 
-class TestHillplot:
-    def test_ladder_series(self, tmp_path):
-        data = write_ladder_csv(tmp_path / "l.csv")
-        out = tmp_path / "plot.csv"
+class TestHillplotIsGone:
+    """``estimate --k`` over a list replaces the ``hillplot`` command."""
+
+    #: The gamma_hat column ``hillplot --k-min 20 --k-max 200 --k-step 20
+    #: --method mean-cov`` printed for the sample below, as float.hex.
+    HILLPLOT_PINNED = [
+        "0x1.64eb6900478ecp-2", "0x1.67a66bb8fe1efp-2", "0x1.95c53f19e92acp-2",
+        "0x1.69ecceabd5146p-2", "0x1.642b30286a10ep-2", "0x1.62769be24cd23p-2",
+        "0x1.5a652b62ee293p-2", "0x1.4becff4f45f52p-2", "0x1.47fee9bbbb79bp-2",
+        "0x1.4c6b2a2b6bb88p-2",
+    ]
+
+    def test_estimate_gives_the_hillplot_series(self, tmp_path):
+        sim = tmp_path / "sample.csv"
         assert cli.main(
-            ["hillplot", "--data", data, "--k-min", "1", "--k-max", "3",
-             "--k-step", "2", "--mu", "0,0", "--sigma", "identity",
+            ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
+             "--n", "2000", "--seed", "42", "--out", str(sim)]
+        ) == 0
+        out = tmp_path / "est.json"
+        ks = ",".join(str(k) for k in range(20, 201, 20))
+        assert cli.main(
+            ["estimate", "--data", str(sim), "--k", ks, "--method", "mean-cov",
              "--out", str(out)]
         ) == 0
-        rows = [line.split(",") for line in out.read_text().strip().splitlines()]
-        assert [int(r[0]) for r in rows] == [1, 3]
-        assert float(rows[0][1]) == pytest.approx(LOG2, rel=1e-12)
-        assert float(rows[1][1]) == pytest.approx(2 * LOG2, rel=1e-12)
+        est = json.loads(out.read_text())["estimates"]
+        assert [e["k"] for e in est] == list(range(20, 201, 20))
+        assert [e["gamma_hat"].hex() for e in est] == self.HILLPLOT_PINNED
 
-    def test_singleton_range_matches_estimate(self, tmp_path):
+    def test_hillplot_is_an_unknown_command(self, tmp_path, capsys):
         data = write_ladder_csv(tmp_path / "l.csv")
-        plot_out = tmp_path / "plot.csv"
-        est_out = tmp_path / "est.json"
         assert cli.main(
-            ["hillplot", "--data", data, "--k-min", "2", "--k-max", "2",
-             "--mu", "0,0", "--sigma", "identity", "--out", str(plot_out)]
-        ) == 0
-        assert cli.main(
-            ["estimate", "--data", data, "--k", "2", "--mu", "0,0",
-             "--sigma", "identity", "--out", str(est_out)]
-        ) == 0
-        plot_val = float(plot_out.read_text().strip().split(",")[1])
-        est_val = json.loads(est_out.read_text())["estimates"][0]["gamma_hat"]
-        assert plot_val == est_val
-
-    def test_empty_range(self, tmp_path, capsys):
-        data = write_ladder_csv(tmp_path / "l.csv")
-        code = cli.main(
-            ["hillplot", "--data", data, "--k-min", "3", "--k-max", "1",
+            ["hillplot", "--data", data, "--k-min", "1", "--k-max", "3",
              "--mu", "0,0", "--sigma", "identity"]
-        )
-        assert code == 2
-        assert "k range" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["estimate", "--k", "2"],
-            ["hillplot", "--k-min", "1", "--k-max", "3"],
-        ],
-        ids=["estimate", "hillplot"],
-    )
-    def test_non_finite_mu_names_the_flag(self, tmp_path, capsys, argv):
-        data = write_ladder_csv(tmp_path / "l.csv")
-        code = cli.main(
-            [*argv, "--data", data, "--mu", "0,nan", "--sigma", "identity"]
-        )
-        assert code == 2
-        assert "--mu" in capsys.readouterr().err
-
-    def test_bad_step(self, tmp_path):
-        data = write_ladder_csv(tmp_path / "l.csv")
-        assert cli.main(
-            ["hillplot", "--data", data, "--k-min", "1", "--k-max", "2",
-             "--k-step", "0", "--mu", "0,0", "--sigma", "identity"]
         ) == 2
-
-    def test_k_out_of_range(self, tmp_path, capsys):
-        # the same check and message as `estimate --k`
-        data = write_ladder_csv(tmp_path / "l.csv")
-        code = cli.main(
-            ["hillplot", "--data", data, "--k-min", "2", "--k-max", "4",
-             "--mu", "0,0", "--sigma", "identity"]
-        )
-        assert code == 2
-        assert "k must satisfy 1 <= k <= n - 1 = 3, got 4" in capsys.readouterr().err
+        assert "invalid choice: 'hillplot'" in capsys.readouterr().err
 
 
 class TestVerifyBounds:
@@ -560,7 +532,7 @@ def per_pivot_verify_bounds(family, alpha, dim, n, scale, trials, seed, out):
         mu_hat = mu + scale * gen.normal(0.0, 1.0, d)
         # the truth translated to the origin, as verify-bounds measures it
         coeffs = bounds.perturbation_coefficients(
-            np.zeros(d), sigma_inv, mu_hat - mu, sigma_hat_inv, linalg.spectral_norm(sigma)
+            sigma_inv, sigma_hat_inv, mu_hat - mu, linalg.spectral_norm(sigma)
         )
         true_ordered = order_desc(mahalanobis_distances(sample, mu, sigma_inv))
         est_ordered = order_desc(mahalanobis_distances(sample, mu_hat, sigma_hat_inv))
@@ -645,6 +617,94 @@ class TestVerifyBoundsOnePass:
         assert out.read_text() == per_pivot_verify_bounds(
             "pareto", 3.0, 2, 300, 0.05, 12, 5, str(out)
         )
+
+
+class TestEnvelopeBytesArePinned:
+    """The envelope's figures as the CLI writes them, pinned as float.hex:
+    the m_n/b_n columns of ``experiment --records-out`` for both fits, and
+    ``verify-bounds`` on the bounds-sweep benchmark's settings."""
+
+    #: (m_n, b_n) per records row, in (n, rep_id) order.
+    RECORDS_PINNED = {
+        "sample_mean_cov": [
+            ("0x1.e69389ac49d80p-3", "0x1.f13132b241849p-2"),
+            ("0x1.7e335113a627bp-2", "0x1.62e42fefa39efp-1"),
+            ("0x1.62a711f29e762p-3", "0x1.5344b3e4769d3p-2"),
+            ("0x1.a30500a8a178dp-5", "0x1.3d2dc69a1009dp-4"),
+            ("0x1.1b22605b72736p-4", "0x1.b03a0d12ed36dp-4"),
+            ("0x1.5f9f948bb6ddep-4", "0x1.100f8434c4f96p-3"),
+        ],
+        "spatial_median_tyler": [
+            ("0x1.0291e1d035357p-1", "0x1.62e42fefa39efp-1"),
+            ("0x1.1c38cd4efeaa6p-1", "0x1.62e42fefa39efp-1"),
+            ("0x1.cd643bf9e6eb9p-2", "0x1.62e42fefa39efp-1"),
+            ("0x1.12854f61df1b6p-3", "0x1.b9de31b70e177p-3"),
+            ("0x1.4aac0abcf4dadp-3", "0x1.0e89daa22f204p-2"),
+            ("0x1.9079b2f1558e8p-3", "0x1.5186cab5a9a0dp-2"),
+        ],
+    }
+
+    @pytest.mark.parametrize("method", sorted(RECORDS_PINNED))
+    def test_records_envelope_columns(self, tmp_path, method):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "model": TestExperiment.TRUE_SIDE_MODEL, "n_values": [2000, 20000],
+            "replications": 3, "base_seed": 8086, "estimator_method": method,
+        }))
+        recs = tmp_path / "records.csv"
+        assert cli.main(
+            ["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "exp.json"),
+             "--records-out", str(recs)]
+        ) == 0
+        rows = [line.split(",") for line in recs.read_text().splitlines()]
+        got = [(float(r[7]).hex(), float(r[8]).hex()) for r in rows]
+        assert got == self.RECORDS_PINNED[method]
+
+    #: applicable_count, max_ratio_gap and bound_stats per dimension.
+    VERIFY_PINNED = {
+        2: (18, "0x1.61e514f43b340p-9", {
+            "m_n": ("0x1.9f57c90b9edb1p-8", "0x1.bfc7a5c1441e6p-8", "0x1.e773688e5250fp-8"),
+            "log_ratio_bound": (
+                "0x1.d84dc4b4815f7p-8", "0x1.4bba1c91d3dcap-7", "0x1.8e2175781ab4cp-7"),
+            "min_epsilon_slack": "0x1.00b6f96ab17adp-5",
+        }),
+        3: (18, "0x1.a873a33d6af00p-9", {
+            "m_n": ("0x1.d5e3255b1561ep-9", "0x1.cc02f67955690p-8", "0x1.7915a2cb5b8dbp-7"),
+            "log_ratio_bound": (
+                "0x1.f6e9bbc9b18b6p-9", "0x1.51deddd863f8cp-7", "0x1.3b7182ab6fd09p-6"),
+            "min_epsilon_slack": "0x1.961179dfebfc8p-6",
+        }),
+        4: (18, "0x1.ff6c66fe82c80p-10", {
+            "m_n": ("0x1.017b56b49b54ap-7", "0x1.802d842afc92ep-7", "0x1.13438a4d7dd24p-6"),
+            "log_ratio_bound": (
+                "0x1.2527d89469198p-7", "0x1.1a0f17396d31fp-6", "0x1.c44be95914e94p-6"),
+            "min_epsilon_slack": "0x1.b39da988c39c2p-5",
+        }),
+    }
+
+    @pytest.mark.parametrize("dim", sorted(VERIFY_PINNED))
+    def test_verify_bounds_figures(self, tmp_path, dim):
+        out = tmp_path / "vb.json"
+        assert cli.main(
+            ["verify-bounds", "--family", "pareto", "--alpha", "3.0", "--n", "300",
+             "--dim", str(dim), "--perturbation-scale", "0.001", "--trials", "3",
+             "--seed", "2701", "--out", str(out)]
+        ) == 0
+        payload = json.loads(out.read_text())
+        stats = payload["bound_stats"]
+        got = (
+            payload["applicable_count"],
+            payload["max_ratio_gap"].hex(),
+            {
+                "m_n": tuple(stats["m_n"][key].hex() for key in ("min", "mean", "max")),
+                "log_ratio_bound": tuple(
+                    stats["log_ratio_bound"][key].hex() for key in ("min", "mean", "max")
+                ),
+                "min_epsilon_slack": stats["min_epsilon_slack"].hex(),
+            },
+        )
+        assert got == self.VERIFY_PINNED[dim]
+        assert payload["violations"] == 0
 
 
 class TestParserReuse:

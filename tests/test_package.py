@@ -16,3 +16,9 @@ def test_records_hold_only_computed_fields():
     assert fields.isdisjoint({"failed", "failure"})
     fields = {f.name for f in dataclasses.fields(sephill.LocationScatterEstimate)}
     assert "method" not in fields
+
+
+def test_perturbation_bound_holds_only_the_envelope():
+    # a_n alone says whether the envelope applies, so no flag is kept
+    fields = [f.name for f in dataclasses.fields(sephill.PerturbationBound)]
+    assert fields == ["m_n", "r_pivot", "a_n", "b_n"]
