@@ -13,8 +13,8 @@ from sephill import (
     GeneratingVariateSpec,
     RngStream,
     estimate_location_scatter,
-    hill_plot,
     sample_elliptical,
+    separating_hill,
 )
 
 model = EllipticalModel(
@@ -26,13 +26,12 @@ sample, _ = sample_elliptical(model, 5000, RngStream(seed=7, stream_id=0))
 fit = estimate_location_scatter(sample, "sample_mean_cov")
 
 k_values = range(10, 401, 30)
-curve = hill_plot(sample, fit, k_values)
+gammas = separating_hill(sample, fit.mu_hat, fit.sigma_hat, k_values)
 
 print("  k   gamma_hat")
-for k, gamma in curve:
+for k, gamma in zip(k_values, gammas):
     bar = "#" * int(round(gamma * 40))
     print(f"{k:>4}   {gamma:.4f}  {bar}")
 
-gammas = np.array([g for _, g in curve])
-stable = gammas[3:10]
+stable = np.array(gammas[3:10])
 print(f"\ntarget gamma = 0.5; plateau mean over k in [100, 280]: {stable.mean():.4f}")

@@ -65,7 +65,7 @@ print(f"log-ratio envelope over top {l}: "
       f"violations={ratio.violations}, worst gap={ratio.max_ratio_gap:.2e} "
       f"vs bound {ratio.bound:.2e}")
 
-g_true = separating_hill(sample, model.mu, model.sigma, k).gamma_hat
-g_est = separating_hill(sample, fit.mu_hat, fit.sigma_hat, k).gamma_hat
+[g_true] = separating_hill(sample, model.mu, model.sigma, [k])
+[g_est] = separating_hill(sample, fit.mu_hat, fit.sigma_hat, [k])
 print(f"\n|gamma_hat(est) - gamma_hat(true)| = {abs(g_est - g_true):.2e} "
       f"<= b_n = {bound.b_n:.2e}")

@@ -27,10 +27,8 @@ from .distributions import (
     sample_elliptical,
 )
 from .estimators import (
-    HillEstimate,
     LocationScatterEstimate,
     estimate_location_scatter,
-    hill_plot,
     mahalanobis_distances,
     order_desc,
     separating_hill,
@@ -64,10 +62,8 @@ __all__ = [
     "GeneratingVariateSpec",
     "RngStream",
     "sample_elliptical",
-    "HillEstimate",
     "LocationScatterEstimate",
     "estimate_location_scatter",
-    "hill_plot",
     "mahalanobis_distances",
     "order_desc",
     "separating_hill",

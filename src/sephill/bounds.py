@@ -94,6 +94,11 @@ def perturbation_coefficients(
 
     Raises
     ------
+    DimensionMismatch
+        If ``location_error`` is not a vector, or either inverse is not
+        d×d for its length d.
+    DomainError
+        If ``lambda_max`` is not a finite positive number.
     NonFinite, NonSymmetric
         As :func:`linalg.spectral_norm` would raise on ``sigma_inv -
         sigma_hat_inv``, ``sigma_hat_inv`` or ``sigma_inv``.

@@ -59,9 +59,9 @@ from .estimators import (
     SPATIAL_MEDIAN_TYLER,
     LocationScatterEstimate,
     estimate_location_scatter,
-    hill_plot,
     mahalanobis_distances,
     order_desc,
+    separating_hill,
 )
 
 EXIT_OK = 0
@@ -308,6 +308,8 @@ def _location_scatter_from_args(args, data: np.ndarray):
     if (args.mu is None) != (args.sigma is None):
         raise ConfigError("--mu and --sigma must be given together or not at all")
     if args.mu is not None:
+        if args.method is not None:
+            raise ConfigError("--method cannot be given with --mu/--sigma")
         mu = parse_mu(args.mu)
         if mu.shape[0] != d:
             raise ConfigError(f"--mu has {mu.shape[0]} entries, data has {d} columns")
@@ -334,7 +336,7 @@ def cmd_estimate(args) -> int:
     ks = parse_int_list(args.k, "--k")
     _check_k_range(ks, n)
     loc, method_name, warning_messages = _location_scatter_from_args(args, data)
-    estimates = hill_plot(data, loc, ks)
+    gammas = separating_hill(data, loc.mu_hat, loc.sigma_hat, ks)
     config = {
         "data": args.data,
         "k_values": ks,
@@ -349,7 +351,7 @@ def cmd_estimate(args) -> int:
         "sigma_hat": loc.sigma_hat,
         "median_iterations": loc.median_iterations,
         "shape_iterations": loc.shape_iterations,
-        "estimates": [{"k": k, "gamma_hat": g} for k, g in estimates],
+        "estimates": [{"k": k, "gamma_hat": g} for k, g in zip(ks, gammas)],
         "warnings": warning_messages,
         "manifest": build_manifest("estimate", config, 0),
     }

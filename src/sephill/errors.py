@@ -32,7 +32,8 @@ class DegenerateSample(SepHillError):
 
 
 class KOutOfRange(SepHillError):
-    """Tail index k outside the admissible range 1 <= k <= n - 1."""
+    """Tail index k not an integer, or outside the admissible range
+    1 <= k <= n - 1."""
 
 
 class NonPositivePivot(SepHillError):

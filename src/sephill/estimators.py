@@ -10,6 +10,7 @@ with Tyler's fixed-point shape estimator.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -40,15 +41,6 @@ ESTIMATOR_METHODS = (SAMPLE_MEAN_COV, SPATIAL_MEDIAN_TYLER)
 MEDIAN_TOL = 1e-10
 SHAPE_TOL = 1e-9
 MAX_ITER = 500
-
-
-@dataclass(frozen=True)
-class HillEstimate:
-    """A single Hill value together with the inputs that produced it."""
-
-    gamma_hat: float
-    k: int
-    n: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +118,17 @@ def order_desc(values, top: int | None = None, *, workspace=None) -> np.ndarray:
     return largest[::-1].copy()
 
 
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n - 1:
-        raise KOutOfRange(f"k must satisfy 1 <= k <= n - 1, got k={k}, n={n}")
+def _check_k(k, n: int) -> None:
+    """A k is an integer (a bool is not one) with ``1 <= k <= n - 1``."""
+    integral = isinstance(k, numbers.Integral) and not isinstance(k, bool)
+    if not (integral and 1 <= k <= n - 1):
+        raise KOutOfRange(
+            f"k must be an integer with 1 <= k <= n - 1, got k={k}, n={n}"
+        )
 
 
 def _hill_from_ordered(ordered: np.ndarray, k: int) -> float:
-    _check_k(k, ordered.shape[0])
+    """Hill at a k already checked against ``ordered``'s length."""
     pivot = ordered[k]
     if not pivot > 0.0:
         raise NonPositivePivot(
@@ -143,7 +139,7 @@ def _hill_from_ordered(ordered: np.ndarray, k: int) -> float:
     return max(value, 0.0)
 
 
-def univariate_hill(ordered, k: int) -> HillEstimate:
+def univariate_hill(ordered, k: int) -> float:
     """Hill estimator from distances already sorted in descending order.
 
     Averages ``log(ordered[i] / ordered[k])`` over the top ``k`` entries
@@ -151,8 +147,8 @@ def univariate_hill(ordered, k: int) -> HillEstimate:
     is nonnegative and invariant to positive rescaling of all distances.
     """
     v = check_ordered(ordered, "distances")
-    gamma = _hill_from_ordered(v, int(k))
-    return HillEstimate(gamma_hat=gamma, k=int(k), n=v.shape[0])
+    _check_k(k, v.shape[0])
+    return _hill_from_ordered(v, k)
 
 
 def mahalanobis_distances(sample, mu, sigma_inv, *, workspace=None) -> np.ndarray:
@@ -199,19 +195,23 @@ def mahalanobis_distances(sample, mu, sigma_inv, *, workspace=None) -> np.ndarra
     return np.sqrt(q, out=q)
 
 
-def separating_hill(sample, mu, sigma, k: int) -> HillEstimate:
-    """Separating Hill estimator of the extreme value index.
+def separating_hill(sample, mu, sigma, ks) -> list[float]:
+    """Separating Hill estimator of the extreme value index at each k of ``ks``.
 
-    Inverts ``sigma`` once, computes the distance of every row from ``mu``
-    in that metric, orders the ``k + 1`` largest distances in descending
-    order and applies the Hill average at level ``k``.
+    Inverts ``sigma`` once and checks every k against the sample size;
+    then computes the distance of every row from ``mu`` in that metric,
+    orders only the ``max(ks) + 1`` largest distances in descending order
+    and applies the Hill average at each k.  Returns one value per k, in
+    the order given.
     """
     sigma_inv = linalg.spd_inverse(sigma)
-    dists = mahalanobis_distances(sample, mu, sigma_inv)
-    k, n = int(k), dists.shape[0]
-    _check_k(k, n)
-    gamma = _hill_from_ordered(order_desc(dists, top=k + 1), k)
-    return HillEstimate(gamma_hat=gamma, k=k, n=n)
+    x = as_sample(sample)
+    ks = list(ks)
+    for k in ks:
+        _check_k(k, x.shape[0])
+    dists = mahalanobis_distances(x, mu, sigma_inv)
+    ordered = order_desc(dists, top=max(ks, default=0) + 1)
+    return [_hill_from_ordered(ordered, k) for k in ks]
 
 
 def _centred_columns(sample, workspace=None) -> tuple[np.ndarray, np.ndarray]:
@@ -583,18 +583,3 @@ def estimate_location_scatter(
         median_iterations=it_med,
         shape_iterations=it_shape,
     )
-
-
-def hill_plot(sample, loc_scatter: LocationScatterEstimate, k_values) -> list[tuple[int, float]]:
-    """Hill values across a range of k, computing the distances once.
-
-    Returns ``[(k, gamma_hat), ...]`` in the order the k values were given.
-    Every k is checked against the sample size first; then only the
-    ``max(k) + 1`` largest distances are ordered.
-    """
-    dists = mahalanobis_distances(sample, loc_scatter.mu_hat, loc_scatter.sigma_hat_inv)
-    ks = [int(k) for k in k_values]
-    for k in ks:
-        _check_k(k, dists.shape[0])
-    ordered = order_desc(dists, top=max(ks, default=0) + 1)
-    return [(k, _hill_from_ordered(ordered, k)) for k in ks]

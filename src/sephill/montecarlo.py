@@ -306,7 +306,7 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
     sample, radii = sample_elliptical(model, n, stream, workspace=workspace)
 
     ordered_true = order_desc(radii, top=k + 1, workspace=workspace)
-    gamma_true = univariate_hill(ordered_true, k).gamma_hat
+    gamma_true = univariate_hill(ordered_true, k)
 
     loc = estimate_location_scatter(
         sample, config.estimator_method, workspace=workspace
@@ -315,7 +315,7 @@ def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> Replicatio
         sample, loc.mu_hat, loc.sigma_hat_inv, workspace=workspace
     )
     ordered_est = order_desc(dists, top=k + 1, workspace=workspace)
-    gamma_est = univariate_hill(ordered_est, k).gamma_hat
+    gamma_est = univariate_hill(ordered_est, k)
 
     # the truth in the fit's frame: translated to the origin and scaled by
     # c to the fit's size, which moves no distance ratio Hill reads

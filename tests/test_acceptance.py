@@ -44,11 +44,11 @@ LOG2 = math.log(2.0)
 def test_criterion_1_hill_hand_oracle_through_all_routes(tmp_path):
     expected = 1.5 * LOG2
 
-    direct = univariate_hill([8.0, 4.0, 2.0, 1.0], k=2).gamma_hat
+    direct = univariate_hill([8.0, 4.0, 2.0, 1.0], k=2)
     assert abs(direct - expected) <= 1e-12
 
     sample = np.array([[8.0, 0.0], [4.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
-    via_separating = separating_hill(sample, np.zeros(2), np.eye(2), k=2).gamma_hat
+    [via_separating] = separating_hill(sample, np.zeros(2), np.eye(2), [2])
     assert abs(via_separating - expected) <= 1e-12
 
     data = tmp_path / "ladder.csv"
@@ -81,10 +81,10 @@ def test_criterion_2_scale_and_affine_invariance():
         model = EllipticalModel(mu=mu, sigma=sigma, variate=variate)
         sample, _ = sample_elliptical(model, 500, RngStream(6000 + case, 0))
         k = 22
-        base = separating_hill(sample, mu, sigma, k).gamma_hat
+        [base] = separating_hill(sample, mu, sigma, [k])
 
         for c in (1e-3, 1e3):
-            scaled = separating_hill(sample, mu, c * sigma, k).gamma_hat
+            [scaled] = separating_hill(sample, mu, c * sigma, [k])
             worst_scale = max(worst_scale, abs(scaled - base))
 
         q1, _ = np.linalg.qr(gen.normal(size=(d, d)))
@@ -92,9 +92,9 @@ def test_criterion_2_scale_and_affine_invariance():
         cond = 10.0 ** gen.uniform(0.0, 3.0)
         a = q1 @ np.diag(np.logspace(0.0, np.log10(cond), d)) @ q2.T
         b = gen.normal(size=d)
-        mapped = separating_hill(
-            sample @ a.T + b, a @ mu + b, a @ sigma @ a.T, k
-        ).gamma_hat
+        [mapped] = separating_hill(
+            sample @ a.T + b, a @ mu + b, a @ sigma @ a.T, [k]
+        )
         worst_affine = max(worst_affine, abs(mapped - base))
 
     assert worst_scale <= 1e-9

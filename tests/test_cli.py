@@ -226,7 +226,7 @@ class TestEstimate:
         ) == 0
         payload = json.loads(out.read_text())
         data = np.loadtxt(sim, delimiter=",", ndmin=2)
-        direct = separating_hill(data, np.zeros(2), np.eye(2), k=14).gamma_hat
+        [direct] = separating_hill(data, np.zeros(2), np.eye(2), [14])
         # CSV floats round-trip, so the two routes agree to the last bit
         assert payload["estimates"][0]["gamma_hat"] == direct
 
@@ -300,6 +300,20 @@ class TestEstimate:
         code = cli.main(["estimate", "--data", data, "--k", "1", "--mu", "0,0"])
         assert code == 2
         assert "--sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["mean-cov", "median-tyler"])
+    def test_method_beside_given_params_is_rejected(self, tmp_path, capsys, method):
+        # a given location and scatter leave no fit for --method to choose
+        data = write_ladder_csv(tmp_path / "l.csv")
+        out = tmp_path / "est.json"
+        code = cli.main(
+            ["estimate", "--data", data, "--k", "2", "--mu", "0,0",
+             "--sigma", "identity", "--method", method, "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--method" in err and "--mu/--sigma" in err
+        assert not out.exists()
 
     def test_k_list_flag_is_gone(self, tmp_path):
         # --k takes the list; a second flag for the same setting is unknown

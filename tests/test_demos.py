@@ -1,5 +1,5 @@
-"""Run each demo end to end, so a renamed or removed public name or CLI
-option that a demo uses fails the suite.  Every run has scipy
+"""Run each demo and the README's Quick start end to end, so a renamed or
+removed public name or CLI option that one of them uses fails the suite.  Every run has scipy
 unimportable, since the package needs numpy only, and turns every warning
 into an error, as ``filterwarnings = ["error"]`` does in-process."""
 
@@ -32,6 +32,7 @@ def run_demo(argv, tmp_path, **env):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -44,3 +45,15 @@ def test_cli_tour_runs(tmp_path):
     # the tour calls `python3`: make that the interpreter running the suite
     path = os.pathsep.join([str(Path(sys.executable).parent), os.environ.get("PATH", "")])
     run_demo(["sh", str(CLI_TOUR)], tmp_path, PATH=path)
+
+
+def test_readme_quick_start_prints_its_comment(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quick_start.py"
+    script.write_text(block)
+    printed = run_demo([sys.executable, str(script)], tmp_path).split()
+    expected = block.rsplit("#", 1)[1].split()
+    assert expected == ["0.3352", "0.3351"]
+    assert [f"{float(v):.4f}" for v in printed] == expected

@@ -35,7 +35,6 @@ from sephill.estimators import (
     SPATIAL_MEDIAN_TYLER,
     check_ordered,
     estimate_location_scatter,
-    hill_plot,
     mahalanobis_distances,
     order_desc,
     separating_hill,
@@ -73,22 +72,28 @@ def mean_cov(x):
 class TestUnivariateHill:
     def test_powers_of_two(self):
         est = univariate_hill([8.0, 4.0, 2.0, 1.0], k=2)
-        assert est.gamma_hat == pytest.approx(1.5 * LOG2, rel=1e-12)
-        assert est.k == 2 and est.n == 4
+        assert type(est) is float
+        assert est == pytest.approx(1.5 * LOG2, rel=1e-12)
 
     def test_longer_ladder(self):
         ordered = [16.0, 8.0, 4.0, 2.0, 1.0]
-        assert univariate_hill(ordered, k=3).gamma_hat == pytest.approx(
+        assert univariate_hill(ordered, k=3) == pytest.approx(
             2.0 * LOG2, rel=1e-12
         )
-        assert univariate_hill(ordered, k=1).gamma_hat == pytest.approx(
+        assert univariate_hill(ordered, k=1) == pytest.approx(
             LOG2, rel=1e-12
         )
 
     def test_constant_distances_give_zero(self):
-        assert univariate_hill([3.0, 3.0, 3.0, 3.0], k=2).gamma_hat == 0.0
+        assert univariate_hill([3.0, 3.0, 3.0, 3.0], k=2) == 0.0
 
-    @pytest.mark.parametrize("k", [0, 4, 5, -1])
+    # a k that is not an integer is rejected, not truncated; a bool is
+    # not an integer k
+    @pytest.mark.parametrize(
+        "k",
+        [0, 4, 5, -1, 2.5, 2.0, True, np.float64(2.0)],
+        ids=["0", "4", "5", "-1", "2.5", "2.0", "True", "float64"],
+    )
     def test_k_out_of_range(self, k):
         with pytest.raises(KOutOfRange):
             univariate_hill([8.0, 4.0, 2.0, 1.0], k=k)
@@ -137,8 +142,8 @@ def test_hill_is_scale_invariant(scale, seed):
     gen = np.random.default_rng(seed)
     ordered = order_desc(gen.pareto(2.0, size=40) + 1.0)
     k = 10
-    base = univariate_hill(ordered, k).gamma_hat
-    scaled = univariate_hill(order_desc(ordered * scale), k).gamma_hat
+    base = univariate_hill(ordered, k)
+    scaled = univariate_hill(order_desc(ordered * scale), k)
     assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
@@ -229,8 +234,50 @@ class TestSeparatingHill:
     def test_matches_ordered_distances(self):
         # points on the first axis make the scatter distances explicit
         sample = np.array([[8.0, 0.0], [4.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
-        est = separating_hill(sample, np.zeros(2), np.eye(2), k=2)
-        assert est.gamma_hat == pytest.approx(1.5 * LOG2, rel=1e-12)
+        [est] = separating_hill(sample, np.zeros(2), np.eye(2), [2])
+        assert type(est) is float
+        assert est == pytest.approx(1.5 * LOG2, rel=1e-12)
+
+    def test_ladder_oracle_in_the_order_given(self):
+        sample = np.array(
+            [[16.0, 0.0], [8.0, 0.0], [4.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
+        )
+        gammas = separating_hill(sample, np.zeros(2), np.eye(2), [3, 1])
+        assert gammas == pytest.approx([2 * LOG2, LOG2], rel=1e-12)
+        assert separating_hill(sample, np.zeros(2), np.eye(2), []) == []
+
+    def test_a_list_of_k_gives_each_k_alone(self):
+        model = EllipticalModel(
+            mu=np.array([0.5, 0.5]),
+            sigma=np.array([[1.0, 0.2], [0.2, 1.0]]),
+            variate=GeneratingVariateSpec.pareto(2.0),
+        )
+        sample, _ = sample_elliptical(model, 200, RngStream(3, 1))
+        ks = np.arange(5, 50, 5)
+        gammas = separating_hill(sample, model.mu, model.sigma, ks)
+        alone = [separating_hill(sample, model.mu, model.sigma, [k])[0] for k in ks]
+        assert np.array(gammas).tobytes() == np.array(alone).tobytes()
+        assert separating_hill(sample, model.mu, model.sigma, range(5, 50, 5)) == gammas
+
+    @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_fit_gives_the_bytes_of_its_own_inverse(self, method, d):
+        # a fit's scatter, inverted again, gives the bytes of the inverse
+        # the fit carries, so Hill from (mu_hat, sigma_hat) is Hill from
+        # the fit's own distances
+        model = EllipticalModel(
+            mu=np.arange(1.0, d + 1.0),
+            sigma=np.eye(d) + 0.3,
+            variate=GeneratingVariateSpec.frechet(3.0),
+        )
+        sample, _ = sample_elliptical(model, 400, RngStream(5, d))
+        fit = estimate_location_scatter(sample, method)
+        assert spd_inverse(fit.sigma_hat).tobytes() == fit.sigma_hat_inv.tobytes()
+        ks = [40, 5, 120]
+        ordered = order_desc(mahalanobis_distances(sample, fit.mu_hat, fit.sigma_hat_inv))
+        expected = [univariate_hill(ordered, k) for k in ks]
+        gammas = separating_hill(sample, fit.mu_hat, fit.sigma_hat, ks)
+        assert np.array(gammas).tobytes() == np.array(expected).tobytes()
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(11)
@@ -240,14 +287,14 @@ class TestSeparatingHill:
             variate=GeneratingVariateSpec.pareto(2.0),
         )
         sample, _ = sample_elliptical(model, 300, RngStream(2, 0))
-        base = separating_hill(sample, model.mu, model.sigma, k=17).gamma_hat
+        [base] = separating_hill(sample, model.mu, model.sigma, [17])
 
         a = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
         b = rng.normal(size=2)
         mapped = sample @ a.T + b
-        mapped_est = separating_hill(
-            mapped, a @ model.mu + b, a @ model.sigma @ a.T, k=17
-        ).gamma_hat
+        [mapped_est] = separating_hill(
+            mapped, a @ model.mu + b, a @ model.sigma @ a.T, [17]
+        )
         assert mapped_est == pytest.approx(base, rel=1e-9)
 
 
@@ -491,52 +538,15 @@ class TestLayoutIndependence:
             dist_f = mahalanobis_distances(col_major, f.mu_hat, f.sigma_hat_inv)
             dist_c = mahalanobis_distances(row_major, c.mu_hat, c.sigma_hat_inv)
             assert dist_f.tobytes() == dist_c.tobytes()
-            hill_f = separating_hill(col_major, f.mu_hat, f.sigma_hat, k=60)
-            hill_c = separating_hill(row_major, c.mu_hat, c.sigma_hat, k=60)
+            hill_f = separating_hill(col_major, f.mu_hat, f.sigma_hat, [60])
+            hill_c = separating_hill(row_major, c.mu_hat, c.sigma_hat, [60])
             assert hill_f == hill_c
 
 
-class TestHillPlot:
-    def test_ladder_oracle(self):
-        sample = np.array(
-            [[16.0, 0.0], [8.0, 0.0], [4.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
-        )
-        from sephill.estimators import LocationScatterEstimate
-
-        ls = LocationScatterEstimate(
-            mu_hat=np.zeros(2),
-            sigma_hat=np.eye(2),
-            sigma_hat_inv=np.eye(2),
-        )
-        rows = hill_plot(sample, ls, [1, 3])
-        assert rows[0][0] == 1 and rows[0][1] == pytest.approx(LOG2, rel=1e-12)
-        assert rows[1][0] == 3 and rows[1][1] == pytest.approx(2 * LOG2, rel=1e-12)
-
-    def test_agrees_with_separating_hill(self):
-        model = EllipticalModel(
-            mu=np.array([0.5, 0.5]),
-            sigma=np.array([[1.0, 0.2], [0.2, 1.0]]),
-            variate=GeneratingVariateSpec.pareto(2.0),
-        )
-        sample, _ = sample_elliptical(model, 200, RngStream(3, 1))
-        from sephill.estimators import LocationScatterEstimate
-        from sephill.linalg import spd_inverse
-
-        ls = LocationScatterEstimate(
-            mu_hat=model.mu,
-            sigma_hat=model.sigma,
-            sigma_hat_inv=spd_inverse(model.sigma),
-        )
-        rows = hill_plot(sample, ls, range(5, 50, 5))
-        for k, gamma in rows:
-            direct = separating_hill(sample, model.mu, model.sigma, k=k).gamma_hat
-            assert gamma == pytest.approx(direct, rel=1e-12, abs=1e-13)
-
-
 class TestTopOrdering:
-    """hill_plot and separating_hill order only the max(k) + 1 largest
-    distances, with the bytes of a full sort; k is checked against the
-    sample's n first."""
+    """separating_hill orders only the max(k) + 1 largest distances, once
+    per call, with the bytes of a full sort; every k is checked against
+    the sample's n first."""
 
     @staticmethod
     def _tied_sample():
@@ -547,14 +557,6 @@ class TestTopOrdering:
         sample[0::2, 0] = radii[0::2] * signs[0::2]
         sample[1::2, 1] = radii[1::2] * signs[1::2]
         return sample
-
-    @staticmethod
-    def _fit():
-        from sephill.estimators import LocationScatterEstimate
-
-        return LocationScatterEstimate(
-            mu_hat=np.zeros(2), sigma_hat=np.eye(2), sigma_hat_inv=np.eye(2)
-        )
 
     def _full_sort_hill(self, k):
         ordered = order_desc(
@@ -572,21 +574,26 @@ class TestTopOrdering:
 
         monkeypatch.setattr(estimators, "order_desc", spy)
         sample, ks = self._tied_sample(), [3, 4, 9, 12]
-        rows = hill_plot(sample, self._fit(), ks)
-        hill = [separating_hill(sample, np.zeros(2), np.eye(2), k).gamma_hat for k in ks]
+        gammas = separating_hill(sample, np.zeros(2), np.eye(2), ks)
+        alone = [separating_hill(sample, np.zeros(2), np.eye(2), [k])[0] for k in ks]
         monkeypatch.undo()
         assert tops == [13] + [k + 1 for k in ks]
         expected = [self._full_sort_hill(k) for k in ks]
-        assert [g for _, g in rows] == hill == expected
-        assert np.array(hill).tobytes() == np.array(expected).tobytes()
+        assert gammas == alone == expected
+        assert np.array(gammas).tobytes() == np.array(expected).tobytes()
 
-    @pytest.mark.parametrize("k", [0, 24])
-    def test_k_out_of_range_names_the_sample_size(self, k):
-        message = f"k must satisfy 1 <= k <= n - 1, got k={k}, n=24"
-        with pytest.raises(KOutOfRange, match=re.escape(message)):
-            hill_plot(self._tied_sample(), self._fit(), [2, k])
-        with pytest.raises(KOutOfRange, match=re.escape(message)):
-            separating_hill(self._tied_sample(), np.zeros(2), np.eye(2), k)
+    # a k that is not an integer is rejected, not truncated; a bool is
+    # not an integer k
+    @pytest.mark.parametrize("k", [0, 24, 2.5, 1.9, 3.0, True])
+    def test_k_out_of_range_names_the_sample_size(self, k, monkeypatch):
+        def no_distances(*args, **kwargs):
+            raise AssertionError("distances computed before k was checked")
+
+        monkeypatch.setattr(estimators, "mahalanobis_distances", no_distances)
+        message = f"k must be an integer with 1 <= k <= n - 1, got k={k}, n=24"
+        for ks in ([2, k], [k]):
+            with pytest.raises(KOutOfRange, match=re.escape(message)):
+                separating_hill(self._tied_sample(), np.zeros(2), np.eye(2), ks)
 
 
 # The Weiszfeld and Tyler loops without acceleration, one plain map step
@@ -865,7 +872,7 @@ class TestAndersonMixing:
                 x, _ = sample_elliptical(config.model, n, RngStream(config.base_seed, rep))
                 m, _ = plain_spatial_median(x)
                 v, _ = plain_tyler(x, m)
-                plain = separating_hill(x, m, v, config.k_for(n)).gamma_hat
+                [plain] = separating_hill(x, m, v, [config.k_for(n)])
                 assert abs(record.gamma_hat_est - plain) <= 1e-8
 
     def test_evaluations_on_criterion_4_seeds(self):

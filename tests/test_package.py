@@ -22,3 +22,12 @@ def test_perturbation_bound_holds_only_the_envelope():
     # a_n alone says whether the envelope applies, so no flag is kept
     fields = [f.name for f in dataclasses.fields(sephill.PerturbationBound)]
     assert fields == ["m_n", "r_pivot", "a_n", "b_n"]
+
+
+def test_one_separating_hill_entry():
+    # Hill at a given location and scatter has one entry, over a list of k
+    from sephill import estimators
+
+    for name in ("hill_plot", "HillEstimate"):
+        assert name not in sephill.__all__
+        assert not hasattr(estimators, name)
