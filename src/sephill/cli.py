@@ -32,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__, bounds, linalg, montecarlo
+from . import __version__, bounds, montecarlo
 from .distributions import (
     EllipticalModel,
     FAMILIES,
@@ -41,7 +41,6 @@ from .distributions import (
     sample_elliptical,
 )
 from .errors import (
-    BetaOutOfRange,
     ConfigError,
     DegenerateSample,
     DomainError,
@@ -57,7 +56,7 @@ from .errors import (
 from .estimators import (
     SAMPLE_MEAN_COV,
     SPATIAL_MEDIAN_TYLER,
-    LocationScatterEstimate,
+    _check_k,
     estimate_location_scatter,
     mahalanobis_distances,
     order_desc,
@@ -126,9 +125,7 @@ def csv_cell(v) -> str:
     return str(v).replace(",", ";").replace("\n", " ")
 
 
-def write_csv(stream, rows, header=None) -> None:
-    if header is not None:
-        stream.write(",".join(header) + "\n")
+def write_csv(stream, rows) -> None:
     for row in rows:
         stream.write(",".join(csv_cell(v) for v in row) + "\n")
 
@@ -278,13 +275,11 @@ def cmd_simulate(args) -> int:
         "sigma": model.sigma,
         "out": args.out,
         "radii_out": args.radii_out,
-        "header": bool(args.header),
     }
     manifest = build_manifest("simulate", config, args.seed)
 
-    header = [f"x{i + 1}" for i in range(model.dim)] if args.header else None
     buf = io.StringIO()
-    write_csv(buf, sample, header=header)
+    write_csv(buf, sample)
     _emit(args.out, buf.getvalue(), manifest)
     if args.radii_out is not None:
         rbuf = io.StringIO()
@@ -293,18 +288,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _check_k_range(ks: list[int], n: int) -> None:
-    for k in ks:
-        if not 1 <= k <= n - 1:
-            raise ConfigError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
-
-
-def _location_scatter_from_args(args, data: np.ndarray):
-    """Either the user-supplied (mu, sigma) or an estimate from the data.
-
-    Returns ``(estimate, method_name, warning_messages)``.
-    """
+def cmd_estimate(args) -> int:
+    """Hill at the given (--mu, --sigma) or at the --method fit; every k
+    is checked before the fit."""
+    data = load_csv_matrix(args.data)
     n, d = data.shape
+    ks = parse_int_list(args.k, "--k")
+    for k in ks:
+        _check_k(k, n)
     if (args.mu is None) != (args.sigma is None):
         raise ConfigError("--mu and --sigma must be given together or not at all")
     if args.mu is not None:
@@ -314,29 +305,24 @@ def _location_scatter_from_args(args, data: np.ndarray):
         if mu.shape[0] != d:
             raise ConfigError(f"--mu has {mu.shape[0]} entries, data has {d} columns")
         sigma = load_scatter(args.sigma, d)
-        try:
-            sigma_inv = linalg.spd_inverse(sigma)
-        except NotPositiveDefinite as exc:
-            raise ConfigError(f"--sigma is not positive definite: {exc}") from exc
-        loc = LocationScatterEstimate(
-            mu_hat=mu, sigma_hat=sigma, sigma_hat_inv=sigma_inv
-        )
-        return loc, "given-params", []
-    if args.method is None:
-        raise ConfigError("--method is required unless --mu/--sigma are given")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        loc = estimate_location_scatter(data, _METHOD_NAMES[args.method])
-    return loc, args.method, [str(w.message) for w in caught]
-
-
-def cmd_estimate(args) -> int:
-    data = load_csv_matrix(args.data)
-    n, d = data.shape
-    ks = parse_int_list(args.k, "--k")
-    _check_k_range(ks, n)
-    loc, method_name, warning_messages = _location_scatter_from_args(args, data)
-    gammas = separating_hill(data, loc.mu_hat, loc.sigma_hat, ks)
+        method_name, warning_messages = "given-params", []
+        median_iterations = shape_iterations = 0
+    else:
+        if args.method is None:
+            raise ConfigError("--method is required unless --mu/--sigma are given")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loc = estimate_location_scatter(data, _METHOD_NAMES[args.method])
+        mu, sigma = loc.mu_hat, loc.sigma_hat
+        method_name = args.method
+        median_iterations = loc.median_iterations
+        shape_iterations = loc.shape_iterations
+        warning_messages = [str(w.message) for w in caught]
+    try:
+        gammas = separating_hill(data, mu, sigma, ks)
+    except NotPositiveDefinite as exc:
+        # only a given scatter: each fit has already inverted its own
+        raise ConfigError(f"--sigma is not positive definite: {exc}") from exc
     config = {
         "data": args.data,
         "k_values": ks,
@@ -347,10 +333,10 @@ def cmd_estimate(args) -> int:
         "n": n,
         "d": d,
         "method": method_name,
-        "mu_hat": loc.mu_hat,
-        "sigma_hat": loc.sigma_hat,
-        "median_iterations": loc.median_iterations,
-        "shape_iterations": loc.shape_iterations,
+        "mu_hat": mu,
+        "sigma_hat": sigma,
+        "median_iterations": median_iterations,
+        "shape_iterations": shape_iterations,
         "estimates": [{"k": k, "gamma_hat": g} for k, g in zip(ks, gammas)],
         "warnings": warning_messages,
         "manifest": build_manifest("estimate", config, 0),
@@ -456,12 +442,15 @@ def cmd_verify_bounds(args) -> int:
 
 #: The keys a --config file may hold, at its top level and in its model,
 #: and those it must hold (:func:`build_variate` names a missing alpha).
-_CONFIG_KEYS = (
-    "model", "n_values", "replications", "base_seed", "estimator_method",
-    "k_beta", "k_values",
+#: The top level is ExperimentConfig's fields; those without a default
+#: are required.
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(montecarlo.ExperimentConfig))
+_CONFIG_REQUIRED = tuple(
+    f.name
+    for f in dataclasses.fields(montecarlo.ExperimentConfig)
+    if f.default is dataclasses.MISSING
 )
 _MODEL_KEYS = ("family", "alpha", "mu", "sigma")
-_CONFIG_REQUIRED = ("model", "n_values", "replications")
 _MODEL_REQUIRED = ("family", "mu", "sigma")
 
 
@@ -476,7 +465,7 @@ def _experiment_config_from_file(path: str) -> montecarlo.ExperimentConfig:
         return _experiment_config_from_json(raw)
     except json.JSONDecodeError as exc:
         message = f"could not parse as JSON: {exc}"
-    except (ConfigError, BetaOutOfRange) as exc:
+    except ConfigError as exc:
         message = str(exc)
     raise ConfigError(f"--config {path!r}: {message}") from None
 
@@ -561,22 +550,16 @@ def _experiment_config_inline(args) -> montecarlo.ExperimentConfig:
 
 
 def _config_as_dict(config: montecarlo.ExperimentConfig) -> dict:
+    """``config`` as the --config file that describes it."""
+    as_dict = {key: getattr(config, key) for key in _CONFIG_KEYS}
     variate = config.model.variate
-    model = {
+    as_dict["model"] = {
         "family": variate.family,
         "alpha": variate.alpha,
         "mu": config.model.mu,
         "sigma": config.model.sigma,
     }
-    return {
-        "model": model,
-        "n_values": list(config.n_values),
-        "replications": config.replications,
-        "base_seed": config.base_seed,
-        "estimator_method": config.estimator_method,
-        "k_beta": config.k_beta,
-        "k_values": list(config.k_values) if config.k_values is not None else None,
-    }
+    return as_dict
 
 
 #: What may go beside ``experiment --config``, by ``args`` name; the file
@@ -671,7 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     p.add_argument("--radii-out", help="also write the generating radii")
-    p.add_argument("--header", action="store_true", help="emit x1..xd column names")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate the extreme value index from CSV data")

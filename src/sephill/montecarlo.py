@@ -195,14 +195,22 @@ class ExperimentConfig:
                 )
             for n, k in zip(self.n_values, self.k_values):
                 if not 1 <= k < n:
-                    raise ConfigError(f"need 1 <= k < n, got k={k} for n={n}")
+                    raise ConfigError(
+                        f"'k_values' (--k-list): need 1 <= k < n, got k={k} for n={n}"
+                    )
         else:
             if self.k_beta is None:
                 object.__setattr__(self, "k_beta", 0.5)
             if isinstance(self.k_beta, bool) or not isinstance(self.k_beta, numbers.Real):
                 raise ConfigError(f"k_beta must be a number, got {self.k_beta!r}")
-            for n in self.n_values:
-                k_schedule(n, self.k_beta)
+            # k_schedule states both rules; the key at fault is named here
+            try:
+                for n in self.n_values:
+                    k_schedule(n, self.k_beta)
+            except BetaOutOfRange as exc:
+                raise ConfigError(f"'k_beta' (--k-beta): {exc}") from None
+            except ConfigError as exc:
+                raise ConfigError(f"'n_values' (--n-values): {exc}") from None
 
     def k_for(self, n: int) -> int:
         """Tail fraction for sample size ``n`` under this configuration."""

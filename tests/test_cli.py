@@ -112,9 +112,14 @@ class TestSimulate:
         dists = np.linalg.norm(data, axis=1)  # mu = 0, identity scatter
         np.testing.assert_allclose(dists, radii, rtol=1e-12)
 
-    def test_header_row(self, tmp_path):
-        out = self._run(tmp_path, "h.csv", extra=["--header"])
-        assert out.read_text().splitlines()[0] == "x1,x2"
+    def test_header_flag_is_gone(self, tmp_path):
+        # a header row made a file that estimate could not read back
+        out = tmp_path / "h.csv"
+        assert cli.main(
+            ["simulate", "--family", "pareto", "--alpha", "3", "--dim", "2",
+             "--n", "30", "--out", str(out), "--header"]
+        ) == 2
+        assert not out.exists()
 
     def test_manifest_sidecar(self, tmp_path):
         out = self._run(tmp_path, "m.csv")
@@ -346,6 +351,46 @@ class TestEstimate:
         )
         assert code == 2
         assert "k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "4", "2,4"])
+    def test_k_is_checked_by_the_library_before_the_fit(
+        self, tmp_path, capsys, monkeypatch, k
+    ):
+        fits = []
+        monkeypatch.setattr(
+            cli, "estimate_location_scatter", lambda *a: fits.append(a)
+        )
+        data = write_ladder_csv(tmp_path / "l.csv")
+        out = tmp_path / "est.json"
+        code = cli.main(
+            ["estimate", "--data", data, "--k", k, "--method", "median-tyler",
+             "--out", str(out)]
+        )
+        assert code == 2
+        bad = k.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"error: k must be an integer with 1 <= k <= n - 1, got k={bad}, n=4\n"
+        )
+        assert fits == []
+        assert not out.exists()
+
+    def test_given_scatter_is_inverted_once(self, tmp_path, monkeypatch):
+        inversions = []
+        inverse = linalg._inverse_from_factor
+
+        def counted(lower):
+            inversions.append(lower)
+            return inverse(lower)
+
+        monkeypatch.setattr(linalg, "_inverse_from_factor", counted)
+        data = write_ladder_csv(tmp_path / "l.csv")
+        (tmp_path / "sigma.csv").write_text("4.0,1.0\n1.0,4.0\n")
+        out = tmp_path / "est.json"
+        assert cli.main(
+            ["estimate", "--data", data, "--k", "1,2", "--mu", "0,0",
+             "--sigma", str(tmp_path / "sigma.csv"), "--out", str(out)]
+        ) == 0
+        assert len(inversions) == 1
 
     def test_degenerate_estimation_is_numeric_error(self, tmp_path, capsys):
         (tmp_path / "tiny.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -1228,11 +1273,21 @@ class TestExperiment:
             ),
             (
                 lambda raw: raw.update(k_beta=1.5),
-                "beta must lie strictly between 0 and 1, got 1.5",
+                "'k_beta' (--k-beta): beta must lie strictly between 0 and 1, got 1.5",
+            ),
+            (
+                lambda raw: raw.update(n_values=[10, 20], k_values=[10, 5]),
+                "'k_values' (--k-list): need 1 <= k < n, got k=10 for n=10",
+            ),
+            (
+                lambda raw: raw.update(n_values=[3, 20]),
+                "'n_values' (--n-values): need n >= 4 for a meaningful tail "
+                "fraction, got 3",
             ),
         ],
         ids=["missing-family", "missing-n-values", "ragged-sigma", "nonfinite-mu",
-             "replications-bool", "repeated-n", "k-beta-out-of-range"],
+             "replications-bool", "repeated-n", "k-beta-out-of-range",
+             "k-values-out-of-range", "n-too-small-for-k-beta"],
     )
     def test_every_config_error_names_the_file_once(
         self, tmp_path, capsys, edit, message
@@ -1248,6 +1303,55 @@ class TestExperiment:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: --config {str(cfg_path)!r}: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k-beta", "1.5"],
+             "'k_beta' (--k-beta): beta must lie strictly between 0 and 1, got 1.5"),
+            (["--n-values", "10,20", "--k-list", "10,5"],
+             "'k_values' (--k-list): need 1 <= k < n, got k=10 for n=10"),
+            (["--n-values", "3,20"],
+             "'n_values' (--n-values): need n >= 4 for a meaningful tail "
+             "fraction, got 3"),
+        ],
+        ids=["k-beta-out-of-range", "k-values-out-of-range", "n-too-small-for-k-beta"],
+    )
+    def test_inline_k_errors_read_as_in_a_config(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "exp.json"
+        assert cli.main(self._inline_args(out) + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, k_rule",
+        [
+            (method, k_rule)
+            for method in ("mean-cov", "median-tyler")
+            for k_rule in (["--k-beta", "0.6"], ["--k-list", "10,20"])
+        ],
+        ids=["mean-cov-k-beta", "mean-cov-k-list", "median-tyler-k-beta",
+             "median-tyler-k-list"],
+    )
+    def test_manifest_config_reruns_the_experiment(self, tmp_path, method, k_rule):
+        # the reader and the manifest writer share ExperimentConfig's fields,
+        # so a manifest's config is a --config file for the same experiment
+        first, first_recs = tmp_path / "first.json", tmp_path / "first.csv"
+        assert cli.main(
+            ["experiment", "--family", "t-radial", "--alpha", "4", "--dim", "2",
+             "--mu", "1,-2", "--n-values", "200,400", "--replications", "3",
+             "--method", method, "--seed", "17", *k_rule,
+             "--out", str(first), "--records-out", str(first_recs)]
+        ) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(json.loads(first.read_text())["manifest"]["config"]))
+        again, again_recs = tmp_path / "again.json", tmp_path / "again.csv"
+        assert cli.main(
+            ["experiment", "--config", str(cfg), "--out", str(again),
+             "--records-out", str(again_recs)]
+        ) == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert again_recs.read_bytes() == first_recs.read_bytes()
 
     def test_config_with_k_beta_and_k_values_exits_config(self, tmp_path, capsys):
         # k_values used to win silently while the manifest kept k_beta
