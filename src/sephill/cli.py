@@ -27,6 +27,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -142,6 +143,23 @@ def _emit(path: str, text: str, manifest: dict) -> None:
     stamped["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(path + ".manifest.json", "w", newline="\n") as fh:
         fh.write(dumps_json(stamped) + "\n")
+
+
+def _check_destinations(out: str, flag: str, other: str | None) -> None:
+    """Refuse a second output, given by ``flag``, that would write where
+    --out writes: both on stdout ('-'), or one file, counting the
+    ``<path>.manifest.json`` sidecar that :func:`_emit` writes beside each."""
+
+    def written(path: str) -> set[str]:
+        if path == "-":
+            return {"-"}
+        return {os.path.realpath(p) for p in (path, path + ".manifest.json")}
+
+    if other is not None and written(out) & written(other):
+        raise ConfigError(
+            f"--out {out!r} and {flag} {other!r} share a destination (stdout, a file "
+            "or its manifest sidecar); give each its own"
+        )
 
 
 def build_manifest(command: str, config: dict, base_seed: int) -> dict:
@@ -261,6 +279,7 @@ def _make_model(mu, sigma, variate, source: str) -> EllipticalModel:
 
 
 def cmd_simulate(args) -> int:
+    _check_destinations(args.out, "--radii-out", args.radii_out)
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     model = build_model(args)
@@ -568,6 +587,7 @@ _BESIDE_CONFIG = ("subcommand", "func", "config", "workers", "out", "records_out
 
 
 def cmd_experiment(args) -> int:
+    _check_destinations(args.out, "--records-out", args.records_out)
     if args.config is not None:
         beside = [
             "--" + name.replace("_", "-")

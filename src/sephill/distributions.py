@@ -83,11 +83,11 @@ def _positive_real(value, name: str) -> float:
 class GeneratingVariateSpec:
     """Parameters of the positive variate driving the radius of the model.
 
-    Use the class methods :meth:`pareto`, :meth:`frechet` and
-    :meth:`t_radial` rather than the raw constructor.  ``alpha`` is the
-    tail index of every family (for t-radial, the degrees of freedom); it
-    must be a finite positive real and is stored as a float; anything else
-    raises :class:`DomainError`.
+    The class methods :meth:`pareto`, :meth:`frechet` and :meth:`t_radial`
+    equal the raw constructor, whose ``__post_init__`` validates both
+    fields.  ``alpha`` is the tail index of every family (for t-radial,
+    the degrees of freedom); it must be a finite positive real and is
+    stored as a float; anything else raises :class:`DomainError`.
     """
 
     family: str

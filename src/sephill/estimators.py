@@ -89,30 +89,30 @@ def check_ordered(values, name: str) -> np.ndarray:
 
 
 def order_desc(values, top: int | None = None, *, workspace=None) -> np.ndarray:
-    """Sort values into descending order, or only the ``top`` largest.
+    """The ``top`` largest values in descending order; ``top=None`` means
+    every value.
 
-    With ``top`` given, returns the ``top`` largest values in descending
-    order, the same bytes as ``order_desc(values)[:top]``: a partition
-    finds them and only they are sorted.  Equal values are
-    interchangeable (a zero's sign aside), so the order among ties cannot
-    change the result.  Every value is checked for finiteness either way.
-    The partition runs on a copy of the values, in the ``"order"`` slab
-    of ``workspace`` when one is given; the result is always a fresh
-    array of ``top`` values.
+    The values are copied, a partition sets the ``top`` largest apart
+    (skipped when ``top`` covers every value), and only those are sorted
+    and reversed, so ``order_desc(values, top)`` has the bytes of
+    ``order_desc(values)[:top]``.  Equal values are interchangeable (a
+    zero's sign aside), so the order among ties cannot change the result.
+    Every value is checked for finiteness.  The copy is the ``"order"``
+    slab of ``workspace`` when one is given; the result is always a fresh
+    array.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-d array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise NonFinite("distances must be finite")
-    if top is None or top >= v.shape[0]:
-        return v[np.argsort(-v, kind="stable")]
-    if top < 1:
+    if top is not None and top < 1:
         raise DomainError(f"top must be at least 1, got {top}")
-    cut = v.shape[0] - top
+    cut = 0 if top is None else max(v.shape[0] - top, 0)
     part = scratch(workspace, "order", v.shape)
     np.copyto(part, v)
-    part.partition(cut)
+    if cut:
+        part.partition(cut)
     largest = part[cut:]
     largest.sort()
     return largest[::-1].copy()
@@ -234,10 +234,9 @@ def _centred_columns(sample, workspace=None) -> tuple[np.ndarray, np.ndarray]:
 def _covariance(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Covariance of centred ``(d, n)`` columns, and its inverse.
 
-    The inverse comes from :func:`linalg.symmetric_spd_inverse` (the
-    covariance is symmetrized, so it skips the symmetry comparison),
-    whose Cholesky factorization is also the positive-definiteness check,
-    so the matrix is factored once.
+    The inverse comes from :func:`linalg.spd_inverse`, whose Cholesky
+    factorization is also the positive-definiteness check, so the matrix
+    is factored once.
     """
     d, n = cols.shape
     if n < d + 1:
@@ -247,7 +246,7 @@ def _covariance(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cov = np.einsum("in,jn->ij", cols, cols) / (n - 1)
     cov = 0.5 * (cov + cov.T)
     try:
-        cov_inv = linalg.symmetric_spd_inverse(cov)
+        cov_inv = linalg.spd_inverse(cov)
     except NotPositiveDefinite as exc:
         raise DegenerateSample(f"sample covariance is degenerate: {exc}") from exc
     return cov, cov_inv
@@ -453,9 +452,8 @@ def _tyler_iter(diff: np.ndarray, tol: float, max_iter: int, workspace=None):
     moments and ``q`` are its ``"moments"`` and ``"rows"`` slabs.
 
     Rows exactly equal to the location (zero columns of ``diff``) carry
-    no direction and are dropped with a warning.  Each iterate is
-    symmetric by construction (filled from one triangle), so it is
-    inverted through the pivot floor without the symmetry comparison.
+    no direction and are dropped with a warning.  Each iterate is filled
+    from one triangle and inverted by :func:`linalg.spd_inverse`.
 
     At d = 1 the only trace-1 shape is ``[[1.0]]``, returned after 0
     evaluations with no moments and no warning; only the usable rows
@@ -514,7 +512,7 @@ def _tyler_iter(diff: np.ndarray, tol: float, max_iter: int, workspace=None):
             )
         evals += 1
         try:
-            u_inv = linalg.symmetric_spd_inverse(matrix(u))
+            u_inv = linalg.spd_inverse(matrix(u))
         except NotPositiveDefinite as exc:
             raise SingularIterate(f"shape iterate lost positive definiteness: {exc}") from exc
         q = np.einsum("kn,k->n", moments, u_inv[iu, ju] * pair_weight, out=q_buf)
@@ -571,7 +569,7 @@ def estimate_location_scatter(
         x = as_sample(sample)
         mu_hat, it_med, diff = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER, workspace)
         sigma_hat, it_shape = _tyler_iter(diff, SHAPE_TOL, MAX_ITER, workspace)
-        sigma_hat_inv = linalg.symmetric_spd_inverse(sigma_hat)
+        sigma_hat_inv = linalg.spd_inverse(sigma_hat)
     else:
         raise ConfigError(
             f"unknown method {method!r}; expected one of {ESTIMATOR_METHODS}"

@@ -78,12 +78,7 @@ def cholesky(m) -> np.ndarray:
         below.  The check is relative, so rescaling the input by a positive
         constant cannot change the verdict.
     """
-    return _factor(check_symmetric(m))
-
-
-def _factor(a: np.ndarray) -> np.ndarray:
-    """:func:`cholesky` of a matrix already known to be finite and
-    symmetric: the factor and the pivot floor, without the validation."""
+    a = check_symmetric(m)
     diag_scale = float(abs(a.diagonal()).max())
     if diag_scale == 0.0:
         raise NotPositiveDefinite("matrix has a zero diagonal")
@@ -110,16 +105,6 @@ def spd_inverse(m) -> np.ndarray:
     lopsided inverse.
     """
     return _inverse_from_factor(cholesky(m))
-
-
-def symmetric_spd_inverse(a: np.ndarray) -> np.ndarray:
-    """:func:`spd_inverse` of a float matrix that is symmetric by
-    construction, such as an iterate filled from one triangle: the same
-    finiteness check, factor, pivot floor and exceptions, without the
-    shape test and the symmetry comparison."""
-    if not np.isfinite(a).all():
-        raise NonFinite("matrix entries must be finite")
-    return _inverse_from_factor(_factor(a))
 
 
 def _inverse_from_factor(lower: np.ndarray) -> np.ndarray:

@@ -169,7 +169,9 @@ class ExperimentConfig:
             # k_for looks a sample size up by value, so a repeated n would
             # lose its own k; and streams are keyed by (base_seed, rep_id)
             # alone, so it would only repeat the first entry's records
-            raise ConfigError(f"n_values must be distinct, got {list(self.n_values)}")
+            raise ConfigError(
+                f"'n_values' (--n-values): must be distinct, got {list(self.n_values)}"
+            )
         if self.estimator_method not in ESTIMATOR_METHODS:
             raise ConfigError(
                 f"unknown estimator_method {self.estimator_method!r}; expected "
@@ -180,7 +182,10 @@ class ExperimentConfig:
             self, "replications", _integer(self.replications, "replications")
         )
         if self.replications < 1:
-            raise ConfigError("replications must be at least 1")
+            raise ConfigError(
+                "'replications' (--replications): must be at least 1, "
+                f"got {self.replications}"
+            )
         object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed"))
         if self.k_values is not None:
             if self.k_beta is not None:
@@ -190,7 +195,7 @@ class ExperimentConfig:
                 )
             if len(self.k_values) != len(self.n_values):
                 raise ConfigError(
-                    "k_values must align with n_values "
+                    "'k_values' (--k-list): must align with n_values "
                     f"({len(self.k_values)} vs {len(self.n_values)})"
                 )
             for n, k in zip(self.n_values, self.k_values):

@@ -209,6 +209,21 @@ class TestLogRatioBound:
             assert b.b_n >= b.a_n
 
 
+    @pytest.mark.parametrize(
+        "m_n, r_pivot, message",
+        [
+            (0.1, 0.0, "r_pivot must be strictly positive"),
+            (0.1, -1.0, "r_pivot must be strictly positive"),
+            (-0.1, 1.0, "the envelope constant must be finite and nonnegative"),
+            (np.inf, 1.0, "the envelope constant must be finite and nonnegative"),
+        ],
+        ids=["zero-pivot", "negative-pivot", "negative-m", "infinite-m"],
+    )
+    def test_rejects_bad_inputs(self, m_n, r_pivot, message):
+        with pytest.raises(DomainError, match=message):
+            log_ratio_bound(m_n, r_pivot)
+
+
 class TestCompleteBound:
     def test_is_log_ratio_bound_of_m_n(self):
         c = coeffs(np.eye(2), np.eye(2), [0.1, 0.0], 1.0)

@@ -33,6 +33,12 @@ from sephill.montecarlo import AggregateStats
 
 LOG2 = math.log(2.0)
 
+# Valid settings of simulate and verify-bounds; a flag repeated after them
+# overrides its value.
+SIMULATE = ["--family", "pareto", "--alpha", "3", "--dim", "2", "--n", "5"]
+VERIFY = ["--family", "pareto", "--alpha", "3", "--dim", "2", "--n", "20",
+          "--trials", "1", "--perturbation-scale", "0.1"]
+
 
 def write_ladder_csv(path):
     """Four points on the first axis with unit-scatter distances 8,4,2,1."""
@@ -120,6 +126,35 @@ class TestSimulate:
              "--n", "30", "--out", str(out), "--header"]
         ) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "out, radii_out",
+        [
+            ("-", "-"),
+            ("s.csv", "s.csv"),
+            ("s.csv", "sub/../s.csv"),
+            ("s.csv", "s.csv.manifest.json"),
+            ("r.csv.manifest.json", "r.csv"),
+        ],
+        ids=["both-stdout", "one-file", "one-file-two-spellings", "radii-on-sidecar",
+             "sidecar-on-rows"],
+    )
+    def test_two_outputs_at_one_destination_exit_config(
+        self, tmp_path, monkeypatch, capsys, out, radii_out
+    ):
+        # one stream or one file (an output or its sidecar) cannot hold both
+        # outputs apart
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        argv = ["simulate", *SIMULATE, "--out", out, "--radii-out", radii_out]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --out {out!r} and --radii-out {radii_out!r} share a destination "
+            "(stdout, a file or its manifest sidecar); give each its own\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
     def test_manifest_sidecar(self, tmp_path):
         out = self._run(tmp_path, "m.csv")
@@ -961,6 +996,26 @@ class TestExperiment:
         assert float(first[7]) > 0  # envelope constant
         assert first[9] == "0"  # not failed
 
+    @pytest.mark.parametrize(
+        "out, records_out",
+        [("-", "-"), ("exp.out", "exp.out"), ("exp.out", "exp.out.manifest.json")],
+        ids=["both-stdout", "one-file", "records-on-sidecar"],
+    )
+    def test_two_outputs_at_one_destination_exit_config(
+        self, tmp_path, monkeypatch, capsys, out, records_out
+    ):
+        # one stream or one file (an output or its sidecar) cannot hold both
+        # outputs apart
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(self._inline_args(out) + ["--records-out", records_out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --out {out!r} and --records-out {records_out!r} share a destination "
+            "(stdout, a file or its manifest sidecar); give each its own\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_row_keeps_its_bytes(self, tmp_path, monkeypatch):
         import sephill.montecarlo as mc
 
@@ -1269,7 +1324,7 @@ class TestExperiment:
             ),
             (
                 lambda raw: raw.update(n_values=[100, 100]),
-                "n_values must be distinct, got [100, 100]",
+                "'n_values' (--n-values): must be distinct, got [100, 100]",
             ),
             (
                 lambda raw: raw.update(k_beta=1.5),
@@ -1314,10 +1369,17 @@ class TestExperiment:
             (["--n-values", "3,20"],
              "'n_values' (--n-values): need n >= 4 for a meaningful tail "
              "fraction, got 3"),
+            (["--replications", "0"],
+             "'replications' (--replications): must be at least 1, got 0"),
+            (["--n-values", "100,100"],
+             "'n_values' (--n-values): must be distinct, got [100, 100]"),
+            (["--n-values", "10,20", "--k-list", "5", "--replications", "2"],
+             "'k_values' (--k-list): must align with n_values (1 vs 2)"),
         ],
-        ids=["k-beta-out-of-range", "k-values-out-of-range", "n-too-small-for-k-beta"],
+        ids=["k-beta-out-of-range", "k-values-out-of-range", "n-too-small-for-k-beta",
+             "zero-replications", "repeated-n", "k-list-misaligned"],
     )
-    def test_inline_k_errors_read_as_in_a_config(self, tmp_path, capsys, flags, message):
+    def test_inline_errors_read_as_in_a_config(self, tmp_path, capsys, flags, message):
         out = tmp_path / "exp.json"
         assert cli.main(self._inline_args(out) + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -1532,7 +1594,7 @@ class TestExperiment:
              "--n-values", "500,500", "--k-list", "10,40", "--replications", "2",
              "--method", "mean-cov", "--seed", "1", "--out", str(out)]
         ) == 2
-        assert "n_values must be distinct" in capsys.readouterr().err
+        assert "'n_values' (--n-values): must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_config_n_value_exits_config(self, tmp_path, capsys):
@@ -1542,7 +1604,7 @@ class TestExperiment:
         cfg_path.write_text(json.dumps(raw))
         out = tmp_path / "exp.json"
         assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "n_values must be distinct" in capsys.readouterr().err
+        assert "'n_values' (--n-values): must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
     def test_k_list_respected(self, tmp_path):
@@ -1724,6 +1786,45 @@ class TestTopLevel:
         out = tmp_path / "out"
         assert cli.main([*argv, str(empty), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {str(empty)!r} contains no data rows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", *SIMULATE, "--mu", "a,b"],
+             "--mu expects comma-separated numbers, got 'a,b'"),
+            (["simulate", *SIMULATE, "--mu", "1,2,3"],
+             "--mu has 3 entries, expected --dim = 2"),
+            (["simulate", *SIMULATE, "--n", "0"], "--n must be at least 1, got 0"),
+            (["estimate", "--data", "{data}", "--k", "1", "--mu", "0,0,0",
+              "--sigma", "identity"],
+             "--mu has 3 entries, data has 2 columns"),
+            (["estimate", "--data", "{data}", "--k", "1"],
+             "--method is required unless --mu/--sigma are given"),
+            (["verify-bounds", *VERIFY, "--trials", "0"],
+             "--trials must be at least 1, got 0"),
+            (["verify-bounds", *VERIFY, "--n", "3"], "--n must be at least 4, got 3"),
+            (["experiment", "--config", "{config}"],
+             "--config {config!r}: could not parse as JSON: Expecting value: "
+             "line 1 column 1 (char 0)"),
+            (["experiment", "--family", "pareto", "--alpha", "3", "--dim", "2",
+              "--n-values", "100", "--replications", "1", "--workers", "0"],
+             "--workers must be at least 1, got 0"),
+        ],
+        ids=["mu-not-numbers", "mu-wrong-length", "simulate-n-zero",
+             "estimate-mu-wrong-length", "estimate-no-method", "trials-zero",
+             "verify-n-too-small", "config-not-json", "workers-zero"],
+    )
+    def test_bad_input_exits_config_before_writing(self, tmp_path, capsys, argv, message):
+        paths = {
+            "data": write_ladder_csv(tmp_path / "data.csv"),
+            "config": str(tmp_path / "config.json"),
+        }
+        Path(paths["config"]).write_text("model: pareto\n")
+        out = tmp_path / "out"
+        argv = [arg.format(**paths) for arg in argv]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
         assert not out.exists()
 
     def test_no_subcommand_is_usage_error(self, capsys):

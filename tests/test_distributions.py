@@ -355,6 +355,14 @@ class TestEllipticalModel:
                 variate=GeneratingVariateSpec.pareto(3.0),
             )
 
+    def test_rejects_nonfinite_location(self):
+        with pytest.raises(NonFinite, match="mu entries must be finite"):
+            EllipticalModel(
+                mu=np.array([0.0, np.nan]),
+                sigma=np.eye(2),
+                variate=GeneratingVariateSpec.pareto(3.0),
+            )
+
     def test_scatter_validated_and_factored_once(self, monkeypatch):
         calls = {"check_symmetric": 0, "factor": 0}
         check, factor = linalg.check_symmetric, np.linalg.cholesky
@@ -466,6 +474,10 @@ class TestSampleElliptical:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             sample_elliptical(self._model(), 0, RngStream(1, 0))
+
+    def test_rejects_an_rng_of_another_kind(self):
+        with pytest.raises(TypeError, match="expected RngStream or numpy Generator"):
+            sample_elliptical(self._model(), 5, np.random.RandomState(1))
 
     @pytest.mark.parametrize("family", ["pareto", "frechet", "t-radial"])
     @pytest.mark.parametrize("d", [1, 3])

@@ -180,6 +180,13 @@ class TestOrderDesc:
         with pytest.raises(DomainError):
             order_desc([1.0, 2.0], top=0)
 
+    @pytest.mark.parametrize("n", [0, 1, 300, 2000])
+    def test_full_order_has_the_bytes_of_a_stable_argsort(self, n):
+        # ties included; distances and radii are never -0.0
+        rng = np.random.default_rng(23)
+        v = np.round(rng.pareto(2.0, size=n), 1)
+        assert order_desc(v).tobytes() == v[np.argsort(-v, kind="stable")].tobytes()
+
 
 class TestMahalanobis:
     def test_diagonal_oracle(self):
@@ -194,6 +201,19 @@ class TestMahalanobis:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mahalanobis_distances(np.ones((4, 2)), np.zeros(3), np.eye(3))
+
+    @pytest.mark.parametrize(
+        "sample, sigma_inv, error",
+        [
+            (np.ones(4), np.eye(2), DimensionMismatch),
+            ([[1.0, 2.0], [np.inf, 0.0]], np.eye(2), NonFinite),
+            (np.ones((4, 2)), np.ones((2, 3)), DimensionMismatch),
+        ],
+        ids=["one-dimensional-sample", "nonfinite-sample", "scatter-inverse-shape"],
+    )
+    def test_rejects_bad_inputs(self, sample, sigma_inv, error):
+        with pytest.raises(error):
+            mahalanobis_distances(sample, np.zeros(2), sigma_inv)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_many_rows_match_row_loop_in_every_layout(self, d):

@@ -1,6 +1,12 @@
+import ast
 import dataclasses
+from pathlib import Path
+
+import pytest
 
 import sephill
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "sephill").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -31,3 +37,9 @@ def test_one_separating_hill_entry():
     for name in ("hill_plot", "HillEstimate"):
         assert name not in sephill.__all__
         assert not hasattr(estimators, name)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_sources_parse_at_the_declared_python_floor(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
