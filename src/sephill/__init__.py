@@ -40,6 +40,7 @@ from .montecarlo import (
     ExperimentResult,
     ReplicationFailure,
     ReplicationRecord,
+    assess_fit,
     k_schedule,
     ks_statistic,
     ks_threshold,
@@ -75,6 +76,7 @@ __all__ = [
     "ExperimentResult",
     "ReplicationFailure",
     "ReplicationRecord",
+    "assess_fit",
     "k_schedule",
     "ks_statistic",
     "ks_threshold",

@@ -145,21 +145,41 @@ def _emit(path: str, text: str, manifest: dict) -> None:
         fh.write(dumps_json(stamped) + "\n")
 
 
-def _check_destinations(out: str, flag: str, other: str | None) -> None:
-    """Refuse a second output, given by ``flag``, that would write where
-    --out writes: both on stdout ('-'), or one file, counting the
-    ``<path>.manifest.json`` sidecar that :func:`_emit` writes beside each."""
+def _check_destinations(args, *flags: str) -> None:
+    """Refuse outputs that would write over each other or over an input.
+
+    ``flags`` name the command's outputs besides --out.  Two outputs clash
+    when both go to stdout ('-') or to one file, counting the
+    ``<path>.manifest.json`` sidecar that :func:`_emit` writes beside each;
+    an output clashes with an input (--data, --config or a --sigma file)
+    that it or its sidecar would replace."""
+
+    def given(flag: str) -> str | None:
+        return getattr(args, flag[2:].replace("-", "_"), None)
 
     def written(path: str) -> set[str]:
         if path == "-":
             return {"-"}
         return {os.path.realpath(p) for p in (path, path + ".manifest.json")}
 
-    if other is not None and written(out) & written(other):
-        raise ConfigError(
-            f"--out {out!r} and {flag} {other!r} share a destination (stdout, a file "
-            "or its manifest sidecar); give each its own"
-        )
+    for flag in flags:
+        other = given(flag)
+        if other is not None and written(args.out) & written(other):
+            raise ConfigError(
+                f"--out {args.out!r} and {flag} {other!r} share a destination (stdout, "
+                "a file or its manifest sidecar); give each its own"
+            )
+    for source in ("--data", "--config", "--sigma"):
+        read = given(source)
+        if read is None or (source, read) == ("--sigma", "identity"):
+            continue
+        for flag in ("--out", *flags):
+            path = given(flag)
+            if path is not None and os.path.realpath(read) in written(path):
+                raise ConfigError(
+                    f"{flag} {path!r} writes over the input {source} {read!r} "
+                    "(the output or its manifest sidecar); give the output its own path"
+                )
 
 
 def build_manifest(command: str, config: dict, base_seed: int) -> dict:
@@ -279,7 +299,7 @@ def _make_model(mu, sigma, variate, source: str) -> EllipticalModel:
 
 
 def cmd_simulate(args) -> int:
-    _check_destinations(args.out, "--radii-out", args.radii_out)
+    _check_destinations(args, "--radii-out")
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     model = build_model(args)
@@ -310,6 +330,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     """Hill at the given (--mu, --sigma) or at the --method fit; every k
     is checked before the fit."""
+    _check_destinations(args)
     data = load_csv_matrix(args.data)
     n, d = data.shape
     ks = parse_int_list(args.k, "--k")
@@ -587,7 +608,7 @@ _BESIDE_CONFIG = ("subcommand", "func", "config", "workers", "out", "records_out
 
 
 def cmd_experiment(args) -> int:
-    _check_destinations(args.out, "--records-out", args.records_out)
+    _check_destinations(args, "--records-out")
     if args.config is not None:
         beside = [
             "--" + name.replace("_", "-")

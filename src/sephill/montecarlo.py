@@ -87,6 +87,7 @@ from .errors import (
 from .estimators import (
     ESTIMATOR_METHODS,
     SAMPLE_MEAN_COV,
+    LocationScatterEstimate,
     estimate_location_scatter,
     mahalanobis_distances,
     order_desc,
@@ -292,63 +293,69 @@ def _thread_workspace() -> Workspace:
     return workspace
 
 
-def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> ReplicationRecord:
-    """Run a single replication.
+def assess_fit(
+    model: EllipticalModel, sample, radii, fit: LocationScatterEstimate, k: int,
+    rep_id: int,
+) -> ReplicationRecord:
+    """The record of one fit of one draw of ``n = len(radii)`` rows.
 
-    Samples ``n`` rows on the stream ``(base_seed, rep_id)`` and estimates
-    the index twice.  Under the true parameters the distances are the
-    generating radii the sampler returns, so the true side orders those;
-    under the configured method they are computed from the fitted
-    location/scatter.  The (k+1)-th largest radius, over ``sqrt(c)`` in
-    the fit's frame, is the pivot of the perturbation report, whose
-    location term is the fit's error ``mu_hat - mu``.  Only the k+1
-    largest values are ordered, since Hill and the pivot read no others.
-    Estimator errors propagate to the caller.
+    Estimates the index twice.  Under the true parameters the distances
+    are the generating ``radii``, so the true side orders those; under
+    ``fit`` they are computed from its location/scatter.  The (k+1)-th
+    largest radius, over ``sqrt(c)`` in the fit's frame, is the pivot of
+    the perturbation report, whose location term is the fit's error
+    ``mu_hat - mu``.  Only the k+1 largest values are ordered, since Hill
+    and the pivot read no others.  Any fit can be assessed, a fixed one
+    included; ``rep_id`` is the record's address, passed through.
 
-    The sample, the radii, the distances and every (d, n) or n-float
-    temporary of the stages live in the calling thread's workspace (see
-    the module docstring); what the record keeps (the ordered top values,
-    the fit's location and scatter) is copied out of it.
+    The distances and the orderings are built in the calling thread's
+    workspace (see the module docstring), in slabs other than the
+    ``"sample"`` and ``"radii"`` ones a draw into it occupies.
     """
-    model = config.model
-    n = int(n)
-    k = config.k_for(n)
-    gamma = model.variate.gamma
-    stream = RngStream(config.base_seed, rep_id)
     workspace = _thread_workspace()
-    sample, radii = sample_elliptical(model, n, stream, workspace=workspace)
-
     ordered_true = order_desc(radii, top=k + 1, workspace=workspace)
     gamma_true = univariate_hill(ordered_true, k)
 
-    loc = estimate_location_scatter(
-        sample, config.estimator_method, workspace=workspace
-    )
     dists = mahalanobis_distances(
-        sample, loc.mu_hat, loc.sigma_hat_inv, workspace=workspace
+        sample, fit.mu_hat, fit.sigma_hat_inv, workspace=workspace
     )
     ordered_est = order_desc(dists, top=k + 1, workspace=workspace)
     gamma_est = univariate_hill(ordered_est, k)
 
     # the truth in the fit's frame: translated to the origin and scaled by
     # c to the fit's size, which moves no distance ratio Hill reads
-    c = float(np.trace(loc.sigma_hat)) / float(np.trace(model.sigma))
+    c = float(np.trace(fit.sigma_hat)) / float(np.trace(model.sigma))
     coeffs = bounds_mod.perturbation_coefficients(
-        model.sigma_inv / c, loc.sigma_hat_inv, loc.mu_hat - model.mu,
+        model.sigma_inv / c, fit.sigma_hat_inv, fit.mu_hat - model.mu,
         c * model.lambda_max,
     )
     report = bounds_mod.complete_bound(coeffs, float(ordered_true[k]) / math.sqrt(c))
 
     return ReplicationRecord(
         rep_id=int(rep_id),
-        n=n,
+        n=len(radii),
         k=k,
         gamma_hat_true=gamma_true,
         gamma_hat_est=gamma_est,
-        normalized_error=math.sqrt(k) * (gamma_est - gamma),
+        normalized_error=math.sqrt(k) * (gamma_est - model.variate.gamma),
         estimator_gap=gamma_est - gamma_true,
         bound_report=report,
     )
+
+
+def run_replication(config: ExperimentConfig, n: int, rep_id: int) -> ReplicationRecord:
+    """Run a single replication: draw ``n`` rows on the stream
+    ``(base_seed, rep_id)``, fit them with the configured method, and
+    :func:`assess_fit` the fit.  Estimator errors propagate to the caller.
+    The sample, the radii and the fit's temporaries live in the calling
+    thread's workspace.
+    """
+    n, k = int(n), config.k_for(n)
+    stream = RngStream(config.base_seed, rep_id)
+    workspace = _thread_workspace()
+    sample, radii = sample_elliptical(config.model, n, stream, workspace=workspace)
+    fit = estimate_location_scatter(sample, config.estimator_method, workspace=workspace)
+    return assess_fit(config.model, sample, radii, fit, k, rep_id)
 
 
 def _module_of(filename: str) -> str:

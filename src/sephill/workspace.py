@@ -11,8 +11,9 @@ hundred kilobytes or more is mapped, faulted in and unmapped anew.
 A view is valid only until the next request for the same name, which
 overwrites it: an array a caller keeps must be copied out.  Stages that
 share a name do so on purpose, at points where the earlier tenant is dead
-(see :func:`sephill.montecarlo.run_replication`).  A workspace is not
-shared between threads.
+(see :func:`sephill.montecarlo.run_replication`, which draws and fits in
+its thread's workspace, and :func:`sephill.montecarlo.assess_fit`, which
+measures and orders there).  A workspace is not shared between threads.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from sephill.distributions import (
 )
 from sephill.estimators import (
     SPATIAL_MEDIAN_TYLER,
+    LocationScatterEstimate,
     mahalanobis_distances,
     separating_hill,
     univariate_hill,
@@ -33,6 +34,8 @@ from sephill.estimators import (
 from sephill.linalg import spd_inverse, spectral_norm
 from sephill.montecarlo import (
     ExperimentConfig,
+    aggregate_records,
+    assess_fit,
     ks_statistic,
     ks_threshold,
     run_experiment,
@@ -244,6 +247,43 @@ def test_envelope_applies_in_the_headline_and_robust_models(
         assert all(r.a_n <= 0.5 for r in reports)
         assert all(abs(rec.estimator_gap) <= rec.bound_report.b_n for rec in records)
         assert np.quantile([r.a_n for r in reports], 0.95) <= 0.25
+
+
+# Criterion 5 checks the limit law, criterion 6 the fit.  For Pareto radii
+# k * gamma_hat / gamma is exactly Gamma(k, 1) at every n > k (Renyi's
+# representation of exponential spacings).  With mu known and a fixed
+# scatter S, each distance is R * s(U) with s bounded and independent of
+# R, so above max s the distances are exactly Pareto again: the fitted
+# side keeps the exact law however wrong S is, and only the gap shows S.
+# Pilots (seeds 1-10, 2000 replications of the headline model at n = 2000,
+# k = 45, S = diag(1, 30, 0.03)): KS distances 0.013-0.032 (true side) and
+# 0.013-0.028 (fitted side) against the 1% bar of 0.0364, and the p95 of
+# sqrt(k) * |gap| 0.408-0.431, against criterion 6's bar of 0.05.  The
+# gap bar is frozen at 0.2.  Power: a 2% scale error in gamma_hat moves
+# the population KS distance to 0.053.  On scratch mutations the test
+# failed for a Hill pivot at ordered[k - 1] (KS 0.069), Pareto draws at
+# alpha * 1.03 (KS 0.090) and an assessment that measured the true scatter
+# in place of the fit (p95 of the gap 2e-15).
+def test_exact_law_holds_under_a_wrong_scatter_that_only_the_gap_sees():
+    model = EllipticalModel(
+        mu=np.array([1.0, 2.0, 3.0]),
+        sigma=np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+        variate=GeneratingVariateSpec.pareto(5.0),
+    )
+    scatter = np.diag([1.0, 30.0, 0.03])
+    fit = LocationScatterEstimate(
+        mu_hat=model.mu, sigma_hat=scatter, sigma_hat_inv=spd_inverse(scatter)
+    )
+    n, k, reps, gamma = 2000, 45, 2000, 0.2
+    records = []
+    for rep in range(reps):
+        sample, radii = sample_elliptical(model, n, RngStream(20260411, rep))
+        records.append(assess_fit(model, sample, radii, fit, k, rep))
+    law = stats.gamma(k).cdf
+    for side in ("gamma_hat_true", "gamma_hat_est"):
+        scaled = np.array([getattr(rec, side) for rec in records]) * (k / gamma)
+        assert ks_statistic(scaled, law) < ks_threshold(reps, 0.01)
+    assert aggregate_records(records, n, k, gamma, None).p95_scaled_gap > 0.2
 
 
 def test_criterion_7_worker_count_invariant_output(tmp_path):

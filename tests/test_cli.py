@@ -156,6 +156,29 @@ class TestSimulate:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
+    @pytest.mark.parametrize(
+        "sigma, outputs, flag, path",
+        [
+            ("s.csv", ["--out", "s.csv"], "--out", "s.csv"),
+            ("s.csv", ["--out", "o.csv", "--radii-out", "s.csv"], "--radii-out", "s.csv"),
+            ("o.csv.manifest.json", ["--out", "o.csv"], "--out", "o.csv"),
+        ],
+        ids=["out", "radii-out", "sidecar"],
+    )
+    def test_output_over_the_sigma_file_exits_config(
+        self, tmp_path, monkeypatch, capsys, sigma, outputs, flag, path
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / sigma).write_text("1.0,0.0\n0.0,1.0\n")
+        argv = ["simulate", *SIMULATE, "--sigma", sigma, *outputs]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} {path!r} writes over the input --sigma {sigma!r} "
+            "(the output or its manifest sidecar); give the output its own path\n"
+        )
+        assert (tmp_path / sigma).read_text() == "1.0,0.0\n0.0,1.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == [sigma]
+
     def test_manifest_sidecar(self, tmp_path):
         out = self._run(tmp_path, "m.csv")
         side = json.loads((tmp_path / "m.csv.manifest.json").read_text())
@@ -252,6 +275,44 @@ class TestEstimate:
         est = payload["estimates"]
         assert len(est) == 1 and est[0]["k"] == 2
         assert est[0]["gamma_hat"] == pytest.approx(1.5 * LOG2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, source, read",
+        [
+            (["--data", "d.csv", "--method", "mean-cov", "--out", "d.csv"],
+             "--data", "d.csv"),
+            (["--data", "d.csv", "--mu", "0,0", "--sigma", "s.csv", "--out", "s.csv"],
+             "--sigma", "s.csv"),
+            (["--data", "d.csv.manifest.json", "--method", "mean-cov", "--out", "d.csv"],
+             "--data", "d.csv.manifest.json"),
+        ],
+        ids=["data", "sigma", "data-on-sidecar"],
+    )
+    def test_output_over_an_input_exits_config(
+        self, tmp_path, monkeypatch, capsys, argv, source, read
+    ):
+        # the parent replaced the sample or the scatter with the JSON, exit 0
+        monkeypatch.chdir(tmp_path)
+        inputs = {name: write_ladder_csv(tmp_path / name)
+                  for name in ("d.csv", "s.csv", "d.csv.manifest.json")}
+        before = {name: Path(path).read_bytes() for name, path in inputs.items()}
+        assert cli.main(["estimate", "--k", "2", *argv]) == 2
+        out = argv[argv.index("--out") + 1]
+        assert capsys.readouterr().err == (
+            f"error: --out {out!r} writes over the input {source} {read!r} "
+            "(the output or its manifest sidecar); give the output its own path\n"
+        )
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_file_named_identity_is_no_sigma_input(self, tmp_path, monkeypatch):
+        # --sigma identity reads no file, so an output may take that name
+        monkeypatch.chdir(tmp_path)
+        write_ladder_csv(tmp_path / "d.csv")
+        assert cli.main(
+            ["estimate", "--data", "d.csv", "--k", "2", "--mu", "0,0",
+             "--sigma", "identity", "--out", "identity"]
+        ) == 0
+        assert json.loads((tmp_path / "identity").read_text())["n"] == 4
 
     def test_round_trip_equals_library(self, tmp_path):
         sim = tmp_path / "sim.csv"
@@ -388,25 +449,19 @@ class TestEstimate:
         assert "k" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["0", "4", "2,4"])
-    def test_k_is_checked_by_the_library_before_the_fit(
-        self, tmp_path, capsys, monkeypatch, k
-    ):
-        fits = []
-        monkeypatch.setattr(
-            cli, "estimate_location_scatter", lambda *a: fits.append(a)
-        )
+    def test_k_is_checked_by_the_library_before_the_fit(self, tmp_path, capsys, k):
+        # the fit fails on the ladder, which lies on one axis (exit 4 with a
+        # valid k), so a k error read with exit 2 was raised before any fit
         data = write_ladder_csv(tmp_path / "l.csv")
         out = tmp_path / "est.json"
-        code = cli.main(
-            ["estimate", "--data", data, "--k", k, "--method", "median-tyler",
-             "--out", str(out)]
-        )
-        assert code == 2
+        argv = ["estimate", "--data", data, "--method", "median-tyler", "--out", str(out)]
+        assert cli.main(argv + ["--k", "2"]) == 4
+        assert "shape iterate lost positive definiteness" in capsys.readouterr().err
+        assert cli.main(argv + ["--k", k]) == 2
         bad = k.split(",")[-1]
         assert capsys.readouterr().err == (
             f"error: k must be an integer with 1 <= k <= n - 1, got k={bad}, n=4\n"
         )
-        assert fits == []
         assert not out.exists()
 
     def test_given_scatter_is_inverted_once(self, tmp_path, monkeypatch):
@@ -1015,6 +1070,39 @@ class TestExperiment:
             "(stdout, a file or its manifest sidecar); give each its own\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "outputs, flag, path",
+        [
+            (["--out", "cfg.json"], "--out", "cfg.json"),
+            (["--out", "e.json", "--records-out", "cfg.json"], "--records-out", "cfg.json"),
+            (["--out", "./sub/../cfg.json"], "--out", "./sub/../cfg.json"),
+        ],
+        ids=["out", "records-out", "two-spellings"],
+    )
+    def test_output_over_the_config_exits_config(
+        self, tmp_path, monkeypatch, capsys, outputs, flag, path
+    ):
+        # the parent replaced the config with the JSON, exit 0, and a rerun
+        # from it exited 2
+        monkeypatch.chdir(tmp_path)
+        config = Path(self._config(tmp_path))
+        before = config.read_bytes()
+        assert cli.main(["experiment", "--config", config.name, *outputs]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} {path!r} writes over the input --config {config.name!r} "
+            "(the output or its manifest sidecar); give the output its own path\n"
+        )
+        assert config.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [config.name]
+
+    def test_output_over_the_sigma_file_exits_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.csv").write_text("1.0,0.0\n0.0,1.0\n")
+        argv = self._inline_args("e.json") + ["--sigma", "s.csv", "--records-out", "s.csv"]
+        assert cli.main(argv) == 2
+        assert (tmp_path / "s.csv").read_text() == "1.0,0.0\n0.0,1.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
     def test_failed_row_keeps_its_bytes(self, tmp_path, monkeypatch):
         import sephill.montecarlo as mc

@@ -46,6 +46,7 @@ from sephill.montecarlo import (
     ReplicationRecord,
     _normal_cdf,
     aggregate_records,
+    assess_fit,
     k_schedule,
     ks_statistic,
     ks_threshold,
@@ -283,24 +284,47 @@ class TestRunReplication:
         assert location_error.tobytes() == (fit.mu_hat - model.mu).tobytes()
         assert lambda_max == c * model.lambda_max
 
-    def test_truth_at_any_scale_gives_a_zero_envelope(self, monkeypatch):
-        # a fit that returns the true location and four times the true
-        # scatter perturbs nothing in its own frame; its pivot is R / 2
-        import sephill.montecarlo as mc
-
+    def test_truth_at_any_scale_gives_a_zero_envelope(self):
+        # the true location and four times the true scatter perturb
+        # nothing in their own frame; the pivot is R / 2
         model = pareto_model(d=3, mu=[1.0, 2.0, 3.0], sigma=self.SIGMA)
         truth = LocationScatterEstimate(
             mu_hat=model.mu, sigma_hat=4.0 * model.sigma,
             sigma_hat_inv=model.sigma_inv / 4.0,
         )
-        monkeypatch.setattr(mc, "estimate_location_scatter", lambda *a, **kw: truth)
-        cfg = ExperimentConfig(model, (400,), 1, base_seed=0)
-        rec = run_replication(cfg, 400, 0)
-        _, radii = sample_elliptical(model, 400, RngStream(0, 0))
+        sample, radii = sample_elliptical(model, 400, RngStream(0, 0))
+        rec = assess_fit(model, sample, radii, truth, 20, 7)
+        assert (rec.rep_id, rec.n, rec.k) == (7, 400, 20)
         report = rec.bound_report
         assert report.m_n == 0.0 and report.b_n == 0.0
         assert report.a_n == 0.0
-        assert report.r_pivot == float(order_desc(radii, top=rec.k + 1)[rec.k]) / 2.0
+        assert report.r_pivot == float(order_desc(radii, top=21)[20]) / 2.0
+
+    @staticmethod
+    def _hex_fields(record):
+        """The record's fields and its report's, each float as float.hex."""
+        fields = dataclasses.asdict(record)
+        fields.update(fields.pop("bound_report"))
+        return {
+            name: value.hex() if isinstance(value, float) else value
+            for name, value in fields.items()
+        }
+
+    @pytest.mark.parametrize("method", ESTIMATOR_METHODS)
+    def test_replication_assesses_the_fit_of_its_draw(self, method):
+        # run_replication is the draw, the configured fit and assess_fit
+        model = pareto_model(alpha=4.0, d=3, mu=[1.0, -2.0, 0.5], sigma=self.SIGMA)
+        cfg = ExperimentConfig(
+            model, (500, 3000), 1, base_seed=5, estimator_method=method
+        )
+        for n in cfg.n_values:
+            for rep in range(3):
+                sample, radii = sample_elliptical(model, n, RngStream(5, rep))
+                fit = estimate_location_scatter(sample, method)
+                assessed = assess_fit(model, sample, radii, fit, cfg.k_for(n), rep)
+                assert self._hex_fields(run_replication(cfg, n, rep)) == (
+                    self._hex_fields(assessed)
+                )
 
     def test_mean_cov_report_does_not_move_with_the_scale(self):
         # scaling the scatter by 4 doubles the rows (mu = 0) and scales the
