@@ -43,16 +43,11 @@ from .distributions import (
 )
 from .errors import (
     ConfigError,
-    DegenerateSample,
     DomainError,
     FailureCapExceeded,
-    NonPositiveDistance,
-    NonPositivePivot,
-    NonSymmetric,
-    NotConverged,
     NotPositiveDefinite,
+    NumericFailure,
     SepHillError,
-    SingularIterate,
 )
 from .estimators import (
     SAMPLE_MEAN_COV,
@@ -69,16 +64,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_FAILURE_CAP = 5
-
-_NUMERIC_ERRORS = (
-    DegenerateSample,
-    NotConverged,
-    SingularIterate,
-    NotPositiveDefinite,
-    NonSymmetric,
-    NonPositivePivot,
-    NonPositiveDistance,
-)
 
 _METHOD_NAMES = {
     "mean-cov": SAMPLE_MEAN_COV,
@@ -700,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate the extreme value index from CSV data")
     p.add_argument("--data", required=True)
     p.add_argument("--k", required=True, help="one k or comma-separated k values")
-    p.add_argument("--method", choices=["mean-cov", "median-tyler"])
+    p.add_argument("--method", choices=sorted(_METHOD_NAMES))
     p.add_argument("--mu", help="known location (with --sigma): skip estimation")
     p.add_argument("--sigma", help="known scatter file or 'identity' (with --mu)")
     p.add_argument("--out", default="-")
@@ -758,7 +743,7 @@ def main(argv=None) -> int:
     except FailureCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE_CAP
-    except _NUMERIC_ERRORS as exc:
+    except NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

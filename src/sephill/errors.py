@@ -1,13 +1,19 @@
 """Exception types shared across the library.
 
 Everything raised on purpose derives from :class:`SepHillError`, so callers
-(including the command-line layer) can distinguish our validation and
-numerical failures from genuine bugs.
+(including the command-line layer) can distinguish it from genuine bugs.
+The numerical failures, where valid input met a degenerate sample or
+matrix, derive from :class:`NumericFailure`, on which the command line
+exits 4.
 """
 
 
 class SepHillError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class NumericFailure(SepHillError):
+    """Valid input met a degenerate sample, matrix or iterate."""
 
 
 class DimensionMismatch(SepHillError):
@@ -18,15 +24,15 @@ class NonFinite(SepHillError):
     """Input contains NaN or infinite entries."""
 
 
-class NonSymmetric(SepHillError):
+class NonSymmetric(NumericFailure):
     """Matrix is not symmetric within tolerance."""
 
 
-class NotPositiveDefinite(SepHillError):
+class NotPositiveDefinite(NumericFailure):
     """Matrix failed a positive-definiteness check."""
 
 
-class DegenerateSample(SepHillError):
+class DegenerateSample(NumericFailure):
     """Sample cannot support the requested estimate (too few rows, or a
     covariance that is not positive definite)."""
 
@@ -36,12 +42,12 @@ class KOutOfRange(SepHillError):
     1 <= k <= n - 1."""
 
 
-class NonPositivePivot(SepHillError):
+class NonPositivePivot(NumericFailure):
     """The (k+1)-th largest distance is not strictly positive, so tail
     log-ratios are undefined."""
 
 
-class NonPositiveDistance(SepHillError):
+class NonPositiveDistance(NumericFailure):
     """Distances must be strictly positive for log-ratio comparisons."""
 
 
@@ -69,7 +75,7 @@ class FailureCapExceeded(SepHillError):
     """Experiment aborted because replication failures exceeded the cap."""
 
 
-class NotConverged(SepHillError):
+class NotConverged(NumericFailure):
     """Iterative procedure did not reach tolerance within the iteration
     budget.  Carries the last iterate for inspection."""
 
@@ -79,5 +85,5 @@ class NotConverged(SepHillError):
         self.iterations = iterations
 
 
-class SingularIterate(SepHillError):
+class SingularIterate(NumericFailure):
     """Fixed-point iteration produced a singular or indefinite matrix."""

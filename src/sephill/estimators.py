@@ -554,7 +554,8 @@ def estimate_location_scatter(
     ``spatial_median_tyler`` pairs the spatial median with Tyler's shape
     estimator, each solved by Anderson-mixed fixed-point steps to :data:`MEDIAN_TOL` and :data:`SHAPE_TOL` within
     :data:`MAX_ITER` steps (see :func:`_spatial_median_iter` and
-    :func:`_tyler_iter`).  ``median_iterations`` and ``shape_iterations``
+    :func:`_tyler_iter`; :class:`SingularIterate` when a shape is not
+    positive definite).  ``median_iterations`` and ``shape_iterations``
     count the Weiszfeld and Tyler map evaluations (both 0 for the
     closed-form mean/covariance; both are 0 at d = 1, where the median
     is the column's and the shape is ``[[1.0]]``).  With a ``workspace``
@@ -569,7 +570,10 @@ def estimate_location_scatter(
         x = as_sample(sample)
         mu_hat, it_med, diff = _spatial_median_iter(x, MEDIAN_TOL, MAX_ITER, workspace)
         sigma_hat, it_shape = _tyler_iter(diff, SHAPE_TOL, MAX_ITER, workspace)
-        sigma_hat_inv = linalg.spd_inverse(sigma_hat)
+        try:
+            sigma_hat_inv = linalg.spd_inverse(sigma_hat)
+        except NotPositiveDefinite as exc:
+            raise SingularIterate(f"Tyler shape lost positive definiteness: {exc}") from exc
     else:
         raise ConfigError(
             f"unknown method {method!r}; expected one of {ESTIMATOR_METHODS}"

@@ -230,7 +230,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReplicationRecord:
-    """One replication's estimates and its perturbation-envelope report."""
+    """One replication's estimates and its perturbation-envelope report,
+    measured in the fit's frame of scale ``c = tr(sigma_hat) / tr(sigma)``."""
 
     rep_id: int
     n: int
@@ -239,6 +240,7 @@ class ReplicationRecord:
     gamma_hat_est: float
     normalized_error: float
     estimator_gap: float
+    scale: float
     bound_report: bounds_mod.PerturbationBound
 
 
@@ -339,6 +341,7 @@ def assess_fit(
         gamma_hat_est=gamma_est,
         normalized_error=math.sqrt(k) * (gamma_est - model.variate.gamma),
         estimator_gap=gamma_est - gamma_true,
+        scale=c,
         bound_report=report,
     )
 
@@ -474,9 +477,12 @@ def aggregate_records(
     :class:`ReplicationFailure` values counted.
 
     ``target_mean`` is the centre of the limiting normal law when it is
-    known; the KS statistic is only reported in that case.
+    known; the KS statistic is only reported in that case.  Raises
+    :class:`TooFewValues` when no record succeeded.
     """
     ok = [r for r in records if isinstance(r, ReplicationRecord)]
+    if not ok:
+        raise TooFewValues(f"no replication succeeded at n={n}; nothing to summarize")
     failures = len(records) - len(ok)
     err = np.array([r.normalized_error for r in ok], dtype=float)
     abs_err = np.abs(

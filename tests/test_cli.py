@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sephill import bounds, cli, linalg
+from sephill import bounds, cli, errors, linalg
 from sephill.distributions import (
     EllipticalModel,
     GeneratingVariateSpec,
@@ -490,6 +490,18 @@ class TestEstimate:
         )
         assert code == 4
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_identical_rows_leave_tyler_no_usable_row(self, tmp_path, capsys):
+        # every row sits at the spatial median, so no row has a direction
+        (tmp_path / "same.csv").write_text("1,2\n" * 5)
+        code = cli.main(
+            ["estimate", "--data", str(tmp_path / "same.csv"), "--k", "1",
+             "--method", "median-tyler"]
+        )
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: Tyler shape needs more than d=2 usable rows, have 0\n"
+        )
 
     def test_missing_data_file_is_io_error(self, tmp_path):
         code = cli.main(
@@ -1766,6 +1778,54 @@ class TestExperiment:
         assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "true_aggregates" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _error_kinds(cls=errors.SepHillError):
+    """``cls`` and every class below it."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_kinds(sub)
+
+
+#: The exit code of every error kind, decided one by one: a kind missing
+#: here fails TestExitCodes until its code is chosen.
+EXIT_CODES = {
+    errors.FailureCapExceeded: 5,
+    errors.NumericFailure: 4,
+    errors.DegenerateSample: 4,
+    errors.NotConverged: 4,
+    errors.SingularIterate: 4,
+    errors.NotPositiveDefinite: 4,
+    errors.NonSymmetric: 4,
+    errors.NonPositivePivot: 4,
+    errors.NonPositiveDistance: 4,
+    errors.SepHillError: 2,
+    errors.DimensionMismatch: 2,
+    errors.NonFinite: 2,
+    errors.KOutOfRange: 2,
+    errors.LengthMismatch: 2,
+    errors.DomainError: 2,
+    errors.BetaOutOfRange: 2,
+    errors.TooFewValues: 2,
+    errors.ConfigError: 2,
+    OSError: 3,
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "kind", [*_error_kinds(), OSError], ids=lambda kind: kind.__name__
+    )
+    def test_each_error_kind_has_its_exit_code(self, kind, tmp_path, monkeypatch, capsys):
+        assert kind in EXIT_CODES, f"{kind.__name__} has no decided exit code"
+
+        def fail(*args, **kwargs):
+            raise kind("boom")
+
+        monkeypatch.setattr(cli, "sample_elliptical", fail)
+        code = cli.main(["simulate", *SIMULATE, "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CODES[kind]
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestTopLevel:

@@ -22,6 +22,7 @@ from sephill.errors import (
     NonFinite,
     NonPositivePivot,
     NotConverged,
+    NotPositiveDefinite,
     SingularIterate,
 )
 from sephill import estimators
@@ -529,6 +530,23 @@ class TestEstimateLocationScatter:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             estimate_location_scatter(np.ones((10, 2)), "mle")
+
+    def test_mean_cov_of_no_rows_is_degenerate(self):
+        with pytest.raises(DegenerateSample, match="at least one row"):
+            estimate_location_scatter(np.empty((0, 2)), SAMPLE_MEAN_COV)
+
+    def test_tyler_shape_that_cannot_be_inverted_names_the_fit(self, monkeypatch):
+        # a converged shape that fails the final inversion is the fit's
+        # failure, as one that fails inside the iteration is
+        monkeypatch.setattr(
+            estimators, "_tyler_iter", lambda *args: (np.array([[1.0, 1.0], [1.0, 1.0]]), 3)
+        )
+        x = np.random.default_rng(3).normal(size=(50, 2))
+        with pytest.raises(
+            SingularIterate, match=r"^Tyler shape lost positive definiteness: "
+        ) as info:
+            estimate_location_scatter(x, SPATIAL_MEDIAN_TYLER)
+        assert isinstance(info.value.__cause__, NotPositiveDefinite)
 
 
 class TestLayoutIndependence:

@@ -274,10 +274,11 @@ class TestRunReplication:
             mc.bounds_mod, "perturbation_coefficients",
             lambda *args: seen.append(args) or real(*args),
         )
-        run_replication(cfg, 500, 2)
+        record = run_replication(cfg, 500, 2)
         sample, _ = sample_elliptical(model, 500, RngStream(5, 2))
         fit = estimate_location_scatter(sample, method)
         c = float(np.trace(fit.sigma_hat)) / float(np.trace(model.sigma))
+        assert record.scale == c
         ((sigma_inv, sigma_hat_inv, location_error, lambda_max),) = seen
         assert sigma_inv.tobytes() == (model.sigma_inv / c).tobytes()
         assert sigma_hat_inv.tobytes() == fit.sigma_hat_inv.tobytes()
@@ -294,7 +295,7 @@ class TestRunReplication:
         )
         sample, radii = sample_elliptical(model, 400, RngStream(0, 0))
         rec = assess_fit(model, sample, radii, truth, 20, 7)
-        assert (rec.rep_id, rec.n, rec.k) == (7, 400, 20)
+        assert (rec.rep_id, rec.n, rec.k, rec.scale) == (7, 400, 20, 4.0)
         report = rec.bound_report
         assert report.m_n == 0.0 and report.b_n == 0.0
         assert report.a_n == 0.0
@@ -551,6 +552,7 @@ class TestAggregateRecords:
             gamma_hat_est=est,
             normalized_error=ne,
             estimator_gap=gap,
+            scale=1.0,
             bound_report=log_ratio_bound(0.0, 1.0),
         )
 
@@ -596,6 +598,14 @@ class TestAggregateRecords:
         )
         assert agg.ks_stat is None
         assert agg.target_mean is None
+
+    @pytest.mark.parametrize(
+        "records", [[], [ReplicationFailure(rep_id=0, n=100, k=10, failure="X: y")]],
+        ids=["empty", "only-failures"],
+    )
+    def test_nothing_to_summarize_names_the_sample_size(self, records):
+        with pytest.raises(TooFewValues, match=r"no replication succeeded at n=100"):
+            aggregate_records(records, 100, 10, 0.2, 0.0)
 
     def test_ks_stat_matches_scipy_normal_cdf(self):
         # the harness's erfc-based normal CDF moves the statistic by at
@@ -774,6 +784,11 @@ class TestRunExperiment:
             )
             run_experiment(cfg)
         assert not caught
+
+    def test_warning_from_an_unloaded_file_is_named_by_its_path(self):
+        import sephill.montecarlo as mc
+
+        assert mc._module_of("/nowhere/mod.py") == "/nowhere/mod"
 
     def test_aggregates_match_direct_recomputation(self):
         cfg = self._config(replications=8)
